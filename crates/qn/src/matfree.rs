@@ -13,6 +13,24 @@
 //!   from the per-station `Map2` factors and the combinatorial ranking of
 //!   [`crate::mapqn`] — `O(states · M)` work per sweep and `O(states)`
 //!   memory total (one exit-rate vector plus the two iterate vectors);
+//! * the apply walks **runs**, not states. In lexicographic order the
+//!   states sharing the first `M − 1` occupancies (total `s`) are
+//!   contiguous over the last station's count `k = 0..=N − s`, and each
+//!   source of an incoming transition is itself a run whose rank moves by
+//!   one per `k`:
+//!
+//!   | transition into `(prefix, k)` | source |
+//!   |---|---|
+//!   | think arrival | `(prefix − e₀, k)`; `k − 1` when `M = 1` |
+//!   | completion at interior station `i` | `(prefix + eᵢ − eᵢ₊₁, k)` |
+//!   | completion at station `M − 2` | `(prefix + e_{M−2}, k − 1)`, `k ≥ 1` |
+//!   | completion at the last station | own run at `k + 1`, while `s + k < N` |
+//!   | hidden phase flip | own state |
+//!
+//!   So ranking costs `O(M²)` per run (one `O(M)` rank per source run)
+//!   instead of `M + 1` ranks per state, and each state's `2^M` phases
+//!   are gathered from `O(M · 2^M)` rate tables filled once at build.
+//!   Memory stays the exit-rate vector plus `O(N·M + M·2^M)`;
 //! * [`steady_state`] runs a damped **Jacobi** sweep (or uniformized power
 //!   iteration) with the row range partitioned across scoped threads. Jacobi
 //!   — unlike Gauss-Seidel — reads only the previous iterate, so row ranges
@@ -22,8 +40,9 @@
 //! # Determinism across worker counts
 //!
 //! Each row's inflow is accumulated in a fixed order (think arrival, then
-//! stations in tandem order) that does not depend on how the rows are
-//! partitioned, and normalization and the residual run as serial passes.
+//! per station in tandem order: hidden flip, then completions from source
+//! phase 0 and 1) that does not depend on how the rows are partitioned, and
+//! normalization and the residual run as serial passes.
 //! The iterates are therefore **bit-identical** for any worker count,
 //! including the 1-thread degenerate case — asserted by the property tests
 //! and what makes a forced multi-worker CI run meaningful on a single-core
@@ -48,7 +67,7 @@ use burstcap_map::Map2;
 use burstcap_obs::{metrics, Trace};
 
 use crate::ctmc::Ctmc;
-use crate::mapqn::{next_occupancy, phase_of, with_phase, StateIndexer};
+use crate::mapqn::{next_occupancy, phase_of, StateIndexer};
 use crate::QnError;
 
 /// A CTMC generator presented as an operator: everything the iterative
@@ -101,21 +120,74 @@ impl ApplyQ for Ctmc {
 /// directly from the per-station [`Map2`] factors and the combinatorial
 /// state ranking, without assembling CSR arrays.
 ///
+/// The apply walks the state space in **runs**: the states that share the
+/// first `M − 1` occupancies (a prefix with total `s`) sit contiguously over
+/// the last station's count `k = 0..=N − s`, and every incoming transition
+/// of a run comes from another run whose rank also moves by one per `k`.
+/// So the ranking work is `O(M²)` per run (one rank per source run), not
+/// per state, and each state's `2^M` phases are gathered from per-station
+/// rate tables filled once when the operator is built.
+///
 /// Built by [`crate::mapqn::MapNetwork::matrix_free`]. Memory: one `f64`
-/// per state (the exit rates) plus the `O(N·M)` ranking table.
+/// per state (the exit rates) plus the `O(N·M)` ranking table and the
+/// `O(M·2^M)` rate tables.
 #[derive(Debug, Clone)]
 pub struct MatrixFreeGenerator {
     population: usize,
     think_rate: f64,
-    stations: Vec<Map2>,
     idx: StateIndexer,
-    n_states: usize,
     out_rate: Vec<f64>,
+    /// Station-major incoming rates: entry `i · 2^M + q` holds station `i`'s
+    /// terms into destination phase `q`.
+    terms: Vec<PhaseTerms>,
+}
+
+/// Station `i`'s incoming rates into one destination phase `q` (station
+/// `i` in phase `p` there). The source phases follow from `q` and station
+/// `i`'s phase bit, so only the rates are tabulated.
+#[derive(Debug, Clone, Copy)]
+struct PhaseTerms {
+    /// Hidden flip `d0[1 − p][p]` from the same occupancy.
+    hidden: f64,
+    /// Completions `d1[0][p]`, `d1[1][p]` from the upstream occupancy.
+    d1: [f64; 2],
+}
+
+/// One source run feeding a destination run: destination state `k` reads
+/// source occupancy `first + (k − from)` for `k` in `from..=to`, and
+/// nothing outside that window.
+#[derive(Debug, Clone, Copy)]
+struct Feed {
+    first: usize,
+    from: usize,
+    to: usize,
+}
+
+impl Feed {
+    const NONE: Feed = Feed {
+        first: 0,
+        from: 1,
+        to: 0,
+    };
+
+    #[inline]
+    fn at(self, k: usize) -> Option<usize> {
+        (self.from <= k && k <= self.to).then(|| self.first + (k - self.from))
+    }
+}
+
+/// The feeds of one run: the think arrival, then per station its hidden
+/// flip and its completion hand-off.
+#[derive(Debug, Clone)]
+struct RunFeeds {
+    think: Feed,
+    stations: Vec<[Feed; 2]>,
 }
 
 impl MatrixFreeGenerator {
-    /// Assemble the operator: the only per-state precomputation is the exit
-    /// rate (`(N - total) / Z` plus `-d0[p][p]` of every busy station).
+    /// Assemble the operator: the per-state exit rates (`(N - total) / Z`
+    /// plus `-d0[p][p]` of every busy station) and the per-station rate
+    /// tables.
     pub(crate) fn build(
         population: usize,
         think_time: f64,
@@ -124,9 +196,8 @@ impl MatrixFreeGenerator {
     ) -> Self {
         let m = stations.len();
         let phases = idx.phases;
-        let n_states = idx.state_count();
         let think_rate = 1.0 / think_time;
-        let mut out_rate = vec![0.0; n_states];
+        let mut out_rate = vec![0.0; idx.state_count()];
         let mut occ = vec![0usize; m];
         let mut base = 0usize;
         loop {
@@ -147,20 +218,207 @@ impl MatrixFreeGenerator {
                 break;
             }
         }
+        let mut terms = Vec::with_capacity(m * phases);
+        for (i, st) in stations.iter().enumerate() {
+            let (d0, d1) = (st.d0(), st.d1());
+            for q in 0..phases {
+                let p = phase_of(q, i, m);
+                terms.push(PhaseTerms {
+                    hidden: d0[1 - p][p],
+                    d1: [d1[0][p], d1[1][p]],
+                });
+            }
+        }
         MatrixFreeGenerator {
             population,
             think_rate,
-            stations,
             idx,
-            n_states,
             out_rate,
+            terms,
+        }
+    }
+
+    /// The source runs of the run `occ = (prefix, 0)` with prefix total `s`
+    /// and occupancy rank `run`, where the last station's count `k` runs
+    /// over `0..=N − s`. `occ` is perturbed to rank each source run and
+    /// restored before returning.
+    fn run_feeds(&self, occ: &mut [usize], s: usize, run: usize, feeds: &mut RunFeeds) {
+        let m = occ.len();
+        let kmax = self.population - s;
+        let whole = |first, from| Feed {
+            first,
+            from,
+            to: kmax,
+        };
+        // Think arrival from `occ − e_0`: the prefix minus one at station 0,
+        // or the own run one step down when station 0 is the last.
+        feeds.think = if m == 1 {
+            whole(run, 1)
+        } else if occ[0] > 0 {
+            occ[0] -= 1;
+            let first = self.idx.occ_rank(occ);
+            occ[0] += 1;
+            whole(first, 0)
+        } else {
+            Feed::NONE
+        };
+        for i in 0..m {
+            // Hidden flip from the own state: station `i` must be busy.
+            let hidden = if i + 1 == m {
+                whole(run + 1, 1)
+            } else if occ[i] > 0 {
+                whole(run, 0)
+            } else {
+                Feed::NONE
+            };
+            // Completion hand-off into station `i + 1` (or back to think).
+            let completion = if i + 1 == m {
+                // Last station: the own run one step up, while not full.
+                match kmax.checked_sub(1) {
+                    Some(to) => Feed {
+                        first: run + 1,
+                        from: 0,
+                        to,
+                    },
+                    None => Feed::NONE,
+                }
+            } else if i + 2 == m {
+                // Into the last station: `(prefix + e_i, k − 1)`, k ≥ 1.
+                if kmax > 0 {
+                    occ[i] += 1;
+                    let first = self.idx.occ_rank(occ);
+                    occ[i] -= 1;
+                    whole(first, 1)
+                } else {
+                    Feed::NONE
+                }
+            } else if occ[i + 1] > 0 {
+                // Interior: `(prefix + e_i − e_{i+1}, k)`.
+                occ[i] += 1;
+                occ[i + 1] -= 1;
+                let first = self.idx.occ_rank(occ);
+                occ[i] -= 1;
+                occ[i + 1] += 1;
+                whole(first, 0)
+            } else {
+                Feed::NONE
+            };
+            feeds.stations[i] = [hidden, completion];
+        }
+    }
+
+    /// Inflow of every phase of the state at position `k` of a run (total
+    /// `total`) into `dst` (`2^M` entries). The loop is term-major, but
+    /// each phase still receives its terms in the row order of the module
+    /// docs; a zero rate adds `+0.0`, which leaves the non-negative
+    /// accumulator's bits unchanged, so no term is branched on.
+    ///
+    /// `P` is the phase count when known at compile time: a constant lets
+    /// the phase loops unroll, keeps the accumulator in registers and, with
+    /// the source phase masked to `P − 1`, drops their bounds checks. `0`
+    /// is the run-time path, taken at five or more stations.
+    #[inline(always)]
+    fn block_inflow<const P: usize>(
+        &self,
+        x: &[f64],
+        feeds: &RunFeeds,
+        total: usize,
+        k: usize,
+        dst: &mut [f64],
+    ) {
+        let phases = if P == 0 { dst.len() } else { P };
+        let mask = phases - 1;
+        // A fixed-size accumulator stays in registers once the loops unroll.
+        let mut local = [0.0; 16];
+        let acc = if P == 0 {
+            &mut dst[..]
+        } else {
+            &mut local[..P]
+        };
+        acc.fill(0.0);
+        if let Some(src) = feeds.think.at(k) {
+            // The source has total - 1 jobs queued, so n - total + 1
+            // thinking customers feed the arrival.
+            let rate = (self.population - total + 1) as f64 * self.think_rate;
+            let src = &x[src * phases..][..phases];
+            for (a, &v) in acc.iter_mut().zip(src) {
+                *a += rate * v;
+            }
+        }
+        // Station `i`'s phase bit; its sources read phase `q` with that bit
+        // flipped (hidden flip), cleared or set (completions).
+        let mut bit = phases >> 1;
+        for (terms, [hidden, completion]) in self.terms.chunks_exact(phases).zip(&feeds.stations) {
+            if let Some(src) = hidden.at(k) {
+                let src = &x[src * phases..][..phases];
+                for (q, (a, t)) in acc.iter_mut().zip(terms).enumerate() {
+                    *a += t.hidden * src[(q ^ bit) & mask];
+                }
+            }
+            if let Some(src) = completion.at(k) {
+                let src = &x[src * phases..][..phases];
+                for (q, (a, t)) in acc.iter_mut().zip(terms).enumerate() {
+                    *a += t.d1[0] * src[q & !bit & mask];
+                    *a += t.d1[1] * src[(q | bit) & mask];
+                }
+            }
+            bit >>= 1;
+        }
+        if P != 0 {
+            dst[..P].copy_from_slice(&local[..P]);
+        }
+    }
+
+    /// [`ApplyQ::inflow_into`] for `P` phases (`0`: the run-time count).
+    fn gather<const P: usize>(&self, x: &[f64], rows: Range<usize>, out: &mut [f64]) {
+        let phases = if P == 0 { self.idx.phases } else { P };
+        let m = self.terms.len() / phases;
+        // Seed the walk at the run holding the first row; `unrank` is
+        // O(N·M) and runs once per call. `occ` keeps the run's prefix with
+        // the last station's count zeroed; `k` is the position in the run.
+        let mut occ = self.idx.unrank(rows.start / phases);
+        let mut k = occ[m - 1];
+        occ[m - 1] = 0;
+        let mut run = rows.start / phases - k;
+        let mut feeds = RunFeeds {
+            think: Feed::NONE,
+            stations: vec![[Feed::NONE; 2]; m],
+        };
+        let mut clipped = vec![0.0; phases];
+        loop {
+            let s: usize = occ.iter().sum();
+            let kmax = self.population - s;
+            self.run_feeds(&mut occ, s, run, &mut feeds);
+            while k <= kmax {
+                let block = (run + k) * phases;
+                if block >= rows.end {
+                    return;
+                }
+                // A partition boundary may fall inside a phase block.
+                let q_lo = rows.start.saturating_sub(block);
+                let q_hi = (rows.end - block).min(phases);
+                if q_lo == 0 && q_hi == phases {
+                    let dst = &mut out[block - rows.start..][..phases];
+                    self.block_inflow::<P>(x, &feeds, s + k, k, dst);
+                } else {
+                    self.block_inflow::<P>(x, &feeds, s + k, k, &mut clipped);
+                    out[block + q_lo - rows.start..block + q_hi - rows.start]
+                        .copy_from_slice(&clipped[q_lo..q_hi]);
+                }
+                k += 1;
+            }
+            run += kmax + 1;
+            k = 0;
+            if m == 1 || !next_occupancy(&mut occ[..m - 1], s, self.population) {
+                return;
+            }
         }
     }
 }
 
 impl ApplyQ for MatrixFreeGenerator {
     fn n_states(&self) -> usize {
-        self.n_states
+        self.out_rate.len()
     }
 
     fn exit_rates(&self) -> &[f64] {
@@ -172,86 +430,22 @@ impl ApplyQ for MatrixFreeGenerator {
     /// hidden phase flip at each busy station (same occupancy), (c) a
     /// completion hand-off from `occ + e_i - e_{i+1}` for every interior
     /// station with `occ[i+1] > 0`, and (d) a last-station completion from
-    /// `occ + e_last` when the network is not full. Each row is written by
+    /// `occ + e_last` when the network is not full. Each row adds the think
+    /// arrival first, then station by station the hidden flip and the
+    /// completions from source phase 0 and 1, whatever the range, so rows
+    /// are bit-identical under any partition. Each row is written by
     /// exactly one caller, so partitioned applies never race.
     fn inflow_into(&self, x: &[f64], rows: Range<usize>, out: &mut [f64]) {
         debug_assert_eq!(out.len(), rows.len());
         if rows.is_empty() {
             return;
         }
-        let m = self.stations.len();
-        let phases = self.idx.phases;
-        let n = self.population;
-        // Seed the occupancy walk at the first phase block the range
-        // touches; `unrank` is O(N·M) and runs once per call.
-        let mut occ = self.idx.unrank(rows.start / phases);
-        let mut block = (rows.start / phases) * phases;
-        let mut scratch = vec![0usize; m];
-        let mut comp_src = vec![usize::MAX; m];
-        while block < rows.end {
-            let total: usize = occ.iter().sum();
-            // Phase-independent source bases, computed once per occupancy.
-            let think_src = if occ[0] > 0 {
-                scratch.copy_from_slice(&occ);
-                scratch[0] -= 1;
-                // The source has total - 1 jobs queued, so n - total + 1
-                // thinking customers feed the arrival.
-                let rate = (n - total + 1) as f64 * self.think_rate;
-                Some((self.idx.occ_rank(&scratch) * phases, rate))
-            } else {
-                None
-            };
-            for i in 0..m - 1 {
-                comp_src[i] = if occ[i + 1] > 0 {
-                    scratch.copy_from_slice(&occ);
-                    scratch[i] += 1;
-                    scratch[i + 1] -= 1;
-                    self.idx.occ_rank(&scratch) * phases
-                } else {
-                    usize::MAX
-                };
-            }
-            let last_src = if total < n {
-                scratch.copy_from_slice(&occ);
-                scratch[m - 1] += 1;
-                self.idx.occ_rank(&scratch) * phases
-            } else {
-                usize::MAX
-            };
-            // Clip the phase block to the requested row range (a partition
-            // boundary may fall inside a block).
-            let q_lo = rows.start.saturating_sub(block).min(phases);
-            let q_hi = (rows.end - block).min(phases);
-            for q in q_lo..q_hi {
-                let mut inflow = 0.0;
-                if let Some((base, rate)) = think_src {
-                    inflow += rate * x[base + q];
-                }
-                for (i, st) in self.stations.iter().enumerate() {
-                    let p = phase_of(q, i, m);
-                    if occ[i] > 0 {
-                        let hidden = st.d0()[1 - p][p];
-                        if hidden > 0.0 {
-                            inflow += hidden * x[block + with_phase(q, i, 1 - p, m)];
-                        }
-                    }
-                    let src_base = if i + 1 < m { comp_src[i] } else { last_src };
-                    if src_base != usize::MAX {
-                        let d1 = st.d1();
-                        for p_src in 0..2 {
-                            let rate = d1[p_src][p];
-                            if rate > 0.0 {
-                                inflow += rate * x[src_base + with_phase(q, i, p_src, m)];
-                            }
-                        }
-                    }
-                }
-                out[block + q - rows.start] = inflow;
-            }
-            block += phases;
-            if !next_occupancy(&mut occ, total, n) {
-                break;
-            }
+        match self.idx.phases {
+            2 => self.gather::<2>(x, rows, out),
+            4 => self.gather::<4>(x, rows, out),
+            8 => self.gather::<8>(x, rows, out),
+            16 => self.gather::<16>(x, rows, out),
+            _ => self.gather::<0>(x, rows, out),
         }
     }
 }
@@ -340,23 +534,23 @@ fn partition(n: usize, workers: usize) -> Vec<Range<usize>> {
     ranges
 }
 
-/// One parallel operator apply: `out = Q^T x`, row ranges fanned out across
-/// scoped threads (serial when only one range). Each worker writes a
-/// disjoint `out` chunk, so no synchronization beyond the join is needed.
+/// One parallel operator apply: `out = Q^T x`. The first row range runs
+/// on the calling thread and every further range on a scoped thread of its
+/// own. Each writes a disjoint `out` chunk, so no synchronization beyond
+/// the join is needed.
 fn apply(op: &impl ApplyQ, x: &[f64], ranges: &[Range<usize>], out: &mut [f64]) {
-    if ranges.len() == 1 {
-        op.inflow_into(x, ranges[0].clone(), out);
+    let Some((first, others)) = ranges.split_first() else {
         return;
-    }
+    };
+    let (head, mut rest) = out.split_at_mut(first.len());
     std::thread::scope(|scope| {
-        let mut rest = &mut out[..];
-        for r in ranges {
-            let slice = std::mem::take(&mut rest);
-            let (chunk, tail) = slice.split_at_mut(r.len());
+        for r in others {
+            let (chunk, tail) = std::mem::take(&mut rest).split_at_mut(r.len());
             rest = tail;
             let r = r.clone();
             scope.spawn(move || op.inflow_into(x, r, chunk));
         }
+        op.inflow_into(x, first.clone(), head);
     });
 }
 
@@ -428,6 +622,14 @@ pub fn steady_state_traced(
         }
         None => vec![1.0 / n as f64; n],
     };
+    if let MatFreeMethod::Jacobi { omega, .. } = method {
+        if !(0.0 < omega && omega < 2.0) {
+            return Err(QnError::InvalidParameter {
+                name: "omega",
+                reason: format!("damping factor must lie in (0, 2), got {omega}"),
+            });
+        }
+    }
     if n == 1 {
         return Ok(MatFreeRun {
             pi: vec![1.0],
@@ -449,8 +651,6 @@ pub fn steady_state_traced(
     };
     let ranges = partition(n, workers);
     let out_rate = op.exit_rates();
-    // Scale-free residual target, matching the CSR engine's convention.
-    let scale: f64 = out_rate.iter().sum::<f64>() / n as f64;
     let solver = match method {
         MatFreeMethod::Jacobi { .. } => "jacobi",
         MatFreeMethod::Power { .. } => "power",
@@ -476,114 +676,16 @@ pub fn steady_state_traced(
         }
     }
     let run = match method {
-        MatFreeMethod::Jacobi {
-            omega,
-            tol,
-            max_iter,
-        } => {
-            if !(0.0 < omega && omega < 2.0) {
-                return Err(QnError::InvalidParameter {
-                    name: "omega",
-                    reason: format!("damping factor must lie in (0, 2), got {omega}"),
-                });
-            }
-            let mut next = vec![0.0; n];
-            let mut last_residual = f64::INFINITY;
-            let mut done = None;
-            for iter in 0..max_iter {
-                apply(op, &pi, &ranges, &mut next);
-                // Serial pass: the balance residual of the current iterate
-                // falls out of the inflows for free, then damp + normalize.
-                let mut residual = 0.0;
-                let mut sum = 0.0;
-                for i in 0..n {
-                    let inflow = next[i];
-                    residual += (inflow - pi[i] * out_rate[i]).abs();
-                    let v = (1.0 - omega) * pi[i] + omega * inflow / out_rate[i];
-                    next[i] = v;
-                    sum += v;
-                }
-                for v in next.iter_mut() {
-                    *v /= sum;
-                }
-                std::mem::swap(&mut pi, &mut next);
-                last_residual = residual / scale;
-                // Decimated trajectory from the serial pass: one event per
-                // power-of-two sweep plus the accepting one.
-                if (iter + 1).is_power_of_two() || last_residual < tol {
-                    trace.event(
-                        "matfree.sweep",
-                        vec![
-                            ("iter", (iter + 1).into()),
-                            ("residual", last_residual.into()),
-                        ],
-                    );
-                }
-                if last_residual < tol {
-                    done = Some(iter + 1);
-                    break;
-                }
-            }
-            match done {
-                Some(iterations) => Ok(MatFreeRun {
-                    pi,
-                    iterations,
-                    final_residual: last_residual,
-                }),
-                None => Err(QnError::NoConvergence {
-                    solver: "matfree-jacobi",
-                    iterations: max_iter,
-                    residual: last_residual,
-                }),
-            }
+        MatFreeMethod::Jacobi { omega, .. } => {
+            sweep_loop(op, &ranges, trace, pi, method, |p, inflow, out| {
+                (1.0 - omega) * p + omega * inflow / out
+            })
         }
-        MatFreeMethod::Power { tol, max_iter } => {
+        MatFreeMethod::Power { .. } => {
             let lambda = out_rate.iter().cloned().fold(0.0, f64::max) * 1.02;
-            let mut next = vec![0.0; n];
-            let mut last_residual = f64::INFINITY;
-            let mut done = None;
-            for iter in 0..max_iter {
-                apply(op, &pi, &ranges, &mut next);
-                let mut residual = 0.0;
-                let mut sum = 0.0;
-                for i in 0..n {
-                    let flux = next[i] - pi[i] * out_rate[i];
-                    residual += flux.abs();
-                    let v = pi[i] + flux / lambda;
-                    next[i] = v;
-                    sum += v;
-                }
-                for v in next.iter_mut() {
-                    *v /= sum;
-                }
-                std::mem::swap(&mut pi, &mut next);
-                last_residual = residual / scale;
-                if (iter + 1).is_power_of_two() || last_residual < tol {
-                    trace.event(
-                        "matfree.sweep",
-                        vec![
-                            ("iter", (iter + 1).into()),
-                            ("residual", last_residual.into()),
-                        ],
-                    );
-                }
-                if last_residual < tol {
-                    done = Some(iter + 1);
-                    break;
-                }
-            }
-            match done {
-                Some(iterations) => Ok(MatFreeRun {
-                    pi,
-                    iterations,
-                    final_residual: last_residual,
-                }),
-                None => Err(QnError::NoConvergence {
-                    solver: "matfree-power",
-                    iterations: max_iter,
-                    residual: last_residual,
-                }),
-            }
+            sweep_loop(op, &ranges, trace, pi, method, |p, inflow, out| {
+                p + (inflow - p * out) / lambda
+            })
         }
     };
     match run {
@@ -621,6 +723,68 @@ pub fn steady_state_traced(
     }
 }
 
+/// The sweep loop shared by both methods: apply the operator, then one
+/// serial pass computes the balance residual of the current iterate and the
+/// next iterate row by row, and a second normalizes it. Sweeps from `pi`
+/// until the scale-free residual falls below the method's `tol` or its
+/// `max_iter` sweeps are spent. `update(pi_i, inflow_i, exit_i)` is the
+/// method's next value of row `i` before normalization.
+fn sweep_loop(
+    op: &impl ApplyQ,
+    ranges: &[Range<usize>],
+    trace: &Trace,
+    mut pi: Vec<f64>,
+    method: MatFreeMethod,
+    update: impl Fn(f64, f64, f64) -> f64,
+) -> Result<MatFreeRun, QnError> {
+    let (tol, max_iter, solver) = match method {
+        MatFreeMethod::Jacobi { tol, max_iter, .. } => (tol, max_iter, "matfree-jacobi"),
+        MatFreeMethod::Power { tol, max_iter } => (tol, max_iter, "matfree-power"),
+    };
+    let out_rate = op.exit_rates();
+    // Scale-free residual target, matching the CSR engine's convention.
+    let scale: f64 = out_rate.iter().sum::<f64>() / pi.len() as f64;
+    let mut next = vec![0.0; pi.len()];
+    let mut last_residual = f64::INFINITY;
+    for iter in 1..=max_iter {
+        apply(op, &pi, ranges, &mut next);
+        let mut residual = 0.0;
+        let mut sum = 0.0;
+        for ((v, &p), &out) in next.iter_mut().zip(&pi).zip(out_rate) {
+            let inflow = *v;
+            residual += (inflow - p * out).abs();
+            *v = update(p, inflow, out);
+            sum += *v;
+        }
+        for v in next.iter_mut() {
+            *v /= sum;
+        }
+        std::mem::swap(&mut pi, &mut next);
+        last_residual = residual / scale;
+        let converged = last_residual < tol;
+        // Decimated trajectory from the serial pass: one event per
+        // power-of-two sweep plus the accepting one.
+        if iter.is_power_of_two() || converged {
+            trace.event(
+                "matfree.sweep",
+                vec![("iter", iter.into()), ("residual", last_residual.into())],
+            );
+        }
+        if converged {
+            return Ok(MatFreeRun {
+                pi,
+                iterations: iter,
+                final_residual: last_residual,
+            });
+        }
+    }
+    Err(QnError::NoConvergence {
+        solver,
+        iterations: max_iter,
+        residual: last_residual,
+    })
+}
+
 fn normalize(v: &mut [f64]) {
     let s: f64 = v.iter().sum();
     if s > 0.0 {
@@ -634,6 +798,9 @@ fn normalize(v: &mut [f64]) {
 mod tests {
     use super::*;
     use burstcap_map::fit::Map2Fitter;
+    use burstcap_obs::Recorder;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     use crate::mapqn::MapNetwork;
 
@@ -695,10 +862,17 @@ mod tests {
             tol: 1e-10,
             max_iter: 10,
         };
-        assert!(matches!(
-            steady_state(&chain, bad, 1, None),
-            Err(QnError::InvalidParameter { name: "omega", .. })
-        ));
+        // A rejected call records nothing, and a one-state chain (which
+        // needs no sweep) is no exception.
+        let single = Ctmc::from_transitions(1, []).unwrap();
+        for op in [&chain, &single] {
+            let recorder = Recorder::new();
+            assert!(matches!(
+                steady_state_traced(op, bad, 2, None, &recorder.trace()),
+                Err(QnError::InvalidParameter { name: "omega", .. })
+            ));
+            assert_eq!(recorder.event_count(), 0);
+        }
     }
 
     #[test]
@@ -718,42 +892,93 @@ mod tests {
         ));
     }
 
+    /// `m` seeded bursty fits, optionally with the last station replaced
+    /// by one whose D0 has a zero off-diagonal (no hidden flip out of
+    /// phase 0).
+    fn seeded_stations(rng: &mut SmallRng, m: usize, zero_flip: bool) -> Vec<Map2> {
+        let mut stations: Vec<Map2> = (0..m)
+            .map(|_| {
+                let mean = rng.random_range(0.004..0.02);
+                let dispersion = rng.random_range(2.0..50.0);
+                Map2Fitter::new(mean, dispersion, 3.0 * mean)
+                    .fit()
+                    .unwrap()
+                    .map()
+            })
+            .collect();
+        if zero_flip {
+            stations[m - 1] =
+                Map2::new([[-30.0, 0.0], [3.0, -80.0]], [[28.0, 2.0], [7.0, 70.0]]).unwrap();
+        }
+        stations
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// A deterministic, well-spread probe vector.
+    fn probe(n: usize) -> Vec<f64> {
+        (0..n).map(|i| 1.0 + ((i * 37) % 101) as f64).collect()
+    }
+
     #[test]
     fn matrix_free_generator_matches_csr_chain() {
-        // The gather-form operator against the assembled chain: exit rates
-        // and a full-range apply must agree to roundoff on a bursty
-        // three-station tandem.
-        let web = Map2Fitter::new(0.004, 6.0, 0.012).fit().unwrap().map();
-        let app = Map2Fitter::new(0.01, 20.0, 0.03).fit().unwrap().map();
-        let db = Map2Fitter::new(0.008, 40.0, 0.02).fit().unwrap().map();
-        let net = MapNetwork::tandem(5, 0.3, vec![web, app, db]).unwrap();
+        // The gather-form operator against the assembled chain at one to
+        // five stations: exit rates and a full-range apply agree to
+        // roundoff, and a few range-partitioned applies (including ranges
+        // that split a phase block) agree bit for bit with the full apply.
+        let mut rng = SmallRng::seed_from_u64(20080901);
+        for (m, pop) in [(1usize, 20usize), (2, 10), (3, 6), (4, 4), (5, 2)] {
+            for zero_flip in [false, true] {
+                let stations = seeded_stations(&mut rng, m, zero_flip);
+                let net = MapNetwork::tandem(pop, 0.3, stations).unwrap();
+                let op = net.matrix_free().unwrap();
+                let chain = Ctmc::from_outgoing_csr(net.outgoing_csr().unwrap()).unwrap();
+                let n = net.state_count();
+                assert_eq!(op.n_states(), n);
+                for (a, b) in op.exit_rates().iter().zip(chain.exit_rates()) {
+                    assert!((a - b).abs() <= 1e-12 * b.abs());
+                }
+                let x = probe(n);
+                let mut from_op = vec![0.0; n];
+                op.inflow_into(&x, 0..n, &mut from_op);
+                let mut from_chain = vec![0.0; n];
+                chain.inflow_into(&x, 0..n, &mut from_chain);
+                for (i, (a, b)) in from_op.iter().zip(&from_chain).enumerate() {
+                    assert!(
+                        (a - b).abs() <= 1e-12 * b.abs().max(1.0),
+                        "M = {m}, row {i}: {a} vs {b}"
+                    );
+                }
+                let mut pieces = vec![0.0; n];
+                let cuts = [0, 3, n / 3 + 1, n / 2, n - 5, n];
+                for pair in cuts.windows(2) {
+                    op.inflow_into(&x, pair[0]..pair[1], &mut pieces[pair[0]..pair[1]]);
+                }
+                assert_eq!(bits(&pieces), bits(&from_op), "M = {m}");
+            }
+        }
+    }
+
+    #[test]
+    fn split_at_every_row_matches_full_apply() {
+        // Every single cut point, so cuts fall inside a run and inside a
+        // phase block, both of which the run walk has to clip.
+        let mut rng = SmallRng::seed_from_u64(7);
+        let net = MapNetwork::tandem(3, 0.3, seeded_stations(&mut rng, 2, true)).unwrap();
         let op = net.matrix_free().unwrap();
-        let chain = Ctmc::from_outgoing_csr(net.outgoing_csr().unwrap()).unwrap();
-        let n = net.state_count();
-        assert_eq!(op.n_states(), n);
-        for (a, b) in op.exit_rates().iter().zip(chain.exit_rates()) {
-            assert!((a - b).abs() <= 1e-12 * b.abs());
+        let n = op.n_states();
+        let x = probe(n);
+        let mut full = vec![0.0; n];
+        op.inflow_into(&x, 0..n, &mut full);
+        for cut in 0..=n {
+            let mut pieces = vec![0.0; n];
+            let (lo, hi) = pieces.split_at_mut(cut);
+            op.inflow_into(&x, 0..cut, lo);
+            op.inflow_into(&x, cut..n, hi);
+            assert_eq!(bits(&pieces), bits(&full), "cut at {cut}");
         }
-        // A deterministic, well-spread probe vector.
-        let x: Vec<f64> = (0..n).map(|i| 1.0 + ((i * 37) % 101) as f64).collect();
-        let mut from_op = vec![0.0; n];
-        op.inflow_into(&x, 0..n, &mut from_op);
-        let mut from_chain = vec![0.0; n];
-        chain.inflow_into(&x, 0..n, &mut from_chain);
-        for (i, (a, b)) in from_op.iter().zip(&from_chain).enumerate() {
-            assert!(
-                (a - b).abs() <= 1e-12 * b.abs().max(1.0),
-                "row {i}: {a} vs {b}"
-            );
-        }
-        // Range-partitioned applies agree bit-for-bit with the full apply,
-        // including ranges that split a phase block.
-        let mut pieces = vec![0.0; n];
-        let cuts = [0, 3, n / 3 + 1, n / 2, n - 5, n];
-        for pair in cuts.windows(2) {
-            op.inflow_into(&x, pair[0]..pair[1], &mut pieces[pair[0]..pair[1]]);
-        }
-        assert_eq!(pieces, from_op);
     }
 
     #[test]
