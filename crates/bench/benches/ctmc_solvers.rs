@@ -1,6 +1,7 @@
 //! Criterion bench comparing the steady-state solvers on the MAP queueing
 //! network (the DESIGN.md solver ablation): exact block level-reduction
-//! versus dense LU versus Gauss-Seidel on a well-conditioned instance.
+//! versus dense LU versus the default CSR solver (ILU(0)-BiCGSTAB) on a
+//! well-conditioned instance.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -26,8 +27,7 @@ fn bench(c: &mut Criterion) {
             b.iter(|| black_box(&net).solve().expect("solves"))
         });
     }
-    // Dense LU only fits small populations; Gauss-Seidel needs a
-    // well-conditioned (exponential) instance to converge.
+    // Dense LU only fits small populations.
     let small = MapNetwork::new(10, 0.5, front, db).expect("valid");
     group.bench_function("dense_lu_pop10", |b| {
         b.iter(|| {
@@ -47,7 +47,7 @@ fn bench(c: &mut Criterion) {
     }
     let chain = Ctmc::from_transitions(401, tr).expect("valid chain");
     let mut iterative = c.benchmark_group("ctmc_solver");
-    iterative.bench_function("gauss_seidel_birth_death_401", |b| {
+    iterative.bench_function("bicgstab_birth_death_401", |b| {
         b.iter(|| {
             black_box(&chain)
                 .steady_state(SteadyStateMethod::default())

@@ -1,5 +1,5 @@
 //! Criterion bench for the sparse CTMC engine: CSR assembly, transpose, and
-//! the sparse Gauss-Seidel solve versus the dense LU oracle on the MAP
+//! the sparse BiCGSTAB solve versus the dense LU oracle on the MAP
 //! queueing network (the scaling story of the ARCHITECTURE.md "sparse
 //! engine" section).
 

@@ -179,24 +179,24 @@ fn main() {
         let (lu_ms, lu_x) = median_ms(reps, || {
             net.solve_iterative(SteadyStateMethod::DenseLu { limit: 1_000_000 })
         });
-        let (gs_ms, gs_x) = median_ms(reps, || net.solve_sparse());
+        let (csr_ms, csr_x) = median_ms(reps, || net.solve_sparse());
         push(&net, "dense_lu", lu_ms, lu_x);
-        push(&net, "sparse_gauss_seidel", gs_ms, gs_x);
+        push(&net, "sparse_bicgstab_ilu0", csr_ms, csr_x);
         println!(
             "{}",
             burstcap_bench::row(
                 &format!("pop {pop} ({} states)", net.state_count()),
                 &[
                     format!("LU {lu_ms:.1} ms"),
-                    format!("GS {gs_ms:.1} ms"),
-                    format!("{:.1}x", lu_ms / gs_ms),
+                    format!("CSR {csr_ms:.1} ms"),
+                    format!("{:.1}x", lu_ms / csr_ms),
                 ],
             )
         );
         if pop == *DENSE_FEASIBLE_POPS.last().expect("non-empty") {
             dense_at_largest = lu_ms;
-            sparse_at_largest = gs_ms;
-            agreement = (lu_x - gs_x).abs() / lu_x;
+            sparse_at_largest = csr_ms;
+            agreement = (lu_x - csr_x).abs() / lu_x;
         }
     }
 
@@ -206,16 +206,16 @@ fn main() {
     );
     for &pop in &SPARSE_POPS {
         let net = MapNetwork::new(pop, think, front, db).expect("valid network");
-        let (gs_ms, gs_x) = median_ms(reps, || net.solve_sparse());
+        let (csr_ms, csr_x) = median_ms(reps, || net.solve_sparse());
         let (direct_ms, direct_x) = median_ms(reps, || net.solve());
-        push(&net, "sparse_gauss_seidel", gs_ms, gs_x);
+        push(&net, "sparse_bicgstab_ilu0", csr_ms, csr_x);
         push(&net, "direct_level_reduction", direct_ms, direct_x);
         println!(
             "{}",
             burstcap_bench::row(
                 &format!("pop {pop} ({} states)", net.state_count()),
                 &[
-                    format!("GS {gs_ms:.1} ms"),
+                    format!("CSR {csr_ms:.1} ms"),
                     format!("direct {direct_ms:.1} ms"),
                 ],
             )

@@ -4,7 +4,7 @@
 //! Two workloads:
 //!
 //! * **sparse solve** — the paper's MAP(2)×MAP(2) network at population
-//!   100 through the CSR Gauss-Seidel engine, untraced (the no-op
+//!   100 through the CSR BiCGSTAB engine, untraced (the no-op
 //!   `Trace::noop` default) vs traced into a live [`Recorder`];
 //! * **online ingest** — 900 monitoring windows (400 stable, then a 3x db
 //!   demand shift) through the continuous planner, untraced vs traced —

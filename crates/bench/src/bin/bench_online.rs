@@ -12,7 +12,7 @@
 //!   (`*_ms`, `windows_per_sec`) are machine snapshots.
 //! * **Warm vs cold solve** — the same drifted-descriptor re-solve the
 //!   planner performs on unchanged-regime windows, timed head to head:
-//!   sparse Gauss-Seidel cold from uniform vs warm-started from the
+//!   sparse BiCGSTAB cold from uniform vs warm-started from the
 //!   previous model's stationary vector
 //!   ([`burstcap_qn::mapqn::MapNetwork::solve_sparse_with_initial`]).
 //!

@@ -41,8 +41,8 @@ pub enum SolverStrategy {
     },
     /// Always the direct block level-reduction (`O(N^4)`, stiffness-proof).
     Direct,
-    /// Always the sparse CSR engine (Gauss-Seidel; may legitimately fail
-    /// with a no-convergence error on nearly decomposable chains).
+    /// Always the sparse CSR engine (ILU(0)-BiCGSTAB; fails with a
+    /// no-convergence error only if its iteration budget runs out).
     Sparse,
     /// Always the matrix-free parallel engine (damped Jacobi over scoped
     /// worker threads; the generator is never materialized, so this is the
@@ -337,7 +337,7 @@ impl CapacityPlanner {
     /// # Panics
     ///
     /// Only if a justified internal invariant is violated (1 reachable
-    /// panic site, e.g. `crates/qn/src/ctmc.rs:520`; `burstcap-lint report` lists them),
+    /// panic site, e.g. `crates/qn/src/ctmc.rs:777`; `burstcap-lint report` lists them),
     /// never for inputs this API accepts.
     pub fn predict(&self, population: usize, think_time: f64) -> Result<Prediction, PlanError> {
         let net = self.network(population, think_time)?;

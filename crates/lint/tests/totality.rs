@@ -68,7 +68,7 @@ fn per_crate_item_and_fn_counts_match_snapshot() {
         "map: 209 items, 176 fns",
         "obs: 65 items, 49 fns",
         "online: 128 items, 88 fns",
-        "qn: 251 items, 234 fns",
+        "qn: 263 items, 254 fns",
         "root: 150 items, 44 fns",
         "seeds: 20 items, 6 fns",
         "sim: 146 items, 122 fns",

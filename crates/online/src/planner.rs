@@ -12,7 +12,7 @@
 //! ([`burstcap_qn::mapqn::MapNetwork::solve_sparse_with_initial`]): a
 //! rolling re-fit perturbs the generator's rates but not its state space,
 //! so the previous `pi` is an excellent initial iterate and the sparse
-//! Gauss-Seidel sweep converges in a fraction of a cold solve.
+//! BiCGSTAB solve converges in a fraction of a cold solve.
 //!
 //! On a confirmed regime change the alarmed tiers' estimators are **reset**:
 //! their history describes the old service process and would bias every

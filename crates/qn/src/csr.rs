@@ -190,6 +190,13 @@ impl CsrMatrix {
         (&self.col_idx[start..end], &self.values[start..end])
     }
 
+    /// The three CSR arrays `(row_ptr, col_idx, values)`, for kernels that
+    /// keep per-entry data of their own aligned with `values` (the ILU(0)
+    /// factor of [`crate::ctmc`]).
+    pub(crate) fn parts(&self) -> (&[usize], &[usize], &[f64]) {
+        (&self.row_ptr, &self.col_idx, &self.values)
+    }
+
     /// Iterate every stored entry as `(row, col, value)`.
     pub fn iter(&self) -> impl Iterator<Item = (usize, usize, f64)> + '_ {
         (0..self.n).flat_map(move |i| self.row(i).map(move |(j, v)| (i, j, v)))

@@ -28,25 +28,26 @@
 //!
 //! Fitted bursty MAPs have phase-persistence `gamma` extremely close to 1,
 //! which makes the CTMC *nearly completely decomposable* — the regime where
-//! sweep methods (Gauss-Seidel, power iteration) stall. The network, however,
-//! is **block tridiagonal** in the level `l = n_1 + … + n_M`: think
-//! completions move up one level, last-station completions move down one,
-//! and every other transition (hidden phase changes, station `i → i + 1`
-//! hand-offs) stays within a level. [`MapNetwork::solve`] therefore uses
+//! sweep methods (Gauss-Seidel, Jacobi, power iteration) crawl. The
+//! network, however, is **block tridiagonal** in the level
+//! `l = n_1 + … + n_M`: think completions move up one level, last-station
+//! completions move down one, and every other transition (hidden phase
+//! changes, station `i → i + 1` hand-offs) stays within a level. [`MapNetwork::solve`] therefore uses
 //! exact block Gaussian elimination over levels (linear level reduction, the
 //! finite-QBD direct method), which is immune to stiffness; the two-station
 //! specialization is preserved verbatim as
 //! [`MapNetwork::solve_two_station_reference`] and serves as the `M = 2`
 //! oracle for the generic code.
 //!
-//! For large populations with moderate stiffness the **sparse engine** is
-//! the faster route: [`MapNetwork::outgoing_csr`] assembles the generator
-//! straight into compressed sparse row form (no triplet list — each state
-//! has at most `2 + 3M` outgoing transitions), and
-//! [`MapNetwork::solve_sparse`] / [`MapNetwork::solve_iterative`] run the
-//! CSR-backed Gauss-Seidel or uniformized power iteration of
-//! [`crate::ctmc`] on it. The dense LU oracle remains available through
-//! [`MapNetwork::solve_iterative`] for cross-validation on small models.
+//! For large populations the **sparse engine** is the faster route:
+//! [`MapNetwork::outgoing_csr`] assembles the generator straight into
+//! compressed sparse row form (no triplet list — each state has at most
+//! `2 + 3M` outgoing transitions), and [`MapNetwork::solve_sparse`] runs the
+//! ILU(0)-preconditioned BiCGSTAB of [`crate::ctmc`] on it, whose
+//! iteration count does not follow how slowly the phases mix.
+//! [`MapNetwork::solve_iterative`] runs any [`crate::ctmc`] method on the
+//! same chain, the dense LU oracle included (for cross-validation on small
+//! models).
 
 use serde::{Deserialize, Serialize};
 
@@ -77,6 +78,16 @@ pub const AUTO_SPARSE_THRESHOLD: usize = 10_000;
 /// `BENCH_baseline.json`.
 pub const AUTO_MATFREE_THRESHOLD: usize = 120_000;
 
+/// Tolerance and iteration budget of the full CSR solve
+/// ([`MapNetwork::solve_sparse_with_initial_traced`], also the matrix-free
+/// stall fallback). An iteration costs about four sweeps, so 100,000
+/// iterations keep the work of the former 400,000-sweep budget.
+const CSR_FULL: (f64, usize) = (1e-12, 100_000);
+
+/// Tolerance and iteration budget of [`MapNetwork::solve_auto`]'s tier-2 CSR
+/// attempt: a stall costs a fraction of the direct solve it falls back to.
+const CSR_BOUNDED: (f64, usize) = (1e-10, 10_000);
+
 /// Which steady-state engine produced a [`MapQnSolution`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum SolveEngine {
@@ -84,7 +95,9 @@ pub enum SolveEngine {
     Direct,
     /// Dense LU on the full generator (small-model oracle).
     DenseLu,
-    /// CSR-backed iterative sweep (Gauss-Seidel or uniformized power).
+    /// CSR-backed iterative solve (ILU(0)-BiCGSTAB in production;
+    /// Gauss-Seidel or uniformized power through
+    /// [`MapNetwork::solve_iterative`]).
     SparseCsr,
     /// Matrix-free parallel sweep (no generator materialization).
     MatrixFree,
@@ -115,7 +128,8 @@ pub struct EngineSweeps {
     pub direct: usize,
     /// Dense LU oracle (non-iterative: always `0` sweeps).
     pub dense_lu: usize,
-    /// CSR Gauss-Seidel / uniformized power sweeps.
+    /// CSR iterations: BiCGSTAB iterations in production (each about four
+    /// sweeps of work), Gauss-Seidel or power sweeps when asked for.
     pub sparse_csr: usize,
     /// Matrix-free Jacobi / power sweeps.
     pub matrix_free: usize,
@@ -941,7 +955,7 @@ impl MapNetwork {
     /// # Panics
     ///
     /// Only if a justified internal invariant is violated (1 reachable
-    /// panic site, e.g. `crates/qn/src/ctmc.rs:520`; `burstcap-lint report` lists them),
+    /// panic site, e.g. `crates/qn/src/ctmc.rs:777`; `burstcap-lint report` lists them),
     /// never for inputs this API accepts.
     pub fn solve_iterative(&self, method: SteadyStateMethod) -> Result<MapQnSolution, QnError> {
         self.check_state_limit()?;
@@ -961,15 +975,13 @@ impl MapNetwork {
             )))
     }
 
-    /// Solve via the sparse engine with production tuning: Gauss-Seidel at a
-    /// tolerance tight enough that throughput agrees with the dense LU
-    /// oracle to ~1e-8 on well-conditioned models.
+    /// Solve via the sparse engine with production tuning: ILU(0)-BiCGSTAB
+    /// at a 1e-12 scale-free residual, tight enough that throughput agrees
+    /// with the direct solver to ~1e-8, stiff fitted MAPs included.
     ///
-    /// Prefer this over [`MapNetwork::solve`] when the state space is large
-    /// (the direct level-reduction inverts one dense block per level, the
-    /// sparse sweep is `O(transitions)` per iteration) and the fitted MAPs
-    /// are not extremely stiff; prefer [`MapNetwork::solve`] when phase
-    /// persistence is close to 1 and sweeps stall.
+    /// Prefer this over [`MapNetwork::solve`] when the state space is large:
+    /// the direct level-reduction inverts one dense block per level, while
+    /// an iteration here is `O(transitions)`.
     ///
     /// # Errors
     /// Propagates construction errors and [`QnError::NoConvergence`].
@@ -989,7 +1001,7 @@ impl MapNetwork {
     /// # Panics
     ///
     /// Only if a justified internal invariant is violated (1 reachable
-    /// panic site, e.g. `crates/qn/src/ctmc.rs:520`; `burstcap-lint report` lists them),
+    /// panic site, e.g. `crates/qn/src/ctmc.rs:777`; `burstcap-lint report` lists them),
     /// never for inputs this API accepts.
     pub fn solve_sparse(&self) -> Result<MapQnSolution, QnError> {
         // A cold solve is exactly the warm-startable path without a guess;
@@ -997,7 +1009,7 @@ impl MapNetwork {
         Ok(self.solve_sparse_with_initial(None)?.0)
     }
 
-    /// Warm-startable sparse solve: the production Gauss-Seidel engine of
+    /// Warm-startable sparse solve: the production BiCGSTAB engine of
     /// [`MapNetwork::solve_sparse`], seeded from a caller-provided
     /// stationary-vector guess, returning both the metrics **and** the
     /// stationary vector so consecutive solves can chain.
@@ -1036,7 +1048,7 @@ impl MapNetwork {
     /// # Panics
     ///
     /// Only if a justified internal invariant is violated (1 reachable
-    /// panic site, e.g. `crates/qn/src/ctmc.rs:520`; `burstcap-lint report` lists them),
+    /// panic site, e.g. `crates/qn/src/ctmc.rs:777`; `burstcap-lint report` lists them),
     /// never for inputs this API accepts.
     pub fn solve_sparse_with_initial(
         &self,
@@ -1058,11 +1070,22 @@ impl MapNetwork {
     /// # Panics
     ///
     /// Only if a justified internal invariant is violated (1 reachable
-    /// panic site, e.g. `crates/qn/src/ctmc.rs:520`; `burstcap-lint report` lists them),
+    /// panic site, e.g. `crates/qn/src/ctmc.rs:777`; `burstcap-lint report` lists them),
     /// never for inputs this API accepts.
     pub fn solve_sparse_with_initial_traced(
         &self,
         guess: Option<Vec<f64>>,
+        trace: &Trace,
+    ) -> Result<(MapQnSolution, Vec<f64>), QnError> {
+        self.solve_csr(guess, CSR_FULL, trace)
+    }
+
+    /// The one CSR solve body: assemble the chain and run ILU(0)-BiCGSTAB
+    /// at `(tol, max_iter)` under a `qn.solve` span.
+    fn solve_csr(
+        &self,
+        guess: Option<Vec<f64>>,
+        (tol, max_iter): (f64, usize),
         trace: &Trace,
     ) -> Result<(MapQnSolution, Vec<f64>), QnError> {
         self.check_state_limit()?;
@@ -1076,13 +1099,7 @@ impl MapNetwork {
         );
         let idx = self.indexer()?;
         let chain = Ctmc::from_outgoing_csr(self.outgoing_csr()?)?;
-        // omega < 1: plain Gauss-Seidel limit-cycles on these QBD chains
-        // (see the SparseMethod::GaussSeidel docs).
-        let method = SteadyStateMethod::Sparse(SparseMethod::GaussSeidel {
-            omega: 0.95,
-            tol: 1e-12,
-            max_iter: 400_000,
-        });
+        let method = SteadyStateMethod::Sparse(SparseMethod::BiCgStab { tol, max_iter });
         let run = chain.steady_state_run_traced(method, guess, trace)?;
         let mut diagnostics =
             SolveDiagnostics::of_engine(SolveEngine::SparseCsr, run.iterations, run.final_residual);
@@ -1203,49 +1220,16 @@ impl MapNetwork {
         Ok((solution, run.pi))
     }
 
-    /// Bounded warm-startable sparse attempt for the auto tier: tuned so a
-    /// stall costs a fraction of the direct solve it falls back to.
-    fn solve_sparse_bounded(
-        &self,
-        guess: Option<Vec<f64>>,
-        trace: &Trace,
-    ) -> Result<(MapQnSolution, Vec<f64>), QnError> {
-        self.check_state_limit()?;
-        let span = trace.span_with(
-            "qn.solve",
-            vec![
-                ("engine", "sparse_csr".into()),
-                ("states", self.state_count().into()),
-                ("population", self.population.into()),
-            ],
-        );
-        let idx = self.indexer()?;
-        let chain = Ctmc::from_outgoing_csr(self.outgoing_csr()?)?;
-        let method = SteadyStateMethod::Sparse(SparseMethod::GaussSeidel {
-            omega: 0.95,
-            tol: 1e-10,
-            max_iter: 40_000,
-        });
-        let run = chain.steady_state_run_traced(method, guess, trace)?;
-        let mut diagnostics =
-            SolveDiagnostics::of_engine(SolveEngine::SparseCsr, run.iterations, run.final_residual);
-        diagnostics.trace_id = span.id();
-        let solution = self
-            .metrics_from_flat(&idx, &run.pi)
-            .with_diagnostics(diagnostics);
-        Ok((solution, run.pi))
-    }
-
     /// Solve with automatic engine selection — three tiers by state count:
     ///
     /// 1. **Direct** level-reduction (immune to stiffness) up to
     ///    `sparse_above_states`;
-    /// 2. **Sparse CSR** Gauss-Seidel up to
+    /// 2. **Sparse CSR** ILU(0)-BiCGSTAB up to
     ///    `max(sparse_above_states, `[`AUTO_MATFREE_THRESHOLD`]`)`, with a
     ///    stall falling back to the direct solver;
     /// 3. **Matrix-free parallel** Jacobi above that — the generator is
     ///    never materialized — with a stall falling back to the full-budget
-    ///    CSR sweep (the direct solver's dense level blocks are infeasible
+    ///    CSR solve (the direct solver's dense level blocks are infeasible
     ///    at this size).
     ///
     /// Fallbacks are recorded in [`MapQnSolution::diagnostics`]
@@ -1275,7 +1259,7 @@ impl MapNetwork {
     /// # Panics
     ///
     /// Only if a justified internal invariant is violated (1 reachable
-    /// panic site, e.g. `crates/qn/src/ctmc.rs:520`; `burstcap-lint report` lists them),
+    /// panic site, e.g. `crates/qn/src/ctmc.rs:777`; `burstcap-lint report` lists them),
     /// never for inputs this API accepts.
     pub fn solve_auto(&self, sparse_above_states: usize) -> Result<MapQnSolution, QnError> {
         Ok(self.solve_auto_with_initial(sparse_above_states, None)?.0)
@@ -1294,7 +1278,7 @@ impl MapNetwork {
     /// # Panics
     ///
     /// Only if a justified internal invariant is violated (1 reachable
-    /// panic site, e.g. `crates/qn/src/ctmc.rs:520`; `burstcap-lint report` lists them),
+    /// panic site, e.g. `crates/qn/src/ctmc.rs:777`; `burstcap-lint report` lists them),
     /// never for inputs this API accepts.
     pub fn solve_auto_with_initial(
         &self,
@@ -1321,12 +1305,24 @@ impl MapNetwork {
     /// # Panics
     ///
     /// Only if a justified internal invariant is violated (1 reachable
-    /// panic site, e.g. `crates/qn/src/ctmc.rs:520`; `burstcap-lint report` lists them),
+    /// panic site, e.g. `crates/qn/src/ctmc.rs:777`; `burstcap-lint report` lists them),
     /// never for inputs this API accepts.
     pub fn solve_auto_traced(
         &self,
         sparse_above_states: usize,
         guess: Option<Vec<f64>>,
+        trace: &Trace,
+    ) -> Result<(MapQnSolution, Vec<f64>), QnError> {
+        self.solve_tiers(sparse_above_states, guess, CSR_BOUNDED, trace)
+    }
+
+    /// [`MapNetwork::solve_auto_traced`] with the tier-2 CSR attempt's
+    /// `(tol, max_iter)` as a parameter, so tests can exhaust it on purpose.
+    fn solve_tiers(
+        &self,
+        sparse_above_states: usize,
+        guess: Option<Vec<f64>>,
+        tier2: (f64, usize),
         trace: &Trace,
     ) -> Result<(MapQnSolution, Vec<f64>), QnError> {
         let states = self.state_count();
@@ -1355,7 +1351,7 @@ impl MapNetwork {
                 "qn.engine",
                 vec![("engine", "sparse_csr".into()), ("tier", 2_u64.into())],
             );
-            return match self.solve_sparse_bounded(guess.clone(), trace) {
+            return match self.solve_csr(guess.clone(), tier2, trace) {
                 Err(QnError::NoConvergence {
                     iterations: stalled,
                     ..
@@ -1509,8 +1505,10 @@ impl MapNetwork {
     }
 
     /// The off-diagonal generator of the flat CTMC, assembled directly into
-    /// CSR form with no intermediate triplet list (each state has at most
-    /// `2 + 3M` outgoing transitions, so the arrays are tight).
+    /// CSR form with no intermediate triplet list. A counting pass over the
+    /// transitions sizes the arrays exactly: states average well under the
+    /// `2 + 3M` transitions a state can have (idle stations emit none), and
+    /// the CSR solve holds these arrays next to their transpose.
     ///
     /// # Errors
     /// Construction cannot fail for a validated network; errors are
@@ -1531,7 +1529,9 @@ impl MapNetwork {
     pub fn outgoing_csr(&self) -> Result<CsrMatrix, QnError> {
         let idx = self.indexer()?;
         let mut builder = CsrMatrix::builder(self.state_count());
-        builder.reserve(self.state_count() * (2 + 3 * self.stations.len()));
+        let mut transitions = 0usize;
+        self.for_each_transition(&idx, |_, _, _| transitions += 1);
+        builder.reserve(transitions);
         let mut failed = None;
         self.for_each_transition(&idx, |from, to, rate| {
             if failed.is_none() {
@@ -2484,25 +2484,44 @@ mod tests {
 
     #[test]
     fn auto_stall_fallback_is_recorded_and_keeps_warm_seam() {
-        // Extremely stiff fitted MAPs: the bounded sparse attempt stalls and
-        // solve_auto falls back to the direct engine. The diagnostics must
-        // say so, and the seam must still hand back a stationary vector.
+        // Stiff fitted MAPs with the tier-2 CSR budget cut to one iteration
+        // on purpose: the attempt stalls, solve_auto falls back to the
+        // direct engine, and the diagnostics, the trace and the warm seam
+        // must all say so.
+        use burstcap_obs::{FieldValue, Recorder};
         let front = Map2Fitter::new(0.02, 200.0, 0.06).fit().unwrap().map();
         let db = Map2Fitter::new(0.03, 400.0, 0.1).fit().unwrap().map();
         let net = MapNetwork::new(10, 0.45, front, db).unwrap();
-        let (sol, pi) = net.solve_auto_with_initial(0, None).unwrap();
+        let recorder = Recorder::new();
+        let (sol, pi) = net
+            .solve_tiers(0, None, (CSR_BOUNDED.0, 1), &recorder.trace())
+            .unwrap();
+        assert!(sol.diagnostics.fell_back);
+        assert_eq!(sol.diagnostics.engine, SolveEngine::Direct);
+        assert_eq!(sol.diagnostics.iterations, 0);
+        assert_eq!(sol.diagnostics.sweeps_per_engine.sparse_csr, 1);
+        let events = recorder.events();
+        let fallback = events
+            .iter()
+            .find(|e| e.name == "qn.fallback")
+            .expect("a qn.fallback event");
+        assert_eq!(
+            fallback.fields,
+            vec![
+                ("from", FieldValue::Str("sparse_csr")),
+                ("to", FieldValue::Str("direct")),
+                ("stalled_sweeps", FieldValue::U64(1)),
+            ]
+        );
+        assert!(events.iter().any(|e| e.name == "ctmc.stall"));
         assert_eq!(pi.len(), net.state_count());
         assert!((pi.iter().sum::<f64>() - 1.0).abs() < 1e-9);
         let direct = net.solve().unwrap();
-        assert!((sol.throughput - direct.throughput).abs() / direct.throughput < 1e-7);
-        if sol.diagnostics.fell_back {
-            // The stall was recorded, and the fallback engine named.
-            assert_eq!(sol.diagnostics.engine, SolveEngine::Direct);
-        } else {
-            // The attempt converged within budget — equally valid, and the
-            // diagnostics say which engine did the work.
-            assert_eq!(sol.diagnostics.engine, SolveEngine::SparseCsr);
-            assert!(sol.diagnostics.iterations > 0);
-        }
+        assert_eq!(sol.throughput, direct.throughput);
+        // With the production budget the same chain converges in tier 2.
+        let (auto, _) = net.solve_auto_with_initial(0, None).unwrap();
+        assert!(!auto.diagnostics.fell_back);
+        assert_eq!(auto.diagnostics.engine, SolveEngine::SparseCsr);
+        assert!((auto.throughput - direct.throughput).abs() / direct.throughput < 1e-8);
     }
 }

@@ -454,8 +454,8 @@ impl ApplyQ for MatrixFreeGenerator {
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum MatFreeMethod {
     /// Damped Jacobi sweeps on the global balance equations — the parallel
-    /// analogue of the CSR engine's Gauss-Seidel (Jacobi reads only the
-    /// previous iterate, so rows partition freely across threads).
+    /// analogue of Gauss-Seidel (Jacobi reads only the previous iterate, so
+    /// rows partition freely across threads).
     /// `omega < 1` is required for convergence on the stiff quasi-birth-
     /// death chains of this workspace (see the module docs).
     Jacobi {
@@ -478,11 +478,11 @@ pub enum MatFreeMethod {
 
 impl Default for MatFreeMethod {
     fn default() -> Self {
-        // Same damping and residual target as the production CSR
-        // Gauss-Seidel engine (solve_sparse_with_initial): 1e-12 on the
-        // scale-free balance residual keeps throughput within 1e-8 of the
-        // direct solver. Jacobi needs roughly 2x the sweeps of Gauss-Seidel,
-        // but each sweep parallelizes.
+        // Same residual target as the production CSR solve
+        // (solve_sparse_with_initial) and the damping of the Gauss-Seidel
+        // method: 1e-12 on the scale-free balance residual keeps throughput
+        // within 1e-8 of the direct solver. Jacobi needs roughly 2x the
+        // sweeps of Gauss-Seidel, but each sweep parallelizes.
         MatFreeMethod::Jacobi {
             omega: 0.95,
             tol: 1e-12,

@@ -41,9 +41,10 @@ proptest! {
     }
 
     /// The sparse engine agrees with the dense LU oracle to 1e-8 per state
-    /// on random ergodic chains: both members of the
-    /// `SteadyStateMethod::Sparse` family (under-relaxed Gauss-Seidel and
-    /// uniformized power iteration) against exact elimination.
+    /// on random ergodic chains: every member of the
+    /// `SteadyStateMethod::Sparse` family (ILU(0)-preconditioned BiCGSTAB,
+    /// under-relaxed Gauss-Seidel and uniformized power iteration) against
+    /// exact elimination.
     #[test]
     fn sparse_family_matches_dense_lu_on_random_ergodic_chains(
         ring in prop::collection::vec(0.2f64..5.0, 3..18),
@@ -71,7 +72,16 @@ proptest! {
         let pw = chain
             .steady_state(SteadyStateMethod::power(1e-13, 5_000_000))
             .unwrap();
+        let bicg = chain
+            .steady_state(SteadyStateMethod::bicgstab(1e-12, 10_000))
+            .unwrap();
         for i in 0..n {
+            prop_assert!(
+                (bicg[i] - lu[i]).abs() < 1e-8,
+                "bicgstab vs LU at state {i}: {} vs {}",
+                bicg[i],
+                lu[i]
+            );
             prop_assert!(
                 (gs[i] - lu[i]).abs() < 1e-8,
                 "gauss-seidel vs LU at state {i}: {} vs {}",
@@ -358,5 +368,48 @@ proptest! {
             mf.throughput,
             direct.throughput
         );
+    }
+}
+
+/// The production CSR solve on MAP tandems as stiff as fitted bursty MAPs
+/// get: the fits of the forced-stall test (`I` = 200 and 400) and one at
+/// `I` = 720, as stiff as the online benchmark's final database fit, for
+/// M = 1..3. Throughput must match the stiffness-proof direct solver to
+/// 1e-8 relative, the returned vector must be a distribution, and the
+/// reported final residual must be the residual of that very vector and
+/// within the 1e-12 tolerance.
+#[test]
+fn csr_solve_matches_direct_on_stiff_map_tandems() {
+    let fit = |mean: f64, i: f64, p95: f64| Map2Fitter::new(mean, i, p95).fit().unwrap().map();
+    let (a, b, c) = (
+        fit(0.02, 200.0, 0.06),
+        fit(0.03, 400.0, 0.1),
+        fit(0.01, 720.0, 0.03),
+    );
+    let cases = [
+        (vec![c], 40),
+        (vec![a], 40),
+        (vec![a, b], 12),
+        (vec![b, c], 12),
+        (vec![a, b, c], 6),
+    ];
+    for (stations, pop) in cases {
+        let m = stations.len();
+        let net = MapNetwork::tandem(pop, 0.45, stations).unwrap();
+        let (sol, pi) = net.solve_sparse_with_initial(None).unwrap();
+        let direct = net.solve().unwrap();
+        assert!(
+            (sol.throughput - direct.throughput).abs() / direct.throughput < 1e-8,
+            "M={m} N={pop}: CSR X {} vs direct {}",
+            sol.throughput,
+            direct.throughput
+        );
+        assert!(pi.iter().all(|&p| p >= 0.0), "M={m}: negative probability");
+        assert!((pi.iter().sum::<f64>() - 1.0).abs() < 1e-12);
+        let chain = Ctmc::from_outgoing_csr(net.outgoing_csr().unwrap()).unwrap();
+        let scale = chain.out_rates().iter().sum::<f64>() / chain.len() as f64;
+        let residual = chain.residual(&pi) / scale;
+        assert_eq!(sol.diagnostics.final_residual, residual, "M={m} N={pop}");
+        assert!(residual <= 1e-12, "M={m} N={pop}: residual {residual:e}");
     }
 }
