@@ -42,7 +42,11 @@ fn bench(c: &mut Criterion) {
     for &pop in &[25usize, 50] {
         group.bench_with_input(BenchmarkId::new("sparse_gs", pop), &pop, |b, &pop| {
             let net = MapNetwork::new(pop, 0.3, front, db).expect("valid");
-            b.iter(|| black_box(&net).solve_sparse().expect("converges"))
+            b.iter(|| {
+                black_box(&net)
+                    .solve_sparse_with_initial(None)
+                    .expect("converges")
+            })
         });
     }
     // The dense oracle at a size it still handles, for the crossover story.

@@ -12,7 +12,7 @@
 //!   intractable;
 //! * **station-count scaling** — the N-station generalization across
 //!   `M x population` (tandems of 2, 3, and 4 MAP(2) stations) through
-//!   `solve_auto`, with the `M = 3` point surfaced in the JSON summary;
+//!   `solve_auto_with_initial`, with the `M = 3` point surfaced in the JSON summary;
 //! * **matrix-free frontier** — states vs wall-clock and peak-memory for
 //!   the matrix-free engine on an `M x population` grid pushing past the
 //!   CSR engine's comfortable range (to 742k states at `M = 4`,
@@ -42,7 +42,7 @@ const DENSE_FEASIBLE_POPS: [usize; 5] = [10, 15, 20, 25, 30];
 /// Populations covered only by the sparse engine and the direct method.
 const SPARSE_POPS: [usize; 3] = [50, 75, 100];
 /// Station-count scaling grid: `(M, populations)` pairs solved via
-/// `solve_auto` (populations shrink with M to keep the grid fast).
+/// `solve_auto_with_initial` (populations shrink with M to keep the grid fast).
 const STATION_GRID: [(usize, [usize; 2]); 3] = [(2, [30, 60]), (3, [20, 40]), (4, [10, 20])];
 /// Matrix-free frontier grid (`(M, population)` points); the full grid ends
 /// at 742k states, far past where assembling the CSR generator is sensible.
@@ -179,7 +179,8 @@ fn main() {
         let (lu_ms, lu_x) = median_ms(reps, || {
             net.solve_iterative(SteadyStateMethod::DenseLu { limit: 1_000_000 })
         });
-        let (csr_ms, csr_x) = median_ms(reps, || net.solve_sparse());
+        let (csr_ms, csr_x) =
+            median_ms(reps, || net.solve_sparse_with_initial(None).map(|(s, _)| s));
         push(&net, "dense_lu", lu_ms, lu_x);
         push(&net, "sparse_bicgstab_ilu0", csr_ms, csr_x);
         println!(
@@ -206,7 +207,8 @@ fn main() {
     );
     for &pop in &SPARSE_POPS {
         let net = MapNetwork::new(pop, think, front, db).expect("valid network");
-        let (csr_ms, csr_x) = median_ms(reps, || net.solve_sparse());
+        let (csr_ms, csr_x) =
+            median_ms(reps, || net.solve_sparse_with_initial(None).map(|(s, _)| s));
         let (direct_ms, direct_x) = median_ms(reps, || net.solve());
         push(&net, "sparse_bicgstab_ilu0", csr_ms, csr_x);
         push(&net, "direct_level_reduction", direct_ms, direct_x);
@@ -241,7 +243,9 @@ fn main() {
             stations.resize(m - 1, extra);
             stations.push(db);
             let net = MapNetwork::tandem(pop, think, stations).expect("valid network");
-            let (auto_ms, auto_x) = median_ms(reps, || net.solve_auto(10_000));
+            let (auto_ms, auto_x) = median_ms(reps, || {
+                net.solve_auto_with_initial(10_000, None).map(|(s, _)| s)
+            });
             push(&net, "solve_auto", auto_ms, auto_x);
             println!(
                 "{}",
@@ -296,7 +300,7 @@ fn main() {
             let nnz = net.outgoing_csr().expect("assembles").nnz();
             nnz_per_state = nnz as f64 / states as f64;
             let t1 = Stopwatch::start();
-            let csr = net.solve_sparse().expect("csr solve");
+            let (csr, _) = net.solve_sparse_with_initial(None).expect("csr solve");
             let csr_ms = t1.elapsed_ms();
             let gap = (sol.throughput - csr.throughput).abs() / csr.throughput;
             assert!(

@@ -163,7 +163,7 @@ fn main() {
     let mut warm_x = 0.0;
     for _ in 0..reps {
         let t0 = Stopwatch::start();
-        let sol = drifted.solve_sparse().expect("cold solve");
+        let (sol, _) = drifted.solve_sparse_with_initial(None).expect("cold solve");
         cold_times.push(t0.elapsed_ms());
         cold_x = sol.throughput;
 

@@ -16,61 +16,13 @@
 use serde::{Deserialize, Serialize};
 
 use burstcap_map::fit::{FittedMap2, Map2Fitter};
-use burstcap_qn::mapqn::{MapNetwork, MapQnSolution, AUTO_SPARSE_THRESHOLD};
+use burstcap_obs::Trace;
+use burstcap_qn::mapqn::{MapNetwork, MapQnSolution, TierPolicy};
 use burstcap_qn::mva::ClosedMva;
 
 use crate::characterize::{characterize, CharacterizeOptions, ServiceCharacterization};
 use crate::measurements::TierMeasurements;
 use crate::PlanError;
-
-/// Which CTMC engine solves the what-if model (see
-/// [`burstcap_qn::mapqn::MapNetwork::solve_auto`] for the underlying
-/// trade-off).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum SolverStrategy {
-    /// Three-tier automatic selection: direct level-reduction below the
-    /// state-count threshold, sparse CSR engine above it, and the
-    /// matrix-free parallel engine past
-    /// [`burstcap_qn::mapqn::AUTO_MATFREE_THRESHOLD`] states — each
-    /// iterative tier with an automatic fallback when it stalls on a stiff
-    /// chain. The default, with the measured crossover
-    /// [`AUTO_SPARSE_THRESHOLD`] as the first threshold.
-    Auto {
-        /// State count above which the sparse engine is tried first.
-        sparse_above_states: usize,
-    },
-    /// Always the direct block level-reduction (`O(N^4)`, stiffness-proof).
-    Direct,
-    /// Always the sparse CSR engine (ILU(0)-BiCGSTAB; fails with a
-    /// no-convergence error only if its iteration budget runs out).
-    Sparse,
-    /// Always the matrix-free parallel engine (damped Jacobi over scoped
-    /// worker threads; the generator is never materialized, so this is the
-    /// only engine that reaches state spaces past the CSR memory wall).
-    MatrixFree,
-}
-
-impl Default for SolverStrategy {
-    fn default() -> Self {
-        SolverStrategy::Auto {
-            sparse_above_states: AUTO_SPARSE_THRESHOLD,
-        }
-    }
-}
-
-impl SolverStrategy {
-    fn solve(self, net: &MapNetwork) -> Result<MapQnSolution, burstcap_qn::QnError> {
-        match self {
-            SolverStrategy::Auto {
-                sparse_above_states,
-            } => net.solve_auto(sparse_above_states),
-            SolverStrategy::Direct => net.solve(),
-            SolverStrategy::Sparse => net.solve_sparse(),
-            // workers = 0: the env-var / parallelism default.
-            SolverStrategy::MatrixFree => net.solve_matrix_free(0),
-        }
-    }
-}
 
 /// Planner configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -79,8 +31,6 @@ pub struct PlannerOptions {
     pub characterize: CharacterizeOptions,
     /// Relative tolerance on the fitted index of dispersion (paper: ±20%).
     pub i_tolerance: f64,
-    /// CTMC engine selection for the prediction solves.
-    pub solver: SolverStrategy,
 }
 
 impl Default for PlannerOptions {
@@ -88,7 +38,6 @@ impl Default for PlannerOptions {
         PlannerOptions {
             characterize: CharacterizeOptions::default(),
             i_tolerance: 0.2,
-            solver: SolverStrategy::default(),
         }
     }
 }
@@ -134,7 +83,6 @@ impl From<(usize, MapQnSolution)> for Prediction {
 pub struct CapacityPlanner {
     tiers: Vec<ServiceCharacterization>,
     fits: Vec<FittedMap2>,
-    solver: SolverStrategy,
 }
 
 impl CapacityPlanner {
@@ -243,11 +191,7 @@ impl CapacityPlanner {
             .iter()
             .map(|c| fit_characterization(c, options.i_tolerance))
             .collect::<Result<Vec<_>, _>>()?;
-        Ok(CapacityPlanner {
-            tiers,
-            fits,
-            solver: options.solver,
-        })
+        Ok(CapacityPlanner { tiers, fits })
     }
 
     /// Every tier's measured descriptors, in tandem order.
@@ -301,18 +245,13 @@ impl CapacityPlanner {
         self.fits.last().expect("validated non-empty")
     }
 
-    /// The solver strategy predictions will use.
-    pub fn solver_strategy(&self) -> SolverStrategy {
-        self.solver
-    }
-
     /// The what-if model at `population` customers and think time
     /// `think_time`: the closed tandem MAP network built from this planner's
     /// fitted tiers, **unsolved**. The escape hatch for callers that drive
-    /// the solve themselves — e.g. chaining warm-started sparse solves via
-    /// [`burstcap_qn::mapqn::MapNetwork::solve_sparse_with_initial`], or
-    /// inspecting the generator — which
-    /// [`CapacityPlanner::predict`]'s one-shot strategy cannot express.
+    /// the solve themselves — e.g. chaining warm-started solves via
+    /// [`burstcap_qn::mapqn::MapNetwork::solve_tiers`], or inspecting the
+    /// generator — which [`CapacityPlanner::predict`]'s one-shot cold solve
+    /// cannot express.
     ///
     /// # Errors
     /// Propagates network-construction failures (zero population,
@@ -326,10 +265,11 @@ impl CapacityPlanner {
     }
 
     /// Predict performance at `population` customers with think time
-    /// `think_time` (the model's `Z_qn`). The CTMC engine is chosen by the
-    /// configured [`SolverStrategy`]: with the default `Auto` strategy,
-    /// large state spaces go to the sparse CSR engine and small (or stiff,
-    /// non-converging) ones to the direct level-reduction.
+    /// `think_time` (the model's `Z_qn`), solved by the batch engine ladder
+    /// ([`TierPolicy::BATCH`]): small state spaces go to the direct
+    /// level-reduction, larger ones to the sparse CSR engine (falling back
+    /// to the direct solver if it stalls), and the largest to the
+    /// matrix-free engine.
     ///
     /// # Errors
     /// Propagates model-solution failures.
@@ -341,7 +281,8 @@ impl CapacityPlanner {
     /// never for inputs this API accepts.
     pub fn predict(&self, population: usize, think_time: f64) -> Result<Prediction, PlanError> {
         let net = self.network(population, think_time)?;
-        Ok((population, self.solver.solve(&net)?).into())
+        let (solution, _) = net.solve_tiers(TierPolicy::BATCH, None, &Trace::noop())?;
+        Ok((population, solution).into())
     }
 
     /// Predict a whole population sweep.
@@ -629,36 +570,6 @@ mod tests {
         assert_eq!(b.front_demand(), 0.01);
         let p = b.predict(100, 0.5).unwrap();
         assert!(p.throughput <= 100.0 + 1e-9);
-    }
-
-    #[test]
-    fn solver_strategies_agree() {
-        // Direct, forced-sparse, and auto (on both sides of the threshold)
-        // must produce the same prediction for a moderately bursty model.
-        let front = steady(0.5, 250);
-        let db = bursty(250);
-        let mut options = PlannerOptions::default();
-        let mut predictions = Vec::new();
-        for solver in [
-            SolverStrategy::Direct,
-            SolverStrategy::Sparse,
-            SolverStrategy::MatrixFree,
-            SolverStrategy::Auto {
-                sparse_above_states: 0,
-            },
-            SolverStrategy::default(),
-        ] {
-            options.solver = solver;
-            let planner = CapacityPlanner::with_options(&front, &db, options).unwrap();
-            assert_eq!(planner.solver_strategy(), solver);
-            predictions.push(planner.predict(15, 0.5).unwrap().throughput);
-        }
-        for &x in &predictions[1..] {
-            assert!(
-                (x - predictions[0]).abs() / predictions[0] < 1e-7,
-                "strategies disagree: {predictions:?}"
-            );
-        }
     }
 
     #[test]

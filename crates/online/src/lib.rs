@@ -19,10 +19,9 @@
 //!   separating estimator refinement from genuine workload shifts.
 //! * [`planner`] — [`planner::OnlinePlanner`], the rolling re-fit/re-solve
 //!   loop: MAP(2)s are re-fitted and the CTMC re-solved **only** when
-//!   descriptors drift past a threshold or a detector fires, and
-//!   consecutive sparse solves are warm-started from the previous
-//!   stationary vector
-//!   ([`burstcap_qn::mapqn::MapNetwork::solve_sparse_with_initial`]). Each
+//!   descriptors drift past a threshold or a detector fires, and each
+//!   solve is one warm-started call of the engine ladder with the online
+//!   policy ([`burstcap_qn::mapqn::MapNetwork::solve_tiers`]). Each
 //!   replanning tick emits a [`burstcap::report::OnlineReport`].
 //!
 //! # Example

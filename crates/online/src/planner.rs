@@ -8,11 +8,13 @@
 //! per tier ([`crate::detector::CusumDetector`]), and re-runs the expensive
 //! stages — the Section 4.1 MAP(2) fit and the exact CTMC solve — **only**
 //! when a tier's descriptors drift past a threshold or a detector fires.
-//! Consecutive solves are warm-started from the previous stationary vector
-//! ([`burstcap_qn::mapqn::MapNetwork::solve_sparse_with_initial`]): a
-//! rolling re-fit perturbs the generator's rates but not its state space,
-//! so the previous `pi` is an excellent initial iterate and the sparse
-//! BiCGSTAB solve converges in a fraction of a cold solve.
+//! Each solve is one call of the engine ladder with the online policy
+//! ([`burstcap_qn::mapqn::MapNetwork::solve_tiers`] with
+//! [`burstcap_qn::mapqn::TierPolicy::ONLINE`]), warm-started from the
+//! previous stationary vector: a rolling re-fit perturbs the generator's
+//! rates but not its state space, so the previous `pi` is an excellent
+//! initial iterate and the sparse BiCGSTAB solve converges in a fraction of
+//! a cold solve.
 //!
 //! On a confirmed regime change the alarmed tiers' estimators are **reset**:
 //! their history describes the old service process and would bias every
@@ -27,8 +29,7 @@ use burstcap::report::{OnlineReport, OnlineTierStatus};
 use burstcap::PlanError;
 use burstcap_map::fit::FittedMap2;
 use burstcap_obs::Trace;
-use burstcap_qn::mapqn::{MapNetwork, AUTO_MATFREE_THRESHOLD};
-use burstcap_qn::QnError;
+use burstcap_qn::mapqn::{MapNetwork, TierPolicy};
 
 use crate::detector::{CusumDetector, CusumOptions};
 use crate::estimator::{TierEstimator, TierEstimatorOptions};
@@ -471,33 +472,11 @@ impl OnlinePlanner {
         )?;
         let guess = self.pi.take().filter(|p| p.len() == net.state_count());
         let warm = guess.is_some();
-        // Engine tier by state count, mirroring solve_auto: the CSR sweep up
-        // to the matrix-free crossover, the matrix-free parallel engine
-        // above it (where the CSR arrays would dominate memory).
-        let attempt = if net.state_count() > AUTO_MATFREE_THRESHOLD {
-            net.solve_matrix_free_with_initial_traced(0, guess.clone(), &self.trace)
-        } else {
-            net.solve_sparse_with_initial_traced(guess.clone(), &self.trace)
-        };
-        let solution = match attempt {
-            Ok((solution, pi)) => {
-                self.pi = Some(pi);
-                solution
-            }
-            Err(QnError::NoConvergence { .. }) => {
-                // Stiff chain: the stiffness-proof direct solver through the
-                // same warm-startable seam. The stationary vector is kept,
-                // so the *next* window still warm-starts — the old path
-                // solved cold and discarded it, breaking the chain exactly
-                // when the model got stiff.
-                let (mut solution, pi) = net.solve_with_initial(guess)?;
-                solution.diagnostics.fell_back = true;
-                self.pi = Some(pi);
-                self.stats.stalled_fallbacks += 1;
-                solution
-            }
-            Err(e) => return Err(e.into()),
-        };
+        let (solution, pi) = net.solve_tiers(TierPolicy::ONLINE, guess, &self.trace)?;
+        self.pi = Some(pi);
+        if solution.diagnostics.fell_back {
+            self.stats.stalled_fallbacks += 1;
+        }
         self.trace.event(
             "online.refit",
             vec![
@@ -762,6 +741,89 @@ mod tests {
             (db.mean_service_time - 0.015).abs() < 1e-3,
             "db demand after shift: {}",
             db.mean_service_time
+        );
+    }
+
+    #[test]
+    fn refit_is_one_call_of_the_online_ladder() {
+        // The planner has no engine routing of its own: every re-fit's
+        // prediction, stationary vector and solver trace equal a direct call
+        // of the online policy on the same network and guess.
+        use burstcap_obs::Recorder;
+        let solver_events = |events: &[burstcap_obs::Event]| {
+            events
+                .iter()
+                .filter(|e| {
+                    ["qn.", "ctmc.", "matfree."]
+                        .iter()
+                        .any(|p| e.name.starts_with(p))
+                })
+                .map(|e| {
+                    // Span ids count every span the recorder has seen.
+                    let fields: Vec<_> = e.fields.iter().filter(|f| f.0 != "id").cloned().collect();
+                    (e.name, e.kind, fields)
+                })
+                .collect::<Vec<_>>()
+        };
+        let recorder = Recorder::new();
+        let mut planner = OnlinePlanner::new(5.0, 2, quick_options())
+            .unwrap()
+            .with_trace(recorder.trace());
+        let stable = window((0.5, 250), (0.25, 250));
+        let shifted = window((0.5, 250), (0.75, 250));
+        let mut checked = 0;
+        for k in 0..900 {
+            let guess = planner.pi.clone();
+            let seen = recorder.event_count();
+            let w = if k < 400 { &stable } else { &shifted };
+            let Some(report) = planner.ingest(w).unwrap() else {
+                continue;
+            };
+            if !report.refitted {
+                continue;
+            }
+            let net = MapNetwork::tandem(
+                planner.options.population,
+                planner.options.think_time,
+                planner.tier_fits().iter().map(|f| f.map()).collect(),
+            )
+            .unwrap();
+            let direct = Recorder::new();
+            let (expected, pi) = net
+                .solve_tiers(TierPolicy::ONLINE, guess, &direct.trace())
+                .unwrap();
+            let d = expected.diagnostics;
+            assert_eq!(
+                report.prediction.throughput.to_bits(),
+                expected.throughput.to_bits()
+            );
+            assert_eq!(
+                report.prediction,
+                Prediction::from((planner.options.population, expected))
+            );
+            assert_eq!(planner.pi.as_deref(), Some(pi.as_slice()));
+            let events = recorder.events();
+            assert_eq!(
+                solver_events(&events[seen..]),
+                solver_events(&direct.events())
+            );
+            let refit = events[seen..]
+                .iter()
+                .find(|e| e.name == "online.refit")
+                .unwrap();
+            assert_eq!(
+                refit.fields[2..],
+                [
+                    ("engine", d.engine.label().into()),
+                    ("sweeps", d.iterations.into()),
+                    ("fell_back", d.fell_back.into()),
+                ]
+            );
+            checked += 1;
+        }
+        assert_eq!(
+            checked, 2,
+            "the cold first fit and the warm post-shift re-fit"
         );
     }
 

@@ -34,20 +34,22 @@
 //! completions move down one, and every other transition (hidden phase
 //! changes, station `i → i + 1` hand-offs) stays within a level. [`MapNetwork::solve`] therefore uses
 //! exact block Gaussian elimination over levels (linear level reduction, the
-//! finite-QBD direct method), which is immune to stiffness; the two-station
-//! specialization is preserved verbatim as
-//! [`MapNetwork::solve_two_station_reference`] and serves as the `M = 2`
-//! oracle for the generic code.
+//! finite-QBD direct method), which is immune to stiffness; the unit tests
+//! keep the historical two-station specialization as the `M = 2` oracle for
+//! the generic code.
 //!
 //! For large populations the **sparse engine** is the faster route:
 //! [`MapNetwork::outgoing_csr`] assembles the generator straight into
 //! compressed sparse row form (no triplet list — each state has at most
-//! `2 + 3M` outgoing transitions), and [`MapNetwork::solve_sparse`] runs the
-//! ILU(0)-preconditioned BiCGSTAB of [`crate::ctmc`] on it, whose
-//! iteration count does not follow how slowly the phases mix.
-//! [`MapNetwork::solve_iterative`] runs any [`crate::ctmc`] method on the
-//! same chain, the dense LU oracle included (for cross-validation on small
-//! models).
+//! `2 + 3M` outgoing transitions), and
+//! [`MapNetwork::solve_sparse_with_initial`] runs the ILU(0)-preconditioned
+//! BiCGSTAB of [`crate::ctmc`] on it, whose iteration count does not follow
+//! how slowly the phases mix. [`MapNetwork::solve_iterative`] runs any
+//! [`crate::ctmc`] method on the same chain, the dense LU oracle included
+//! (for cross-validation on small models).
+//!
+//! [`MapNetwork::solve_tiers`] is the one place that picks an engine and a
+//! fallback; its [`TierPolicy`] names the two production callers.
 
 use serde::{Deserialize, Serialize};
 
@@ -62,31 +64,82 @@ use crate::QnError;
 /// Default cap on CTMC size (states).
 pub const DEFAULT_STATE_LIMIT: usize = 2_000_000;
 
-/// Default state-count crossover for [`MapNetwork::solve_auto`]: below this
-/// the direct level-reduction is faster, above it the sparse CSR engine wins
-/// (measured on MAP(2)×MAP(2) networks; the exact crossover varies a little
-/// with stiffness and station count).
+/// State-count crossover of [`TierPolicy::BATCH`]: below this the direct
+/// level-reduction is faster, above it the sparse CSR engine wins (measured
+/// on MAP(2)×MAP(2) networks; the exact crossover varies a little with
+/// stiffness and station count).
 pub const AUTO_SPARSE_THRESHOLD: usize = 10_000;
 
-/// Default state-count crossover between the CSR sparse engine and the
-/// matrix-free engine in [`MapNetwork::solve_auto`]: above this the
-/// `O(nnz)` CSR arrays dominate memory (a `C(N+M,M)·2^M`-state tandem has
-/// `≈ (2 + 3M)` transitions per state) and the matrix-free sweep — which
-/// regenerates transitions from the per-station `Map2` factors on the fly,
+/// State-count crossover between the CSR sparse engine and the matrix-free
+/// engine in [`MapNetwork::solve_tiers`]: above this the `O(nnz)` CSR arrays
+/// dominate memory (a `C(N+M,M)·2^M`-state tandem has `≈ (2 + 3M)`
+/// transitions per state) and the matrix-free sweep — which regenerates
+/// transitions from the per-station `Map2` factors on the fly,
 /// `O(states·M)` memory total — takes over. Measured on the bench frontier
 /// grid (`M = 3..4`, populations past the 170k-state point); see
 /// `BENCH_baseline.json`.
 pub const AUTO_MATFREE_THRESHOLD: usize = 120_000;
 
 /// Tolerance and iteration budget of the full CSR solve
-/// ([`MapNetwork::solve_sparse_with_initial_traced`], also the matrix-free
-/// stall fallback). An iteration costs about four sweeps, so 100,000
-/// iterations keep the work of the former 400,000-sweep budget.
+/// ([`MapNetwork::solve_sparse_with_initial_traced`], the online first
+/// attempt, and the matrix-free stall fallback). An iteration costs about
+/// four sweeps, so 100,000 iterations keep the work of the former
+/// 400,000-sweep budget.
 const CSR_FULL: (f64, usize) = (1e-12, 100_000);
 
-/// Tolerance and iteration budget of [`MapNetwork::solve_auto`]'s tier-2 CSR
-/// attempt: a stall costs a fraction of the direct solve it falls back to.
+/// Tolerance and iteration budget of the batch first CSR attempt: a stall
+/// costs a fraction of the direct solve it falls back to.
 const CSR_BOUNDED: (f64, usize) = (1e-10, 10_000);
+
+/// The limits of the engine ladder that no caller chooses. Production
+/// solves always run [`TIER_LIMITS`]; unit tests shrink the budgets to force
+/// each fallback edge on a small chain.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct TierLimits {
+    /// State count above which the matrix-free engine answers.
+    matfree_above: usize,
+    /// `(tol, max_iter)` of the CSR solve a matrix-free stall falls back to.
+    csr: (f64, usize),
+    /// Method and sweep budget of the matrix-free engine.
+    matfree: MatFreeMethod,
+}
+
+const TIER_LIMITS: TierLimits = TierLimits {
+    matfree_above: AUTO_MATFREE_THRESHOLD,
+    csr: CSR_FULL,
+    matfree: MatFreeMethod::PRODUCTION,
+};
+
+/// Which production caller [`MapNetwork::solve_tiers`] serves. The two
+/// callers differ in exactly two inputs: where the direct tier ends and the
+/// budget of the first CSR attempt.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TierPolicy {
+    /// State count up to which the direct level-reduction answers.
+    direct_up_to: usize,
+    /// `(tol, max_iter)` of the first CSR attempt.
+    first_csr: (f64, usize),
+    limits: TierLimits,
+}
+
+impl TierPolicy {
+    /// Batch planning (`CapacityPlanner::predict`): the direct tier up to
+    /// [`AUTO_SPARSE_THRESHOLD`] states, then a bounded CSR attempt whose
+    /// stall falls back to the direct solver.
+    pub const BATCH: TierPolicy = TierPolicy {
+        direct_up_to: AUTO_SPARSE_THRESHOLD,
+        first_csr: CSR_BOUNDED,
+        limits: TIER_LIMITS,
+    };
+
+    /// Online re-fit (`OnlinePlanner`): no direct tier, because it cannot
+    /// use the warm start, and a full-budget first CSR attempt.
+    pub const ONLINE: TierPolicy = TierPolicy {
+        direct_up_to: 0,
+        first_csr: CSR_FULL,
+        limits: TIER_LIMITS,
+    };
+}
 
 /// Which steady-state engine produced a [`MapQnSolution`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -778,152 +831,6 @@ impl MapNetwork {
         Ok((solution, pi))
     }
 
-    /// The preserved two-station direct solver — the exact code path the
-    /// two-tier model shipped with, kept as the `M = 2` **oracle** for the
-    /// generic level reduction (property tests require agreement within
-    /// `1e-10`).
-    ///
-    /// # Errors
-    /// Rejects networks with a station count other than 2; otherwise as
-    /// [`MapNetwork::solve`].
-    pub fn solve_two_station_reference(&self) -> Result<MapQnSolution, QnError> {
-        if self.stations.len() != 2 {
-            return Err(QnError::InvalidParameter {
-                name: "stations",
-                reason: format!(
-                    "two-station reference solver requires M = 2, got {}",
-                    self.stations.len()
-                ),
-            });
-        }
-        self.check_state_limit()?;
-        let n = self.population;
-        let z = self.think_time;
-        let level_size = |level: usize| 4 * (level + 1);
-
-        // Backward pass, specialized: the up map is a fixed +4 shift of the
-        // local index.
-        let mut s = self.a0_two_station(n);
-        let mut u_blocks: Vec<Vec<f64>> = Vec::with_capacity(n);
-        for level in (0..n).rev() {
-            let m_next = level_size(level + 1);
-            let m_l = level_size(level);
-            let mut neg = s;
-            for x in neg.iter_mut() {
-                *x = -*x;
-            }
-            let inv = invert_flat(&mut neg, m_next).ok_or(QnError::InvalidParameter {
-                name: "network",
-                reason: format!("singular level block at level {}", level + 1),
-            })?;
-            let nu = (n - level) as f64 / z;
-            let mut u = vec![0.0; m_l * m_next];
-            for r in 0..m_l {
-                // Think completion: (n_f, p_f, p_d) at level l jumps to
-                // (n_f + 1, p_f, p_d) at level l+1 — local index r + 4.
-                let dst = r * m_next;
-                let src = (r + 4) * m_next;
-                u[dst..dst + m_next].copy_from_slice(&inv[src..src + m_next]);
-                for x in &mut u[dst..dst + m_next] {
-                    *x *= nu;
-                }
-            }
-            let mut s_l = self.a0_two_station(level);
-            for &(row_next, col_l, rate) in &self.adown_two_station(level + 1) {
-                for r in 0..m_l {
-                    s_l[r * m_l + col_l] += u[r * m_next + row_next] * rate;
-                }
-            }
-            u_blocks.push(u);
-            s = s_l;
-        }
-        u_blocks.reverse();
-
-        let pi0 = left_null_vector(&s, 4).ok_or(QnError::InvalidParameter {
-            name: "network",
-            reason: "level-0 block has no stationary vector".into(),
-        })?;
-
-        let levels = forward_pass(pi0, &u_blocks, level_size)?;
-        // The specialized local layout n_f * 4 + p_f * 2 + p_d coincides
-        // with the generic comp_rank * 4 + phase layout, so metric
-        // extraction is shared.
-        let comps: Vec<Vec<Vec<usize>>> = (0..=n).map(|l| compositions(l, 2)).collect();
-        Ok(self.metrics_from_levels(&levels, &comps))
-    }
-
-    /// Within-level block of the two-station specialization (historical
-    /// code, bit-for-bit).
-    fn a0_two_station(&self, level: usize) -> Vec<f64> {
-        let m = 4 * (level + 1);
-        let mut a = vec![0.0; m * m];
-        let d0f = self.stations[0].d0();
-        let d1f = self.stations[0].d1();
-        let d0d = self.stations[1].d0();
-        let up_rate = if level < self.population {
-            (self.population - level) as f64 / self.think_time
-        } else {
-            0.0
-        };
-        for n_f in 0..=level {
-            let n_d = level - n_f;
-            for p_f in 0..2 {
-                for p_d in 0..2 {
-                    let s = n_f * 4 + p_f * 2 + p_d;
-                    let mut exit = up_rate;
-                    if n_f > 0 {
-                        exit += -d0f[p_f][p_f];
-                        // Hidden front phase change.
-                        let hidden = d0f[p_f][1 - p_f];
-                        if hidden > 0.0 {
-                            a[s * m + (n_f * 4 + (1 - p_f) * 2 + p_d)] += hidden;
-                        }
-                        // Front completion: job moves to the DB, same level.
-                        for (j, &rate) in d1f[p_f].iter().enumerate() {
-                            if rate > 0.0 {
-                                a[s * m + ((n_f - 1) * 4 + j * 2 + p_d)] += rate;
-                            }
-                        }
-                    }
-                    if n_d > 0 {
-                        exit += -d0d[p_d][p_d];
-                        let hidden = d0d[p_d][1 - p_d];
-                        if hidden > 0.0 {
-                            a[s * m + (n_f * 4 + p_f * 2 + (1 - p_d))] += hidden;
-                        }
-                        // DB completions leave the level (handled in adown).
-                    }
-                    a[s * m + s] -= exit;
-                }
-            }
-        }
-        a
-    }
-
-    /// Down-transitions of the two-station specialization.
-    fn adown_two_station(&self, level: usize) -> Vec<(usize, usize, f64)> {
-        debug_assert!(level >= 1);
-        let d1d = self.stations[1].d1();
-        let mut tr = Vec::new();
-        for n_f in 0..=level {
-            let n_d = level - n_f;
-            if n_d == 0 {
-                continue;
-            }
-            for p_f in 0..2 {
-                for p_d in 0..2 {
-                    let s = n_f * 4 + p_f * 2 + p_d;
-                    for (j, &rate) in d1d[p_d].iter().enumerate() {
-                        if rate > 0.0 {
-                            tr.push((s, n_f * 4 + p_f * 2 + j, rate));
-                        }
-                    }
-                }
-            }
-        }
-        tr
-    }
-
     /// Solve via the generic sparse-CTMC path with an iterative (or dense)
     /// method — useful for cross-validating the direct solver and for
     /// experimenting with solver behaviour on stiff chains.
@@ -975,16 +882,29 @@ impl MapNetwork {
             )))
     }
 
-    /// Solve via the sparse engine with production tuning: ILU(0)-BiCGSTAB
+    /// Warm-startable sparse solve with production tuning: ILU(0)-BiCGSTAB
     /// at a 1e-12 scale-free residual, tight enough that throughput agrees
-    /// with the direct solver to ~1e-8, stiff fitted MAPs included.
+    /// with the direct solver to ~1e-8, stiff fitted MAPs included. It is
+    /// seeded from an optional stationary-vector guess and returns both the
+    /// metrics **and** the stationary vector, so consecutive solves can
+    /// chain.
     ///
     /// Prefer this over [`MapNetwork::solve`] when the state space is large:
     /// the direct level-reduction inverts one dense block per level, while
-    /// an iteration here is `O(transitions)`.
+    /// an iteration here is `O(transitions)`. A rolling re-fit changes the
+    /// MAP rates slightly while the state space — which depends only on the
+    /// population and station count — stays fixed, so the previous
+    /// stationary vector is an excellent initial iterate (the underlying
+    /// seam is [`crate::ctmc::Ctmc::steady_state_from`], which normalizes
+    /// and floors the guess). With `None` the solve starts cold from the
+    /// uniform distribution.
     ///
     /// # Errors
-    /// Propagates construction errors and [`QnError::NoConvergence`].
+    /// Rejects a guess whose length differs from
+    /// [`MapNetwork::state_count`]; propagates construction errors and
+    /// [`QnError::NoConvergence`] on nearly decomposable chains (callers
+    /// wanting the stiffness-proof fallback use
+    /// [`MapNetwork::solve_tiers`]).
     ///
     /// # Example
     /// ```
@@ -992,54 +912,11 @@ impl MapNetwork {
     /// use burstcap_qn::mapqn::MapNetwork;
     ///
     /// let net = MapNetwork::new(40, 0.5, Map2::poisson(100.0)?, Map2::poisson(50.0)?)?;
-    /// let sparse = net.solve_sparse()?;
-    /// let direct = net.solve()?;
-    /// assert!((sparse.throughput - direct.throughput).abs() / direct.throughput < 1e-8);
-    /// # Ok::<(), Box<dyn std::error::Error>>(())
-    /// ```
-    ///
-    /// # Panics
-    ///
-    /// Only if a justified internal invariant is violated (1 reachable
-    /// panic site, e.g. `crates/qn/src/ctmc.rs:777`; `burstcap-lint report` lists them),
-    /// never for inputs this API accepts.
-    pub fn solve_sparse(&self) -> Result<MapQnSolution, QnError> {
-        // A cold solve is exactly the warm-startable path without a guess;
-        // one place owns the production tuning.
-        Ok(self.solve_sparse_with_initial(None)?.0)
-    }
-
-    /// Warm-startable sparse solve: the production BiCGSTAB engine of
-    /// [`MapNetwork::solve_sparse`], seeded from a caller-provided
-    /// stationary-vector guess, returning both the metrics **and** the
-    /// stationary vector so consecutive solves can chain.
-    ///
-    /// This is the online-planning entry point: a rolling re-fit changes
-    /// the MAP rates slightly while the state space — which depends only on
-    /// the population and station count — stays fixed, so the previous
-    /// window's stationary vector is an excellent initial iterate (the
-    /// underlying seam is [`crate::ctmc::Ctmc::steady_state_from`], which
-    /// normalizes and floors the guess). With `None` (or after a re-sized
-    /// model) the solve starts cold from the uniform distribution, exactly
-    /// like [`MapNetwork::solve_sparse`].
-    ///
-    /// # Errors
-    /// Rejects a guess whose length differs from
-    /// [`MapNetwork::state_count`]; otherwise as
-    /// [`MapNetwork::solve_sparse`] (including
-    /// [`QnError::NoConvergence`] on nearly decomposable chains — callers
-    /// wanting the stiffness-proof fallback should retry with
-    /// [`MapNetwork::solve`]).
-    ///
-    /// # Example
-    /// ```
-    /// use burstcap_map::Map2;
-    /// use burstcap_qn::mapqn::MapNetwork;
-    ///
-    /// let net = MapNetwork::new(20, 0.5, Map2::poisson(100.0)?, Map2::poisson(50.0)?)?;
     /// let (cold, pi) = net.solve_sparse_with_initial(None)?;
+    /// let direct = net.solve()?;
+    /// assert!((cold.throughput - direct.throughput).abs() / direct.throughput < 1e-8);
     /// // Re-solve a slightly perturbed model warm-started from pi.
-    /// let drifted = MapNetwork::new(20, 0.5, Map2::poisson(98.0)?, Map2::poisson(51.0)?)?;
+    /// let drifted = MapNetwork::new(40, 0.5, Map2::poisson(98.0)?, Map2::poisson(51.0)?)?;
     /// let (warm, _) = drifted.solve_sparse_with_initial(Some(pi))?;
     /// assert!((warm.throughput - cold.throughput).abs() / cold.throughput < 0.05);
     /// # Ok::<(), Box<dyn std::error::Error>>(())
@@ -1081,40 +958,71 @@ impl MapNetwork {
     }
 
     /// The one CSR solve body: assemble the chain and run ILU(0)-BiCGSTAB
-    /// at `(tol, max_iter)` under a `qn.solve` span.
+    /// at `(tol, max_iter)`.
     fn solve_csr(
         &self,
         guess: Option<Vec<f64>>,
         (tol, max_iter): (f64, usize),
         trace: &Trace,
     ) -> Result<(MapQnSolution, Vec<f64>), QnError> {
+        self.solve_engine(SolveEngine::SparseCsr, trace, || {
+            let chain = Ctmc::from_outgoing_csr(self.outgoing_csr()?)?;
+            let method = SteadyStateMethod::Sparse(SparseMethod::BiCgStab { tol, max_iter });
+            let run = chain.steady_state_run_traced(method, guess, trace)?;
+            Ok((run.pi, run.iterations, run.final_residual))
+        })
+    }
+
+    /// The one matrix-free solve body: run `method` on the operator of
+    /// [`MapNetwork::matrix_free`] over `workers` threads.
+    fn solve_matfree(
+        &self,
+        method: MatFreeMethod,
+        workers: usize,
+        guess: Option<Vec<f64>>,
+        trace: &Trace,
+    ) -> Result<(MapQnSolution, Vec<f64>), QnError> {
+        self.solve_engine(SolveEngine::MatrixFree, trace, || {
+            let op = self.matrix_free()?;
+            let run = crate::matfree::steady_state_traced(&op, method, workers, guess, trace)?;
+            Ok((run.pi, run.iterations, run.final_residual))
+        })
+    }
+
+    /// Run one iterative engine under a `qn.solve` span labelled `engine`,
+    /// and turn the stationary vector, iteration count and final residual
+    /// that `run` returns into metrics and [`SolveDiagnostics`].
+    fn solve_engine(
+        &self,
+        engine: SolveEngine,
+        trace: &Trace,
+        run: impl FnOnce() -> Result<(Vec<f64>, usize, f64), QnError>,
+    ) -> Result<(MapQnSolution, Vec<f64>), QnError> {
         self.check_state_limit()?;
         let span = trace.span_with(
             "qn.solve",
             vec![
-                ("engine", "sparse_csr".into()),
+                ("engine", engine.label().into()),
                 ("states", self.state_count().into()),
                 ("population", self.population.into()),
             ],
         );
+        let (pi, iterations, final_residual) = run()?;
         let idx = self.indexer()?;
-        let chain = Ctmc::from_outgoing_csr(self.outgoing_csr()?)?;
-        let method = SteadyStateMethod::Sparse(SparseMethod::BiCgStab { tol, max_iter });
-        let run = chain.steady_state_run_traced(method, guess, trace)?;
-        let mut diagnostics =
-            SolveDiagnostics::of_engine(SolveEngine::SparseCsr, run.iterations, run.final_residual);
+        let mut diagnostics = SolveDiagnostics::of_engine(engine, iterations, final_residual);
         diagnostics.trace_id = span.id();
         let solution = self
-            .metrics_from_flat(&idx, &run.pi)
+            .metrics_from_flat(&idx, &pi)
             .with_diagnostics(diagnostics);
-        Ok((solution, run.pi))
+        Ok((solution, pi))
     }
 
     /// The matrix-free generator operator for this network: applies `Q`
     /// directly from the per-station `Map2` factors and the combinatorial
     /// ranking, `O(states · M)` memory instead of the CSR engine's
     /// `O(transitions)`. Feed it to [`crate::matfree::steady_state`] (or use
-    /// [`MapNetwork::solve_matrix_free`], which does exactly that).
+    /// [`MapNetwork::solve_matrix_free_with_initial`], which does exactly
+    /// that).
     ///
     /// # Errors
     /// Refuses state spaces beyond the configured limit and spaces whose
@@ -1130,18 +1038,22 @@ impl MapNetwork {
         ))
     }
 
-    /// Solve via the matrix-free parallel engine: a damped Jacobi sweep over
-    /// the operator of [`MapNetwork::matrix_free`], row ranges partitioned
+    /// Warm-startable matrix-free solve: a damped Jacobi sweep over the
+    /// operator of [`MapNetwork::matrix_free`], row ranges partitioned
     /// across `workers` scoped threads (`0` = auto: the
-    /// `BURSTCAP_SOLVER_WORKERS` env var, else available parallelism).
+    /// `BURSTCAP_SOLVER_WORKERS` env var, else available parallelism),
+    /// seeded from an optional stationary-vector guess and returning both
+    /// the metrics and the stationary vector — the same seam as
+    /// [`MapNetwork::solve_sparse_with_initial`], extended to the engine
+    /// tier where warm starts matter most (each sweep touches every state).
     ///
     /// The iterates are **bit-identical across worker counts**: every row's
     /// inflow is accumulated in a fixed order regardless of partition, and
     /// normalization runs as a serial pass.
     ///
     /// # Errors
-    /// Propagates limit/overflow errors and [`QnError::NoConvergence`] on
-    /// chains stiff enough to stall the sweep.
+    /// Rejects a wrong-length guess; propagates limit/overflow errors and
+    /// [`QnError::NoConvergence`] on chains stiff enough to stall the sweep.
     ///
     /// # Example
     /// ```
@@ -1149,24 +1061,11 @@ impl MapNetwork {
     /// use burstcap_qn::mapqn::MapNetwork;
     ///
     /// let net = MapNetwork::new(12, 0.5, Map2::poisson(100.0)?, Map2::poisson(50.0)?)?;
-    /// let mf = net.solve_matrix_free(1)?;
+    /// let (mf, _) = net.solve_matrix_free_with_initial(1, None)?;
     /// let direct = net.solve()?;
     /// assert!((mf.throughput - direct.throughput).abs() / direct.throughput < 1e-8);
     /// # Ok::<(), Box<dyn std::error::Error>>(())
     /// ```
-    pub fn solve_matrix_free(&self, workers: usize) -> Result<MapQnSolution, QnError> {
-        Ok(self.solve_matrix_free_with_initial(workers, None)?.0)
-    }
-
-    /// Warm-startable matrix-free solve: [`MapNetwork::solve_matrix_free`]
-    /// seeded from a caller-provided stationary-vector guess, returning both
-    /// the metrics and the stationary vector — the same seam as
-    /// [`MapNetwork::solve_sparse_with_initial`], extended to the engine
-    /// tier where warm starts matter most (each sweep touches every state).
-    ///
-    /// # Errors
-    /// Rejects a wrong-length guess; otherwise as
-    /// [`MapNetwork::solve_matrix_free`].
     pub fn solve_matrix_free_with_initial(
         &self,
         workers: usize,
@@ -1191,58 +1090,15 @@ impl MapNetwork {
         guess: Option<Vec<f64>>,
         trace: &Trace,
     ) -> Result<(MapQnSolution, Vec<f64>), QnError> {
-        let span = trace.span_with(
-            "qn.solve",
-            vec![
-                ("engine", "matrix_free".into()),
-                ("states", self.state_count().into()),
-                ("population", self.population.into()),
-            ],
-        );
-        let op = self.matrix_free()?;
-        let run = crate::matfree::steady_state_traced(
-            &op,
-            MatFreeMethod::default(),
-            workers,
-            guess,
-            trace,
-        )?;
-        let idx = self.indexer()?;
-        let mut diagnostics = SolveDiagnostics::of_engine(
-            SolveEngine::MatrixFree,
-            run.iterations,
-            run.final_residual,
-        );
-        diagnostics.trace_id = span.id();
-        let solution = self
-            .metrics_from_flat(&idx, &run.pi)
-            .with_diagnostics(diagnostics);
-        Ok((solution, run.pi))
+        self.solve_matfree(TIER_LIMITS.matfree, workers, guess, trace)
     }
 
-    /// Solve with automatic engine selection — three tiers by state count:
-    ///
-    /// 1. **Direct** level-reduction (immune to stiffness) up to
-    ///    `sparse_above_states`;
-    /// 2. **Sparse CSR** ILU(0)-BiCGSTAB up to
-    ///    `max(sparse_above_states, `[`AUTO_MATFREE_THRESHOLD`]`)`, with a
-    ///    stall falling back to the direct solver;
-    /// 3. **Matrix-free parallel** Jacobi above that — the generator is
-    ///    never materialized — with a stall falling back to the full-budget
-    ///    CSR solve (the direct solver's dense level blocks are infeasible
-    ///    at this size).
-    ///
-    /// Fallbacks are recorded in [`MapQnSolution::diagnostics`]
-    /// (`fell_back = true`), so callers can tell a warm-converged solve from
-    /// one that stalled and re-solved. Works for any station count `M`.
-    ///
-    /// The measured crossovers: direct → CSR around 10⁴ states
-    /// ([`AUTO_SPARSE_THRESHOLD`]), CSR → matrix-free around
-    /// [`AUTO_MATFREE_THRESHOLD`] states (see `BENCH_baseline.json`).
+    /// [`MapNetwork::solve_tiers`] with the batch ladder's direct tier
+    /// ending at `sparse_above_states` instead of
+    /// [`AUTO_SPARSE_THRESHOLD`], untraced.
     ///
     /// # Errors
-    /// Propagates state-limit and construction errors, and fallback-engine
-    /// failures.
+    /// As [`MapNetwork::solve_tiers`].
     ///
     /// # Example
     /// ```
@@ -1250,30 +1106,13 @@ impl MapNetwork {
     /// use burstcap_qn::mapqn::{MapNetwork, AUTO_SPARSE_THRESHOLD};
     ///
     /// let net = MapNetwork::new(30, 0.5, Map2::poisson(100.0)?, Map2::poisson(50.0)?)?;
-    /// let auto = net.solve_auto(AUTO_SPARSE_THRESHOLD)?; // direct: 2048 states
-    /// let forced_sparse = net.solve_auto(0)?; // sparse: threshold below the state count
+    /// // Direct: 2048 states.
+    /// let (auto, _) = net.solve_auto_with_initial(AUTO_SPARSE_THRESHOLD, None)?;
+    /// // Sparse: the threshold is below the state count.
+    /// let (forced_sparse, _) = net.solve_auto_with_initial(0, None)?;
     /// assert!((auto.throughput - forced_sparse.throughput).abs() / auto.throughput < 1e-8);
     /// # Ok::<(), Box<dyn std::error::Error>>(())
     /// ```
-    ///
-    /// # Panics
-    ///
-    /// Only if a justified internal invariant is violated (1 reachable
-    /// panic site, e.g. `crates/qn/src/ctmc.rs:777`; `burstcap-lint report` lists them),
-    /// never for inputs this API accepts.
-    pub fn solve_auto(&self, sparse_above_states: usize) -> Result<MapQnSolution, QnError> {
-        Ok(self.solve_auto_with_initial(sparse_above_states, None)?.0)
-    }
-
-    /// Warm-startable [`MapNetwork::solve_auto`]: the same three-tier engine
-    /// selection, seeded from an optional stationary-vector guess and
-    /// returning the stationary vector alongside the metrics. The guess
-    /// survives fallbacks: a stalled iterative attempt hands it to the
-    /// fallback engine instead of discarding it.
-    ///
-    /// # Errors
-    /// As [`MapNetwork::solve_auto`], plus rejection of wrong-length
-    /// guesses.
     ///
     /// # Panics
     ///
@@ -1288,19 +1127,12 @@ impl MapNetwork {
         self.solve_auto_traced(sparse_above_states, guess, &Trace::noop())
     }
 
-    /// [`MapNetwork::solve_auto_with_initial`] with observability: opens a
-    /// `qn.solve_auto` span on `trace`, emits one `qn.engine` event for the
-    /// tier the state count selects and a `qn.fallback` event whenever an
-    /// iterative attempt stalls (carrying the sweeps the stalled attempt
-    /// burned), and lets the engines emit their residual trajectories
-    /// inside the span. [`SolveDiagnostics::trace_id`] links the returned
-    /// solution to the span tree; [`SolveDiagnostics::sweeps_per_engine`]
-    /// attributes every sweep — stalled attempts included — to the engine
-    /// that performed it. Pass [`Trace::noop`] (or call the untraced entry
-    /// point) to observe nothing at near-zero cost.
+    /// [`MapNetwork::solve_tiers`] with the batch ladder's direct tier
+    /// ending at `sparse_above_states` instead of
+    /// [`AUTO_SPARSE_THRESHOLD`].
     ///
     /// # Errors
-    /// As [`MapNetwork::solve_auto_with_initial`].
+    /// As [`MapNetwork::solve_tiers`].
     ///
     /// # Panics
     ///
@@ -1313,18 +1145,81 @@ impl MapNetwork {
         guess: Option<Vec<f64>>,
         trace: &Trace,
     ) -> Result<(MapQnSolution, Vec<f64>), QnError> {
-        self.solve_tiers(sparse_above_states, guess, CSR_BOUNDED, trace)
+        let policy = TierPolicy {
+            direct_up_to: sparse_above_states,
+            ..TierPolicy::BATCH
+        };
+        self.solve_tiers(policy, guess, trace)
     }
 
-    /// [`MapNetwork::solve_auto_traced`] with the tier-2 CSR attempt's
-    /// `(tol, max_iter)` as a parameter, so tests can exhaust it on purpose.
-    fn solve_tiers(
+    /// Solve with automatic engine selection: the one place that picks an
+    /// engine and a fallback. Three tiers by state count:
+    ///
+    /// 1. **Direct** level-reduction (immune to stiffness) up to the
+    ///    policy's direct threshold ([`AUTO_SPARSE_THRESHOLD`] for
+    ///    [`TierPolicy::BATCH`], none for [`TierPolicy::ONLINE`]);
+    /// 2. **Sparse CSR** ILU(0)-BiCGSTAB, at the policy's first-attempt
+    ///    budget, up to [`AUTO_MATFREE_THRESHOLD`] states (or the direct
+    ///    threshold, if higher), with a stall falling back to the direct
+    ///    solver;
+    /// 3. **Matrix-free parallel** Jacobi above that — the generator is
+    ///    never materialized — with a stall falling back to the full-budget
+    ///    CSR solve (the direct solver's dense level blocks are infeasible
+    ///    at this size).
+    ///
+    /// The guess survives fallbacks: a stalled attempt hands it to the
+    /// fallback engine instead of discarding it. Fallbacks are recorded in
+    /// [`MapQnSolution::diagnostics`] (`fell_back = true`), and
+    /// [`SolveDiagnostics::sweeps_per_engine`] attributes every sweep,
+    /// stalled attempts included, to the engine that performed it. Works
+    /// for any station count `M`.
+    ///
+    /// On `trace` the ladder opens a `qn.solve_auto` span, emits one
+    /// `qn.engine` event for the tier the state count selects and a
+    /// `qn.fallback` event whenever an iterative attempt stalls (carrying
+    /// the sweeps the stalled attempt burned), and lets the engines emit
+    /// their residual trajectories inside the span.
+    /// [`SolveDiagnostics::trace_id`] links the returned solution to the
+    /// span tree. Pass [`Trace::noop`] to observe nothing at near-zero
+    /// cost.
+    ///
+    /// # Errors
+    /// Propagates state-limit and construction errors, rejection of
+    /// wrong-length guesses, and fallback-engine failures.
+    ///
+    /// # Example
+    /// ```
+    /// use burstcap_map::Map2;
+    /// use burstcap_obs::Trace;
+    /// use burstcap_qn::mapqn::{MapNetwork, SolveEngine, TierPolicy};
+    ///
+    /// let net = MapNetwork::new(30, 0.5, Map2::poisson(100.0)?, Map2::poisson(50.0)?)?;
+    /// // 2048 states: the batch ladder solves them directly.
+    /// let (batch, pi) = net.solve_tiers(TierPolicy::BATCH, None, &Trace::noop())?;
+    /// assert_eq!(batch.diagnostics.engine, SolveEngine::Direct);
+    /// // The online ladder has no direct tier and keeps the warm start.
+    /// let (online, _) = net.solve_tiers(TierPolicy::ONLINE, Some(pi), &Trace::noop())?;
+    /// assert_eq!(online.diagnostics.engine, SolveEngine::SparseCsr);
+    /// assert!((online.throughput - batch.throughput).abs() / batch.throughput < 1e-8);
+    /// # Ok::<(), Box<dyn std::error::Error>>(())
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Only if a justified internal invariant is violated (1 reachable
+    /// panic site, e.g. `crates/qn/src/ctmc.rs:777`; `burstcap-lint report` lists them),
+    /// never for inputs this API accepts.
+    pub fn solve_tiers(
         &self,
-        sparse_above_states: usize,
+        policy: TierPolicy,
         guess: Option<Vec<f64>>,
-        tier2: (f64, usize),
         trace: &Trace,
     ) -> Result<(MapQnSolution, Vec<f64>), QnError> {
+        let TierPolicy {
+            direct_up_to,
+            first_csr,
+            limits,
+        } = policy;
         let states = self.state_count();
         let span = trace.span_with(
             "qn.solve_auto",
@@ -1334,109 +1229,62 @@ impl MapNetwork {
                 ("stations", self.stations.len().into()),
             ],
         );
-        if states <= sparse_above_states {
+        // The direct solver opens no span of its own: link the ladder's.
+        let direct = |guess| {
+            let (mut sol, pi) = self.solve_with_initial(guess)?;
+            sol.diagnostics.trace_id = span.id();
+            Ok::<_, QnError>((sol, pi))
+        };
+        if states <= direct_up_to {
             trace.event(
                 "qn.engine",
                 vec![("engine", "direct".into()), ("tier", 1_u64.into())],
             );
-            let (mut sol, pi) = self.solve_with_initial(guess)?;
-            sol.diagnostics.trace_id = span.id();
-            return Ok((sol, pi));
+            return direct(guess);
         }
-        if states <= AUTO_MATFREE_THRESHOLD.max(sparse_above_states) {
-            // Tier 2: bounded sparse attempt; a stall (fitted bursty MAPs
-            // with phase persistence close to 1 make the chain nearly
-            // completely decomposable) falls back to the direct solver.
-            trace.event(
-                "qn.engine",
-                vec![("engine", "sparse_csr".into()), ("tier", 2_u64.into())],
-            );
-            return match self.solve_csr(guess.clone(), tier2, trace) {
-                Err(QnError::NoConvergence {
-                    iterations: stalled,
-                    ..
-                }) => {
-                    trace.event(
-                        "qn.fallback",
-                        vec![
-                            ("from", "sparse_csr".into()),
-                            ("to", "direct".into()),
-                            ("stalled_sweeps", stalled.into()),
-                        ],
-                    );
-                    let (sol, pi) = self.solve_with_initial(guess)?;
-                    let mut diagnostics = SolveDiagnostics::direct();
-                    diagnostics.fell_back = true;
-                    diagnostics
-                        .sweeps_per_engine
-                        .tally(SolveEngine::SparseCsr, stalled);
-                    diagnostics.trace_id = span.id();
-                    Ok((sol.with_diagnostics(diagnostics), pi))
-                }
-                other => other,
-            };
-        }
-        // Tier 3: matrix-free parallel sweep; a stall falls back to the
-        // full-budget CSR sweep (the direct solver's dense level blocks are
-        // infeasible at this scale).
+        let csr_tier = states <= limits.matfree_above.max(direct_up_to);
+        let (engine, tier, fallback) = if csr_tier {
+            (SolveEngine::SparseCsr, 2_u64, SolveEngine::Direct)
+        } else {
+            (SolveEngine::MatrixFree, 3, SolveEngine::SparseCsr)
+        };
         trace.event(
             "qn.engine",
-            vec![("engine", "matrix_free".into()), ("tier", 3_u64.into())],
+            vec![("engine", engine.label().into()), ("tier", tier.into())],
         );
-        match self.solve_matrix_free_with_initial_traced(0, guess.clone(), trace) {
-            Err(QnError::NoConvergence {
-                iterations: stalled,
-                ..
-            }) => {
-                trace.event(
-                    "qn.fallback",
-                    vec![
-                        ("from", "matrix_free".into()),
-                        ("to", "sparse_csr".into()),
-                        ("stalled_sweeps", stalled.into()),
-                    ],
-                );
-                let (mut sol, pi) = self.solve_sparse_with_initial_traced(guess, trace)?;
-                sol.diagnostics.fell_back = true;
-                sol.diagnostics
-                    .sweeps_per_engine
-                    .tally(SolveEngine::MatrixFree, stalled);
-                Ok((sol, pi))
-            }
-            other => other,
-        }
-    }
-
-    /// Solve a population sweep (one exact solve per population).
-    ///
-    /// # Errors
-    /// Propagates the first per-population failure.
-    ///
-    /// # Example
-    /// ```
-    /// use burstcap_map::Map2;
-    /// use burstcap_qn::mapqn::MapNetwork;
-    ///
-    /// let net = MapNetwork::new(1, 0.5, Map2::poisson(100.0)?, Map2::poisson(50.0)?)?;
-    /// let sweep = net.solve_sweep(&[1, 5, 10])?;
-    /// assert_eq!(sweep.len(), 3);
-    /// // Throughput grows with population in a closed network.
-    /// assert!(sweep[2].throughput > sweep[0].throughput);
-    /// # Ok::<(), Box<dyn std::error::Error>>(())
-    /// ```
-    pub fn solve_sweep(&self, populations: &[usize]) -> Result<Vec<MapQnSolution>, QnError> {
-        populations
-            .iter()
-            .map(|&pop| {
-                MapNetwork {
-                    population: pop,
-                    think_time: self.think_time,
-                    stations: self.stations.clone(),
-                    state_limit: self.state_limit,
-                }
-                .solve()
-            })
-            .collect()
+        let attempt = if csr_tier {
+            self.solve_csr(guess.clone(), first_csr, trace)
+        } else {
+            self.solve_matfree(limits.matfree, 0, guess.clone(), trace)
+        };
+        let Err(QnError::NoConvergence {
+            iterations: stalled,
+            ..
+        }) = attempt
+        else {
+            return attempt;
+        };
+        trace.event(
+            "qn.fallback",
+            vec![
+                ("from", engine.label().into()),
+                ("to", fallback.label().into()),
+                ("stalled_sweeps", stalled.into()),
+            ],
+        );
+        // A CSR stall (fitted bursty MAPs with phase persistence close to 1
+        // make the chain nearly completely decomposable) falls back to the
+        // stiffness-proof direct solver. A matrix-free stall falls back to
+        // the full-budget CSR solve: dense level blocks are infeasible at
+        // that size.
+        let (mut sol, pi) = if csr_tier {
+            direct(guess)?
+        } else {
+            self.solve_csr(guess, limits.csr, trace)?
+        };
+        sol.diagnostics.fell_back = true;
+        sol.diagnostics.sweeps_per_engine.tally(engine, stalled);
+        Ok((sol, pi))
     }
 
     /// Visit every transition `(from, to, rate)` of the flat CTMC, in
@@ -1709,6 +1557,10 @@ fn forward_pass(
 
 /// Invert a flat row-major `m x m` matrix in place via Gauss-Jordan with
 /// partial pivoting; returns the inverse, or `None` if singular.
+// Kept out of line: inlined into its one production caller, the level
+// reduction, the elimination loop ran ≈15–20% slower on a population-50
+// direct solve (release build, thin LTO).
+#[inline(never)]
 fn invert_flat(a: &mut [f64], m: usize) -> Option<Vec<f64>> {
     let mut inv = vec![0.0; m * m];
     for i in 0..m {
@@ -1831,6 +1683,8 @@ mod tests {
     use super::*;
     use crate::mva::ClosedMva;
     use burstcap_map::fit::Map2Fitter;
+    use burstcap_obs::{Event, FieldValue, Recorder};
+    use proptest::prelude::*;
 
     #[test]
     fn warm_started_sparse_solve_matches_direct() {
@@ -2065,7 +1919,7 @@ mod tests {
         let front = Map2Fitter::new(0.01, 8.0, 0.03).fit().unwrap().map();
         let db = Map2Fitter::new(0.008, 12.0, 0.02).fit().unwrap().map();
         let net = MapNetwork::new(20, 0.3, front, db).unwrap();
-        let sparse = net.solve_sparse().unwrap();
+        let (sparse, _) = net.solve_sparse_with_initial(None).unwrap();
         let direct = net.solve().unwrap();
         assert!(
             (sparse.throughput - direct.throughput).abs() / direct.throughput < 1e-8,
@@ -2082,7 +1936,7 @@ mod tests {
         let app = Map2Fitter::new(0.01, 8.0, 0.03).fit().unwrap().map();
         let db = Map2Fitter::new(0.008, 12.0, 0.02).fit().unwrap().map();
         let net = MapNetwork::tandem(10, 0.3, vec![web, app, db]).unwrap();
-        let sparse = net.solve_sparse().unwrap();
+        let (sparse, _) = net.solve_sparse_with_initial(None).unwrap();
         let direct = net.solve().unwrap();
         assert!(
             (sparse.throughput - direct.throughput).abs() / direct.throughput < 1e-8,
@@ -2097,15 +1951,15 @@ mod tests {
 
     #[test]
     fn solve_auto_agrees_with_direct_on_both_paths() {
-        // Very stiff fitted MAPs: the bounded sparse attempt of solve_auto
+        // Very stiff fitted MAPs: the bounded sparse attempt of the ladder
         // either converges (and must agree) or stalls and falls back to the
         // direct solver — the caller sees the exact answer either way.
         let front = Map2Fitter::new(0.02, 200.0, 0.06).fit().unwrap().map();
         let db = Map2Fitter::new(0.03, 400.0, 0.1).fit().unwrap().map();
         let net = MapNetwork::new(10, 0.45, front, db).unwrap();
         let direct = net.solve().unwrap();
-        let via_direct_path = net.solve_auto(usize::MAX).unwrap();
-        let via_sparse_path = net.solve_auto(0).unwrap();
+        let (via_direct_path, _) = net.solve_auto_with_initial(usize::MAX, None).unwrap();
+        let (via_sparse_path, _) = net.solve_auto_with_initial(0, None).unwrap();
         assert_eq!(via_direct_path.throughput, direct.throughput);
         assert!(
             (via_sparse_path.throughput - direct.throughput).abs() / direct.throughput < 1e-7,
@@ -2232,31 +2086,18 @@ mod tests {
     }
 
     #[test]
-    fn sweep_matches_individual_solves() {
-        let front = Map2::poisson(1.0 / 0.01).unwrap();
-        let db = Map2Fitter::new(0.007, 60.0, 0.02).fit().unwrap().map();
-        let net = MapNetwork::new(1, 0.4, front, db).unwrap();
-        let sweep = net.solve_sweep(&[5, 10, 20]).unwrap();
-        for (i, &pop) in [5usize, 10, 20].iter().enumerate() {
-            let single = MapNetwork::new(pop, 0.4, front, db)
-                .unwrap()
-                .solve()
-                .unwrap();
-            assert!(
-                (sweep[i].throughput - single.throughput).abs() / single.throughput < 1e-9,
-                "pop {pop}: sweep {} vs single {}",
-                sweep[i].throughput,
-                single.throughput
-            );
-        }
-    }
-
-    #[test]
     fn throughput_monotone_in_population() {
         let front = Map2Fitter::new(0.008, 40.0, 0.02).fit().unwrap().map();
         let db = Map2Fitter::new(0.006, 150.0, 0.02).fit().unwrap().map();
-        let net = MapNetwork::new(1, 0.5, front, db).unwrap();
-        let sols = net.solve_sweep(&[1, 5, 15, 30, 50]).unwrap();
+        let sols: Vec<MapQnSolution> = [1, 5, 15, 30, 50]
+            .iter()
+            .map(|&pop| {
+                MapNetwork::new(pop, 0.5, front, db)
+                    .unwrap()
+                    .solve()
+                    .unwrap()
+            })
+            .collect();
         for w in sols.windows(2) {
             assert!(
                 w[1].throughput >= w[0].throughput - 1e-9,
@@ -2470,7 +2311,7 @@ mod tests {
         assert_eq!(direct.diagnostics.iterations, 0);
         assert!(!direct.diagnostics.fell_back);
         // Forced sparse tier on a mild model: converges, reports sweeps.
-        let sparse = net.solve_auto(0).unwrap();
+        let (sparse, _) = net.solve_auto_with_initial(0, None).unwrap();
         assert_eq!(sparse.diagnostics.engine, SolveEngine::SparseCsr);
         assert!(sparse.diagnostics.iterations > 0);
         assert!(!sparse.diagnostics.fell_back);
@@ -2482,29 +2323,49 @@ mod tests {
         assert_eq!(lu.diagnostics.iterations, 0);
     }
 
-    #[test]
-    fn auto_stall_fallback_is_recorded_and_keeps_warm_seam() {
-        // Stiff fitted MAPs with the tier-2 CSR budget cut to one iteration
-        // on purpose: the attempt stalls, solve_auto falls back to the
-        // direct engine, and the diagnostics, the trace and the warm seam
-        // must all say so.
-        use burstcap_obs::{FieldValue, Recorder};
+    /// Fitted MAPs stiff enough that a one-iteration budget stalls any
+    /// iterative engine: 264 states at population 10.
+    fn stiff_net() -> MapNetwork {
         let front = Map2Fitter::new(0.02, 200.0, 0.06).fit().unwrap().map();
         let db = Map2Fitter::new(0.03, 400.0, 0.1).fit().unwrap().map();
-        let net = MapNetwork::new(10, 0.45, front, db).unwrap();
-        let recorder = Recorder::new();
-        let (sol, pi) = net
-            .solve_tiers(0, None, (CSR_BOUNDED.0, 1), &recorder.trace())
-            .unwrap();
-        assert!(sol.diagnostics.fell_back);
-        assert_eq!(sol.diagnostics.engine, SolveEngine::Direct);
-        assert_eq!(sol.diagnostics.iterations, 0);
-        assert_eq!(sol.diagnostics.sweeps_per_engine.sparse_csr, 1);
+        MapNetwork::new(10, 0.45, front, db).unwrap()
+    }
+
+    /// Limits that send any chain to the matrix-free engine with a
+    /// one-sweep budget.
+    const MATFREE_STALLS: TierLimits = TierLimits {
+        matfree_above: 0,
+        matfree: MatFreeMethod::Jacobi {
+            omega: 0.95,
+            tol: 1e-12,
+            max_iter: 1,
+        },
+        ..TIER_LIMITS
+    };
+
+    /// The one `qn.fallback` event a forced stall emits.
+    fn only_fallback(recorder: &Recorder) -> Event {
         let events = recorder.events();
-        let fallback = events
-            .iter()
-            .find(|e| e.name == "qn.fallback")
-            .expect("a qn.fallback event");
+        let mut fallbacks = events.iter().filter(|e| e.name == "qn.fallback");
+        let first = fallbacks.next().expect("a qn.fallback event").clone();
+        assert!(fallbacks.next().is_none(), "one fallback per solve");
+        first
+    }
+
+    #[test]
+    fn auto_stall_fallback_is_recorded_and_keeps_warm_seam() {
+        // Edge CSR -> direct: the first CSR attempt is cut to one iteration
+        // on purpose, so it stalls, and the diagnostics, the trace and the
+        // warm seam must all say so.
+        let net = stiff_net();
+        let policy = TierPolicy {
+            direct_up_to: 0,
+            first_csr: (CSR_BOUNDED.0, 1),
+            ..TierPolicy::BATCH
+        };
+        let recorder = Recorder::new();
+        let (sol, pi) = net.solve_tiers(policy, None, &recorder.trace()).unwrap();
+        let fallback = only_fallback(&recorder);
         assert_eq!(
             fallback.fields,
             vec![
@@ -2513,7 +2374,22 @@ mod tests {
                 ("stalled_sweeps", FieldValue::U64(1)),
             ]
         );
-        assert!(events.iter().any(|e| e.name == "ctmc.stall"));
+        assert_eq!(
+            sol.diagnostics,
+            SolveDiagnostics {
+                engine: SolveEngine::Direct,
+                iterations: 0,
+                fell_back: true,
+                final_residual: 0.0,
+                sweeps_per_engine: EngineSweeps {
+                    sparse_csr: 1,
+                    ..EngineSweeps::default()
+                },
+                // The direct tier has no span of its own: the ladder's.
+                trace_id: fallback.span,
+            }
+        );
+        assert!(recorder.events().iter().any(|e| e.name == "ctmc.stall"));
         assert_eq!(pi.len(), net.state_count());
         assert!((pi.iter().sum::<f64>() - 1.0).abs() < 1e-9);
         let direct = net.solve().unwrap();
@@ -2523,5 +2399,285 @@ mod tests {
         assert!(!auto.diagnostics.fell_back);
         assert_eq!(auto.diagnostics.engine, SolveEngine::SparseCsr);
         assert!((auto.throughput - direct.throughput).abs() / direct.throughput < 1e-8);
+    }
+
+    #[test]
+    fn matrix_free_stall_falls_back_to_full_budget_csr() {
+        // Edge matrix-free -> CSR: the batch ladder without its direct tier
+        // sends the chain to a one-sweep matrix-free attempt.
+        let net = stiff_net();
+        let policy = TierPolicy {
+            direct_up_to: 0,
+            limits: MATFREE_STALLS,
+            ..TierPolicy::BATCH
+        };
+        let recorder = Recorder::new();
+        let (sol, pi) = net.solve_tiers(policy, None, &recorder.trace()).unwrap();
+        assert_eq!(
+            only_fallback(&recorder).fields,
+            vec![
+                ("from", FieldValue::Str("matrix_free")),
+                ("to", FieldValue::Str("sparse_csr")),
+                ("stalled_sweeps", FieldValue::U64(1)),
+            ]
+        );
+        assert!(recorder.events().iter().any(|e| e.name == "matfree.stall"));
+        let d = sol.diagnostics;
+        assert_eq!(d.engine, SolveEngine::SparseCsr);
+        assert!(d.fell_back);
+        assert!(d.iterations > 0);
+        assert!(d.final_residual <= CSR_FULL.0);
+        assert_eq!(
+            d.sweeps_per_engine,
+            EngineSweeps {
+                sparse_csr: d.iterations,
+                matrix_free: 1,
+                ..EngineSweeps::default()
+            }
+        );
+        // The fallback is the full-budget CSR solve itself.
+        let (full, full_pi) = net.solve_sparse_with_initial(None).unwrap();
+        assert_eq!(sol.throughput.to_bits(), full.throughput.to_bits());
+        assert_eq!(pi, full_pi);
+    }
+
+    #[test]
+    fn online_stall_above_matfree_threshold_never_falls_back_to_direct() {
+        // The online ladder above its matrix-free threshold: a stall falls
+        // back to the full-budget CSR solve, keeping the warm start, and
+        // never to the direct solver, whose dense level blocks are
+        // infeasible at that size.
+        let net = stiff_net();
+        let policy = TierPolicy {
+            limits: MATFREE_STALLS,
+            ..TierPolicy::ONLINE
+        };
+        // A warm start from the same chain at another think time: close to
+        // the answer, but not within the sweep tolerance.
+        let drifted = MapNetwork {
+            think_time: 0.5,
+            ..net.clone()
+        };
+        let (_, guess) = drifted.solve_with_initial(None).unwrap();
+        let recorder = Recorder::new();
+        let (sol, pi) = net
+            .solve_tiers(policy, Some(guess.clone()), &recorder.trace())
+            .unwrap();
+        assert_eq!(
+            only_fallback(&recorder).fields,
+            vec![
+                ("from", FieldValue::Str("matrix_free")),
+                ("to", FieldValue::Str("sparse_csr")),
+                ("stalled_sweeps", FieldValue::U64(1)),
+            ]
+        );
+        assert!(!recorder
+            .events()
+            .iter()
+            .flat_map(|e| &e.fields)
+            .any(|f| f.1 == FieldValue::Str("direct")));
+        assert_eq!(sol.diagnostics.engine, SolveEngine::SparseCsr);
+        assert!(sol.diagnostics.fell_back);
+        assert_eq!(sol.diagnostics.sweeps_per_engine.matrix_free, 1);
+        // The CSR fallback received the caller's warm start.
+        let (warm, warm_pi) = net.solve_sparse_with_initial(Some(guess)).unwrap();
+        assert_eq!(sol.throughput.to_bits(), warm.throughput.to_bits());
+        assert_eq!(pi, warm_pi);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The generic N-station level reduction at M = 2 reproduces the
+    /// preserved two-station solver within 1e-10 on random ergodic
+    /// configurations (bursty fitted MAPs, arbitrary think times and
+    /// populations).
+    #[test]
+    fn generic_m2_matches_two_station_reference(
+        mean_f in 5e-3f64..0.04,
+        mean_d in 5e-3f64..0.04,
+        i_f in 1.5f64..120.0,
+        i_d in 1.5f64..120.0,
+        p95_ratio in 1.5f64..4.0,
+        z in 0.1f64..1.0,
+        pop in 1usize..12,
+    ) {
+        let front = Map2Fitter::new(mean_f, i_f, mean_f * p95_ratio).fit().unwrap().map();
+        let db = Map2Fitter::new(mean_d, i_d, mean_d * p95_ratio).fit().unwrap().map();
+        let net = MapNetwork::new(pop, z, front, db).unwrap();
+        let generic = net.solve().unwrap();
+        let oracle = net.solve_two_station_reference().unwrap();
+        prop_assert!(
+            (generic.throughput - oracle.throughput).abs()
+                <= 1e-10 * oracle.throughput.max(1.0),
+            "X: generic {} vs oracle {}",
+            generic.throughput,
+            oracle.throughput
+        );
+        for i in 0..2 {
+            prop_assert!(
+                (generic.utilization[i] - oracle.utilization[i]).abs() <= 1e-10,
+                "U[{i}]: {} vs {}",
+                generic.utilization[i],
+                oracle.utilization[i]
+            );
+            prop_assert!(
+                (generic.mean_jobs[i] - oracle.mean_jobs[i]).abs() <= 1e-8 * pop as f64,
+                "Q[{i}]: {} vs {}",
+                generic.mean_jobs[i],
+                oracle.mean_jobs[i]
+            );
+        }
+    }
+    }
+
+    /// The historical two-station direct solver, kept as the `M = 2` oracle
+    /// for the generic level reduction.
+    impl MapNetwork {
+        /// The preserved two-station direct solver — the exact code path the
+        /// two-tier model shipped with, kept as the `M = 2` **oracle** for the
+        /// generic level reduction (property tests require agreement within
+        /// `1e-10`).
+        ///
+        /// # Errors
+        /// Rejects networks with a station count other than 2; otherwise as
+        /// [`MapNetwork::solve`].
+        fn solve_two_station_reference(&self) -> Result<MapQnSolution, QnError> {
+            if self.stations.len() != 2 {
+                return Err(QnError::InvalidParameter {
+                    name: "stations",
+                    reason: format!(
+                        "two-station reference solver requires M = 2, got {}",
+                        self.stations.len()
+                    ),
+                });
+            }
+            self.check_state_limit()?;
+            let n = self.population;
+            let z = self.think_time;
+            let level_size = |level: usize| 4 * (level + 1);
+
+            // Backward pass, specialized: the up map is a fixed +4 shift of the
+            // local index.
+            let mut s = self.a0_two_station(n);
+            let mut u_blocks: Vec<Vec<f64>> = Vec::with_capacity(n);
+            for level in (0..n).rev() {
+                let m_next = level_size(level + 1);
+                let m_l = level_size(level);
+                let mut neg = s;
+                for x in neg.iter_mut() {
+                    *x = -*x;
+                }
+                let inv = invert_flat(&mut neg, m_next).ok_or(QnError::InvalidParameter {
+                    name: "network",
+                    reason: format!("singular level block at level {}", level + 1),
+                })?;
+                let nu = (n - level) as f64 / z;
+                let mut u = vec![0.0; m_l * m_next];
+                for r in 0..m_l {
+                    // Think completion: (n_f, p_f, p_d) at level l jumps to
+                    // (n_f + 1, p_f, p_d) at level l+1 — local index r + 4.
+                    let dst = r * m_next;
+                    let src = (r + 4) * m_next;
+                    u[dst..dst + m_next].copy_from_slice(&inv[src..src + m_next]);
+                    for x in &mut u[dst..dst + m_next] {
+                        *x *= nu;
+                    }
+                }
+                let mut s_l = self.a0_two_station(level);
+                for &(row_next, col_l, rate) in &self.adown_two_station(level + 1) {
+                    for r in 0..m_l {
+                        s_l[r * m_l + col_l] += u[r * m_next + row_next] * rate;
+                    }
+                }
+                u_blocks.push(u);
+                s = s_l;
+            }
+            u_blocks.reverse();
+
+            let pi0 = left_null_vector(&s, 4).ok_or(QnError::InvalidParameter {
+                name: "network",
+                reason: "level-0 block has no stationary vector".into(),
+            })?;
+
+            let levels = forward_pass(pi0, &u_blocks, level_size)?;
+            // The specialized local layout n_f * 4 + p_f * 2 + p_d coincides
+            // with the generic comp_rank * 4 + phase layout, so metric
+            // extraction is shared.
+            let comps: Vec<Vec<Vec<usize>>> = (0..=n).map(|l| compositions(l, 2)).collect();
+            Ok(self.metrics_from_levels(&levels, &comps))
+        }
+
+        /// Within-level block of the two-station specialization (historical
+        /// code, bit-for-bit).
+        fn a0_two_station(&self, level: usize) -> Vec<f64> {
+            let m = 4 * (level + 1);
+            let mut a = vec![0.0; m * m];
+            let d0f = self.stations[0].d0();
+            let d1f = self.stations[0].d1();
+            let d0d = self.stations[1].d0();
+            let up_rate = if level < self.population {
+                (self.population - level) as f64 / self.think_time
+            } else {
+                0.0
+            };
+            for n_f in 0..=level {
+                let n_d = level - n_f;
+                for p_f in 0..2 {
+                    for p_d in 0..2 {
+                        let s = n_f * 4 + p_f * 2 + p_d;
+                        let mut exit = up_rate;
+                        if n_f > 0 {
+                            exit += -d0f[p_f][p_f];
+                            // Hidden front phase change.
+                            let hidden = d0f[p_f][1 - p_f];
+                            if hidden > 0.0 {
+                                a[s * m + (n_f * 4 + (1 - p_f) * 2 + p_d)] += hidden;
+                            }
+                            // Front completion: job moves to the DB, same level.
+                            for (j, &rate) in d1f[p_f].iter().enumerate() {
+                                if rate > 0.0 {
+                                    a[s * m + ((n_f - 1) * 4 + j * 2 + p_d)] += rate;
+                                }
+                            }
+                        }
+                        if n_d > 0 {
+                            exit += -d0d[p_d][p_d];
+                            let hidden = d0d[p_d][1 - p_d];
+                            if hidden > 0.0 {
+                                a[s * m + (n_f * 4 + p_f * 2 + (1 - p_d))] += hidden;
+                            }
+                            // DB completions leave the level (handled in adown).
+                        }
+                        a[s * m + s] -= exit;
+                    }
+                }
+            }
+            a
+        }
+
+        /// Down-transitions of the two-station specialization.
+        fn adown_two_station(&self, level: usize) -> Vec<(usize, usize, f64)> {
+            debug_assert!(level >= 1);
+            let d1d = self.stations[1].d1();
+            let mut tr = Vec::new();
+            for n_f in 0..=level {
+                let n_d = level - n_f;
+                if n_d == 0 {
+                    continue;
+                }
+                for p_f in 0..2 {
+                    for p_d in 0..2 {
+                        let s = n_f * 4 + p_f * 2 + p_d;
+                        for (j, &rate) in d1d[p_d].iter().enumerate() {
+                            if rate > 0.0 {
+                                tr.push((s, n_f * 4 + p_f * 2 + j, rate));
+                            }
+                        }
+                    }
+                }
+            }
+            tr
+        }
     }
 }

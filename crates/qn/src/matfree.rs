@@ -57,7 +57,7 @@
 //! damping (`omega < 1`) pulls those modes strictly inside, restoring
 //! convergence at a negligible cost elsewhere. Stalls on extremely stiff
 //! chains are still possible and surface as [`QnError::NoConvergence`] —
-//! [`crate::mapqn::MapNetwork::solve_auto`] handles the fallback.
+//! [`crate::mapqn::MapNetwork::solve_tiers`] handles the fallback.
 
 use std::ops::Range;
 
@@ -476,18 +476,22 @@ pub enum MatFreeMethod {
     },
 }
 
+impl MatFreeMethod {
+    /// The method the engine ladder runs. The residual target is the full
+    /// CSR solve's: 1e-12 on the scale-free balance residual keeps
+    /// throughput within 1e-8 of the direct solver. The damping `omega =
+    /// 0.95` keeps the sweep operator's eigenvalues off the unit circle on
+    /// these quasi-birth-death chains (see the module docs).
+    pub(crate) const PRODUCTION: MatFreeMethod = MatFreeMethod::Jacobi {
+        omega: 0.95,
+        tol: 1e-12,
+        max_iter: 400_000,
+    };
+}
+
 impl Default for MatFreeMethod {
     fn default() -> Self {
-        // Same residual target as the production CSR solve
-        // (solve_sparse_with_initial) and the damping of the Gauss-Seidel
-        // method: 1e-12 on the scale-free balance residual keeps throughput
-        // within 1e-8 of the direct solver. Jacobi needs roughly 2x the
-        // sweeps of Gauss-Seidel, but each sweep parallelizes.
-        MatFreeMethod::Jacobi {
-            omega: 0.95,
-            tol: 1e-12,
-            max_iter: 400_000,
-        }
+        MatFreeMethod::PRODUCTION
     }
 }
 
@@ -988,7 +992,7 @@ mod tests {
         let net = MapNetwork::new(12, 0.3, front, db).unwrap();
         let direct = net.solve().unwrap();
         for workers in [1usize, 2, 4] {
-            let sol = net.solve_matrix_free(workers).unwrap();
+            let (sol, _) = net.solve_matrix_free_with_initial(workers, None).unwrap();
             assert!(
                 (sol.throughput - direct.throughput).abs() / direct.throughput < 1e-8,
                 "workers {workers}: {} vs {}",

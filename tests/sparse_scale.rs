@@ -9,7 +9,7 @@ use burstcap_qn::mapqn::{MapNetwork, DEFAULT_STATE_LIMIT};
 
 /// Moderately bursty MAP(2) fits for both tiers (the converging regime of
 /// the iterative engine; stiffer fits fall back to the direct solver via
-/// `solve_auto`, which is covered in `burstcap-qn`'s own tests).
+/// `solve_tiers`, which is covered in `burstcap-qn`'s own tests).
 fn tiers() -> (burstcap_map::Map2, burstcap_map::Map2) {
     let front = Map2Fitter::new(0.01, 4.0, 0.03).fit().unwrap().map();
     let db = Map2Fitter::new(0.008, 6.0, 0.02).fit().unwrap().map();
@@ -45,7 +45,7 @@ fn population_100_map_network_solves_via_sparse_path() {
 fn sparse_matches_dense_lu_on_dense_feasible_population() {
     let (front, db) = tiers();
     let net = MapNetwork::new(10, 0.3, front, db).unwrap();
-    let sparse = net.solve_sparse().unwrap();
+    let (sparse, _) = net.solve_sparse_with_initial(None).unwrap();
     let lu = net
         .solve_iterative(SteadyStateMethod::DenseLu { limit: 100_000 })
         .unwrap();

@@ -2,8 +2,8 @@
 //! MAP network cross-validated three ways — exact CTMC vs replicated
 //! simulation (with Student-t intervals) vs N-station MVA in the
 //! exponential degenerate case — plus a station-count × population scaling
-//! smoke over `solve_auto` (the grid CI runs so the generic path cannot
-//! silently rot).
+//! smoke over the engine ladder (`solve_auto_with_initial`; the grid CI runs
+//! so the generic path cannot silently rot).
 
 use burstcap::experiment::Experiment;
 use burstcap_map::fit::Map2Fitter;
@@ -25,15 +25,16 @@ fn three_tier_stations() -> Vec<Map2> {
 #[test]
 fn three_tier_analytic_matches_replicated_simulation() {
     // The acceptance gate of the N-station generalization: the exact
-    // solve_auto answer for web + app + db must fall inside the replicated
+    // ladder answer for web + app + db must fall inside the replicated
     // simulation's confidence interval (plus a small model margin).
     let stations = three_tier_stations();
     let pop = 12;
     let z = 0.3;
     let exact = MapNetwork::tandem(pop, z, stations.clone())
         .unwrap()
-        .solve_auto(AUTO_SPARSE_THRESHOLD)
-        .unwrap();
+        .solve_auto_with_initial(AUTO_SPARSE_THRESHOLD, None)
+        .unwrap()
+        .0;
     let sim = ClosedMapNetwork::tandem(pop, z, stations).unwrap();
     let result = Experiment::new(4)
         .unwrap()
@@ -73,7 +74,7 @@ fn three_tier_analytic_matches_replicated_simulation() {
 
 #[test]
 fn three_tier_exponential_degenerate_matches_mva_via_solve_auto() {
-    // Product-form check through the public solve_auto entry point, on both
+    // Product-form check through the public engine ladder, on both
     // sides of the engine crossover.
     let demands = vec![0.004, 0.012, 0.008];
     let stations: Vec<Map2> = demands
@@ -88,8 +89,9 @@ fn three_tier_exponential_degenerate_matches_mva_via_solve_auto() {
     ] {
         let exact = MapNetwork::tandem(pop, 0.3, stations.clone())
             .unwrap()
-            .solve_auto(threshold)
-            .unwrap();
+            .solve_auto_with_initial(threshold, None)
+            .unwrap()
+            .0;
         let baseline = mva.solve(pop).unwrap();
         assert!(
             (exact.throughput - baseline.throughput).abs() / baseline.throughput < 1e-6,
@@ -136,7 +138,7 @@ fn two_tier_entry_points_are_the_m2_tandem() {
 
 #[test]
 fn station_count_scaling_smoke() {
-    // Small M x N grid through solve_auto with exponential stations: the
+    // Small M x N grid through the engine ladder with exponential stations: the
     // direct path below the crossover, the sparse path above it. Checks
     // the structural invariants every point must satisfy.
     let demand = 0.01;
@@ -151,7 +153,9 @@ fn station_count_scaling_smoke() {
         };
         for &pop in pops {
             let net = MapNetwork::tandem(pop, z, stations.clone()).unwrap();
-            let sol = net.solve_auto(AUTO_SPARSE_THRESHOLD).unwrap();
+            let (sol, _) = net
+                .solve_auto_with_initial(AUTO_SPARSE_THRESHOLD, None)
+                .unwrap();
             assert_eq!(sol.utilization.len(), m);
             assert_eq!(sol.states, net.state_count());
             // Utilizations are probabilities; identical stations load
