@@ -1,6 +1,6 @@
 //! Criterion bench comparing the steady-state solvers on the MAP queueing
 //! network (the DESIGN.md solver ablation): exact block level-reduction
-//! versus dense LU versus the default CSR solver (ILU(0)-BiCGSTAB) on a
+//! versus dense LU versus the default CSR solver (D-ILU BiCGSTAB) on a
 //! well-conditioned instance.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};

@@ -65,8 +65,8 @@ struct Record {
 
 /// One point of the matrix-free states-vs-cost frontier. Memory figures are
 /// analytic working-set sizes (not RSS): the matrix-free engine holds three
-/// state-length `f64` vectors, the CSR engine additionally materializes the
-/// generator (`nnz` value/column pairs plus a row-pointer array).
+/// state-length `f64` vectors, the CSR engine the peak of its assembly and
+/// solve phases (see [`csr_peak_bytes`]).
 struct FrontierPoint {
     stations: usize,
     population: usize,
@@ -86,10 +86,15 @@ struct FrontierPoint {
     rel_gap: Option<f64>,
 }
 
-/// CSR working set: `nnz` (f64 value + usize column) entries, a row-pointer
-/// array, and the same three iteration vectors the matrix-free engine uses.
+/// CSR working set: the larger of its two phases. Assembly holds the
+/// outgoing and incoming CSR (`f64` rate + `u32` column per entry, `u32`
+/// row pointers), the exit rates and the transpose's slot counters:
+/// `24·nnz + 20·n`. The D-ILU BiCGSTAB solve holds the incoming CSR and exit
+/// rates (`12·nnz + 12·n`), pivots and their inverses (`16·n`), a `u32`
+/// split point per row (`4·n`) and seven iteration vectors (`56·n`):
+/// `12·nnz + 88·n`.
 fn csr_peak_bytes(states: usize, nnz: usize) -> usize {
-    nnz * 16 + (states + 1) * 8 + states * 8 * 3
+    (24 * nnz + 20 * states).max(12 * nnz + 88 * states)
 }
 
 /// JSON summary of the frontier: its largest point, the worst cross-check

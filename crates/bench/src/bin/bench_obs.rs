@@ -13,11 +13,16 @@
 //!
 //! The instrumentation budget is <3% wall-clock overhead on either path
 //! (`overhead_target_pct`); `overhead_ok` records whether this machine met
-//! it, and CI gates on that field. Each repetition times an untraced and a
-//! traced run back to back (order alternating) and the reported overhead
-//! is the median of the per-pair ratios — robust to both frequency drift
-//! and the several-percent allocator-layout noise a single 400 ms solve
-//! shows; the `_ms` fields record the per-side minima.
+//! it, and CI gates on that field. A repetition runs a fixed number of
+//! untraced and traced passes interleaved pass by pass (ABBA order), so
+//! frequency drift and allocator-layout shifts hit both sides alike, and
+//! its ratio is the median traced pass over the median untraced pass, so
+//! a preempted pass does not move it. The reported
+//! overhead is the median ratio over the repetitions, printed with its
+//! distribution-free 95% confidence interval (`overhead_ci_*_pct`, from
+//! the order statistics of the median) so a reader can see whether the
+//! measurement resolves the 3% budget; the `_ms` fields record the per-side
+//! minima of a repetition's median pass.
 //!
 //! Usage: `cargo run --release -p burstcap-bench --bin bench_obs
 //! [output.json]` (default `BENCH_obs.json`). `BURSTCAP_BENCH_FAST=1`
@@ -38,9 +43,13 @@ const OVERHEAD_TARGET_PCT: f64 = 3.0;
 const SOLVE_POPULATION: usize = 100;
 const INGEST_WINDOWS: usize = 900;
 const SHIFT_WINDOW: usize = 400;
-/// One ingest pass is ~2 ms — far below the timer's stable range — so each
-/// timed measurement batches this many passes (~50 ms).
-const INGEST_PASSES: usize = 25;
+/// Repetitions per workload (the median's confidence interval narrows
+/// with their square root).
+const REPS: usize = 31;
+/// Interleaved pass pairs per repetition: a repetition times about 0.2 s
+/// of each side (one ingest pass is ≈ 4 ms, one solve ≈ 50 ms).
+const INGEST_PASSES: usize = 40;
+const SOLVE_PASSES: usize = 6;
 
 /// The paper's MAP(2)×MAP(2) two-tier network at the sparse-engine scale.
 fn network() -> MapNetwork {
@@ -99,67 +108,106 @@ fn ingest_pass(trace: &Trace) -> usize {
     reports
 }
 
-/// One workload's timing summary: minimum wall-clock per side and the
-/// median of the per-repetition traced/untraced ratios.
+/// One workload's timing summary: minimum per side of a repetition's median
+/// pass, and the median of the per-repetition traced/untraced ratios with
+/// its 95% confidence interval.
 struct Timing {
     untraced_ms: f64,
     traced_ms: f64,
     overhead_pct: f64,
+    ci_pct: (f64, f64),
     checksum: usize,
 }
 
-/// Time `reps` paired (untraced, traced) runs. Each repetition times both
-/// sides back to back — so frequency drift hits the pair, not one side —
-/// with the order alternating per repetition to cancel ordering bias, and
-/// the overhead is the *median* of the per-pair ratios: single-measurement
-/// noise (allocator layout shifts between solves) is several percent on
-/// this workload, far above the real cost of a dozen recorded events.
-fn paired_overhead(reps: usize, mut workload: impl FnMut(&Trace) -> usize) -> Timing {
+/// Time `reps` repetitions of `passes` untraced and `passes` traced runs of
+/// `workload`, interleaved pass by pass in ABBA order (untraced, traced,
+/// traced, untraced, …), so drift within a repetition cancels to first
+/// order. Each traced pass records into a fresh [`Recorder`]. A
+/// repetition's ratio is its median traced pass over its median untraced
+/// pass, so a pass the scheduler preempts does not move it; the overhead
+/// is the median ratio.
+fn paired_overhead(
+    reps: usize,
+    passes: usize,
+    mut workload: impl FnMut(&Trace) -> usize,
+) -> Timing {
     let mut untraced_ms = f64::INFINITY;
     let mut traced_ms = f64::INFINITY;
     let mut ratios = Vec::with_capacity(reps);
-    let mut checksum = 0usize;
-    let side = |traced: bool, workload: &mut dyn FnMut(&Trace) -> usize| -> (f64, usize) {
-        if traced {
-            let recorder = Recorder::new();
-            let t = Stopwatch::start();
-            let out = workload(&recorder.trace());
-            (t.elapsed_ms(), out)
-        } else {
-            let t = Stopwatch::start();
-            let out = workload(&Trace::noop());
-            (t.elapsed_ms(), out)
-        }
-    };
+    let mut checksum = None;
     for rep in 0..reps {
-        let first_traced = rep % 2 == 1;
-        let (ms_a, out_a) = side(first_traced, &mut workload);
-        let (ms_b, out_b) = side(!first_traced, &mut workload);
-        let (u, t) = if first_traced {
-            (ms_b, ms_a)
-        } else {
-            (ms_a, ms_b)
-        };
-        assert_eq!(out_a, out_b, "tracing changed the workload's result");
-        checksum = out_a;
+        let (mut u, mut t) = (Vec::with_capacity(passes), Vec::with_capacity(passes));
+        for k in 0..2 * passes {
+            let traced = (k + k / 2) % 2 == 1;
+            let recorder = Recorder::new();
+            let trace = if traced {
+                recorder.trace()
+            } else {
+                Trace::noop()
+            };
+            let clock = Stopwatch::start();
+            let out = workload(&trace);
+            let ms = clock.elapsed_ms();
+            assert_eq!(
+                *checksum.get_or_insert(out),
+                out,
+                "tracing changed the workload's result"
+            );
+            if traced {
+                t.push(ms);
+            } else {
+                u.push(ms);
+            }
+        }
+        let (u, t) = (median(&mut u), median(&mut t));
         untraced_ms = untraced_ms.min(u);
         traced_ms = traced_ms.min(t);
         ratios.push(t / u);
         if std::env::var_os("BURSTCAP_BENCH_DEBUG").is_some() {
             println!(
-                "  pair {rep}: untraced {u:.2} ms, traced {t:.2} ms, ratio {:.4}",
+                "  rep {rep}: untraced {u:.2} ms, traced {t:.2} ms, ratio {:.4}",
                 t / u
             );
         }
     }
     ratios.sort_by(f64::total_cmp);
-    let overhead_pct = (ratios[ratios.len() / 2] - 1.0) * 100.0;
+    let pct = |ratio: f64| (ratio - 1.0) * 100.0;
+    let (lo, hi) = median_ci_ranks(reps);
     Timing {
         untraced_ms,
         traced_ms,
-        overhead_pct,
-        checksum,
+        overhead_pct: pct(ratios[reps / 2]),
+        ci_pct: (pct(ratios[lo]), pct(ratios[hi])),
+        checksum: checksum.unwrap_or(0),
     }
+}
+
+/// Median of a non-empty sample (the upper of the middle two when even).
+fn median(xs: &mut [f64]) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
+}
+
+/// 0-based ranks `(lo, hi)` of the sorted sample that bracket its median
+/// with at least 95% confidence, whatever the distribution: the median lies
+/// below the `j`-th smallest of `n` values with probability
+/// `P(Binomial(n, 1/2) >= j)`, so `lo` is the largest `j - 1` whose lower
+/// tail `P(Binomial(n, 1/2) < j)` stays within 2.5%, and `hi = n - 1 - lo`.
+fn median_ci_ranks(n: usize) -> (usize, usize) {
+    let mut pmf = 0.5_f64.powi(n as i32);
+    let mut below = 0.0;
+    let mut lo = 0;
+    for j in 0..n / 2 {
+        // below = P(B < j + 1) after adding P(B = j).
+        below += pmf;
+        if below > 0.025 {
+            break;
+        }
+        lo = j + 1;
+        pmf *= (n - j) as f64 / (j + 1) as f64;
+    }
+    let lo = lo.saturating_sub(1).min(n / 2);
+    (lo, n - 1 - lo)
 }
 
 fn main() {
@@ -167,20 +215,20 @@ fn main() {
         .nth(1)
         .unwrap_or_else(|| "BENCH_obs.json".to_string());
     let fast = std::env::var_os("BURSTCAP_BENCH_FAST").is_some_and(|v| v != "0");
-    let reps = if fast { 5 } else { 15 };
+    let reps = if fast { 5 } else { REPS };
 
     println!(
         "{}",
         burstcap_bench::header(&format!(
             "bench_obs: instrumentation overhead, target <{OVERHEAD_TARGET_PCT}% \
-             ({reps} paired reps, median ratio)"
+             ({reps} reps of interleaved passes, median ratio, 95% CI)"
         ))
     );
 
     // --- Workload 1: pop-100 sparse CSR solve ---------------------------
     let net = network();
     let states = net.state_count();
-    let solve = paired_overhead(reps, |trace| {
+    let solve = paired_overhead(reps, SOLVE_PASSES, |trace| {
         let (sol, _pi) = net
             .solve_sparse_with_initial_traced(None, trace)
             .expect("sparse solve");
@@ -192,23 +240,22 @@ fn main() {
         .expect("sparse solve");
     let solve_events = recorder.events().iter().filter(|e| !e.volatile).count();
     println!(
-        "sparse solve (pop {SOLVE_POPULATION}, {states} states): \
-         untraced {:.2} ms, traced {:.2} ms, overhead {:+.2}% ({solve_events} events)",
-        solve.untraced_ms, solve.traced_ms, solve.overhead_pct
+        "sparse solve (pop {SOLVE_POPULATION}, {states} states, {SOLVE_PASSES} passes per side): \
+         untraced {:.2} ms, traced {:.2} ms, overhead {:+.2}% [95% CI {:+.2}%, {:+.2}%] \
+         ({solve_events} events)",
+        solve.untraced_ms, solve.traced_ms, solve.overhead_pct, solve.ci_pct.0, solve.ci_pct.1
     );
 
     // --- Workload 2: online ingest loop across a regime shift -----------
-    let ingest = paired_overhead(reps, |trace| {
-        (0..INGEST_PASSES).map(|_| ingest_pass(trace)).sum()
-    });
+    let ingest = paired_overhead(reps, INGEST_PASSES, ingest_pass);
     let recorder = Recorder::new();
     let ingest_reports = ingest_pass(&recorder.trace());
     let ingest_events = recorder.events().iter().filter(|e| !e.volatile).count();
     println!(
-        "online ingest ({INGEST_WINDOWS} windows x {INGEST_PASSES} passes, shift at \
-         {SHIFT_WINDOW}): untraced {:.2} ms, traced {:.2} ms, overhead {:+.2}% \
-         ({ingest_events} events/pass)",
-        ingest.untraced_ms, ingest.traced_ms, ingest.overhead_pct
+        "online ingest ({INGEST_WINDOWS} windows, shift at {SHIFT_WINDOW}, {INGEST_PASSES} \
+         passes per side): untraced {:.2} ms, traced {:.2} ms, overhead {:+.2}% \
+         [95% CI {:+.2}%, {:+.2}%] ({ingest_events} events/pass)",
+        ingest.untraced_ms, ingest.traced_ms, ingest.overhead_pct, ingest.ci_pct.0, ingest.ci_pct.1
     );
 
     let overhead_ok =
@@ -229,10 +276,13 @@ fn main() {
                 .field("population", SOLVE_POPULATION)
                 .field("states", states)
                 .field("sweeps", solve.checksum)
+                .field("passes_per_rep", SOLVE_PASSES)
                 .field("trace_events", solve_events)
                 .field("untraced_ms", JsonValue::f(solve.untraced_ms, 3))
                 .field("traced_ms", JsonValue::f(solve.traced_ms, 3))
-                .field("overhead_pct", JsonValue::f(solve.overhead_pct, 2)),
+                .field("overhead_pct", JsonValue::f(solve.overhead_pct, 2))
+                .field("overhead_ci_low_pct", JsonValue::f(solve.ci_pct.0, 2))
+                .field("overhead_ci_high_pct", JsonValue::f(solve.ci_pct.1, 2)),
         )
         .field(
             "online_ingest",
@@ -244,7 +294,9 @@ fn main() {
                 .field("trace_events", ingest_events)
                 .field("untraced_ms", JsonValue::f(ingest.untraced_ms, 3))
                 .field("traced_ms", JsonValue::f(ingest.traced_ms, 3))
-                .field("overhead_pct", JsonValue::f(ingest.overhead_pct, 2)),
+                .field("overhead_pct", JsonValue::f(ingest.overhead_pct, 2))
+                .field("overhead_ci_low_pct", JsonValue::f(ingest.ci_pct.0, 2))
+                .field("overhead_ci_high_pct", JsonValue::f(ingest.ci_pct.1, 2)),
         )
         .field("overhead_ok", overhead_ok);
     burstcap_bench::json::write_report(&out_path, &report);

@@ -277,7 +277,7 @@ impl CapacityPlanner {
     /// # Panics
     ///
     /// Only if a justified internal invariant is violated (1 reachable
-    /// panic site, e.g. `crates/qn/src/ctmc.rs:777`; `burstcap-lint report` lists them),
+    /// panic site, e.g. `crates/qn/src/ctmc.rs:828`; `burstcap-lint report` lists them),
     /// never for inputs this API accepts.
     pub fn predict(&self, population: usize, think_time: f64) -> Result<Prediction, PlanError> {
         let net = self.network(population, think_time)?;

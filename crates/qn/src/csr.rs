@@ -8,7 +8,10 @@
 //! 4×10⁸ entries. [`CsrMatrix`] stores exactly the non-zeros in three flat
 //! arrays (`row_ptr`/`col_idx`/`values`), giving the iterative solvers in
 //! [`crate::ctmc`] contiguous, cache-friendly row access with no per-row
-//! allocations.
+//! allocations. Column indices and row pointers are `u32`, so an entry costs
+//! 12 bytes (an `f64` rate and a 4-byte column) instead of 16; a matrix whose
+//! dimension or entry count leaves the `u32` range is refused with a typed
+//! [`QnError`] at construction, never truncated.
 //!
 //! Two construction paths are provided:
 //!
@@ -42,6 +45,32 @@
 
 use crate::QnError;
 
+/// Stored indices widen to `usize` losslessly on the (at least 32-bit)
+/// targets this crate builds for.
+const _: () = assert!(usize::BITS >= 32);
+
+/// Widen a stored `u32` index or position to `usize` (lossless, see the
+/// assertion above; the fallback is unreachable).
+#[inline(always)]
+pub(crate) fn ix(i: u32) -> usize {
+    usize::try_from(i).unwrap_or(usize::MAX)
+}
+
+/// Narrow a dimension, index or entry count to the `u32` width CSR storage
+/// uses, or reject it with a typed error naming the offending quantity.
+///
+/// # Errors
+/// [`QnError::InvalidParameter`] when `value` exceeds `u32::MAX`.
+pub(crate) fn to_index(value: usize, name: &'static str) -> Result<u32, QnError> {
+    u32::try_from(value).map_err(|_| QnError::InvalidParameter {
+        name,
+        reason: format!(
+            "{value} exceeds the u32 range of CSR indices ({})",
+            u32::MAX
+        ),
+    })
+}
+
 /// A square sparse matrix in compressed sparse row format.
 ///
 /// Rows are stored back to back: the entries of row `i` live at positions
@@ -49,12 +78,12 @@ use crate::QnError;
 /// Duplicate coordinates are permitted and act additively — every consumer
 /// (row iteration, products, transpose, uniformization) treats the matrix as
 /// the sum of its stored entries, which is exactly the semantics CTMC
-/// transition lists need.
+/// transition lists need. Both `n` and the entry count fit in a `u32`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CsrMatrix {
     n: usize,
-    row_ptr: Vec<usize>,
-    col_idx: Vec<usize>,
+    row_ptr: Vec<u32>,
+    col_idx: Vec<u32>,
     values: Vec<f64>,
 }
 
@@ -63,7 +92,8 @@ impl CsrMatrix {
     /// order. Duplicate coordinates accumulate; exact zeros are dropped.
     ///
     /// # Errors
-    /// Rejects `n == 0`, out-of-range indices, and non-finite values.
+    /// Rejects `n == 0`, out-of-range indices, non-finite values, and
+    /// dimensions or entry counts beyond the `u32` index range.
     ///
     /// # Example
     /// ```
@@ -83,6 +113,7 @@ impl CsrMatrix {
                 reason: "matrix must have at least one row".into(),
             });
         }
+        to_index(n, "n")?;
         let mut entries: Vec<(usize, usize, f64)> = Vec::new();
         for (row, col, value) in triplets {
             if row >= n || col >= n {
@@ -101,6 +132,7 @@ impl CsrMatrix {
                 entries.push((row, col, value));
             }
         }
+        to_index(entries.len(), "triplets")?;
         // Counting sort by row, then order and merge within each row.
         let mut counts = vec![0usize; n + 1];
         for &(row, _, _) in &entries {
@@ -111,28 +143,29 @@ impl CsrMatrix {
         }
         let mut slots = counts.clone();
         let nnz_upper = entries.len();
-        let mut col_idx = vec![0usize; nnz_upper];
+        let mut col_idx = vec![0u32; nnz_upper];
         let mut values = vec![0.0f64; nnz_upper];
         for &(row, col, value) in &entries {
             let at = slots[row];
-            col_idx[at] = col;
+            col_idx[at] = to_index(col, "triplets")?;
             values[at] = value;
             slots[row] += 1;
         }
         // Merge duplicates row by row, compacting in place.
-        let mut row_ptr = vec![0usize; n + 1];
+        let mut row_ptr = vec![0u32; n + 1];
         let mut write = 0usize;
         for row in 0..n {
             let (start, end) = (counts[row], counts[row + 1]);
-            let mut pairs: Vec<(usize, f64)> = col_idx[start..end]
+            let mut pairs: Vec<(u32, f64)> = col_idx[start..end]
                 .iter()
                 .copied()
                 .zip(values[start..end].iter().copied())
                 .collect();
             pairs.sort_unstable_by_key(|&(c, _)| c);
-            row_ptr[row] = write;
+            let row_start = write;
+            row_ptr[row] = to_index(write, "triplets")?;
             for (col, value) in pairs {
-                if write > row_ptr[row] && col_idx[write - 1] == col {
+                if write > row_start && col_idx[write - 1] == col {
                     values[write - 1] += value;
                 } else {
                     col_idx[write] = col;
@@ -141,7 +174,7 @@ impl CsrMatrix {
                 }
             }
         }
-        row_ptr[n] = write;
+        row_ptr[n] = to_index(write, "triplets")?;
         col_idx.truncate(write);
         values.truncate(write);
         Ok(CsrMatrix {
@@ -152,14 +185,22 @@ impl CsrMatrix {
         })
     }
 
-    /// Start a streaming row-grouped builder (see [`CsrBuilder`]).
-    pub fn builder(n: usize) -> CsrBuilder {
-        CsrBuilder {
+    /// Start a streaming row-grouped builder (see [`CsrBuilder`]). The row
+    /// pointers are reserved exactly, so assembly never holds a doubled
+    /// buffer next to the entries.
+    ///
+    /// # Errors
+    /// Rejects a dimension beyond the `u32` index range, before allocating.
+    pub fn builder(n: usize) -> Result<CsrBuilder, QnError> {
+        to_index(n, "n")?;
+        let mut row_ptr = Vec::with_capacity(n + 1);
+        row_ptr.push(0);
+        Ok(CsrBuilder {
             n,
-            row_ptr: vec![0],
+            row_ptr,
             col_idx: Vec::new(),
             values: Vec::new(),
-        }
+        })
     }
 
     /// Matrix dimension (the matrix is `n × n`).
@@ -178,22 +219,21 @@ impl CsrMatrix {
     /// Panics if `i >= self.n()`.
     pub fn row(&self, i: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
         let (cols, vals) = self.row_slices(i);
-        cols.iter().copied().zip(vals.iter().copied())
+        cols.iter().map(|&j| ix(j)).zip(vals.iter().copied())
     }
 
     /// The column-index and value slices of row `i` (parallel arrays).
     ///
     /// # Panics
     /// Panics if `i >= self.n()`.
-    pub fn row_slices(&self, i: usize) -> (&[usize], &[f64]) {
-        let (start, end) = (self.row_ptr[i], self.row_ptr[i + 1]);
+    pub fn row_slices(&self, i: usize) -> (&[u32], &[f64]) {
+        let (start, end) = (ix(self.row_ptr[i]), ix(self.row_ptr[i + 1]));
         (&self.col_idx[start..end], &self.values[start..end])
     }
 
-    /// The three CSR arrays `(row_ptr, col_idx, values)`, for kernels that
-    /// keep per-entry data of their own aligned with `values` (the ILU(0)
-    /// factor of [`crate::ctmc`]).
-    pub(crate) fn parts(&self) -> (&[usize], &[usize], &[f64]) {
+    /// The three CSR arrays `(row_ptr, col_idx, values)`, for the kernels of
+    /// [`crate::ctmc`] that split each row at its diagonal.
+    pub(crate) fn parts(&self) -> (&[u32], &[u32], &[f64]) {
         (&self.row_ptr, &self.col_idx, &self.values)
     }
 
@@ -207,23 +247,27 @@ impl CsrMatrix {
     /// are preserved, not merged).
     pub fn transpose(&self) -> CsrMatrix {
         let n = self.n;
-        let mut row_ptr = vec![0usize; n + 1];
+        let mut row_ptr = vec![0u32; n + 1];
         for &col in &self.col_idx {
-            row_ptr[col + 1] += 1;
+            row_ptr[ix(col) + 1] += 1;
         }
         for i in 0..n {
             row_ptr[i + 1] += row_ptr[i];
         }
         let mut slots = row_ptr.clone();
-        let mut col_idx = vec![0usize; self.nnz()];
+        let mut col_idx = vec![0u32; self.nnz()];
         let mut values = vec![0.0f64; self.nnz()];
-        for row in 0..n {
-            let (cols, vals) = self.row_slices(row);
-            for (&col, &value) in cols.iter().zip(vals) {
-                let at = slots[col];
-                col_idx[at] = row;
-                values[at] = value;
-                slots[col] += 1;
+        // Row numbers are below n, which construction keeps inside u32.
+        for (row, ends) in (0u32..).zip(self.row_ptr.windows(2)) {
+            let (start, end) = (ix(ends[0]), ix(ends[1]));
+            for (&col, &value) in self.col_idx[start..end]
+                .iter()
+                .zip(&self.values[start..end])
+            {
+                let slot = &mut slots[ix(col)];
+                col_idx[ix(*slot)] = row;
+                values[ix(*slot)] = value;
+                *slot += 1;
             }
         }
         CsrMatrix {
@@ -240,25 +284,28 @@ impl CsrMatrix {
     /// CTMC constructors keep duplicate transitions additive *and* counted
     /// once regardless of assembly path.
     pub(crate) fn merge_adjacent_duplicates(mut self) -> CsrMatrix {
-        let mut write = 0usize;
-        let mut row_start = vec![0usize; self.n + 1];
+        // Compacts in place: `write` never passes the read position, so row
+        // starts are rewritten only after their old value has been read.
+        let mut write = 0u32;
+        let mut start = 0u32;
         for row in 0..self.n {
-            let (start, end) = (self.row_ptr[row], self.row_ptr[row + 1]);
-            row_start[row] = write;
-            for read in start..end {
-                if write > row_start[row] && self.col_idx[write - 1] == self.col_idx[read] {
-                    self.values[write - 1] += self.values[read];
+            let end = self.row_ptr[row + 1];
+            self.row_ptr[row] = write;
+            let row_start = write;
+            for read in ix(start)..ix(end) {
+                if write > row_start && self.col_idx[ix(write) - 1] == self.col_idx[read] {
+                    self.values[ix(write) - 1] += self.values[read];
                 } else {
-                    self.col_idx[write] = self.col_idx[read];
-                    self.values[write] = self.values[read];
+                    self.col_idx[ix(write)] = self.col_idx[read];
+                    self.values[ix(write)] = self.values[read];
                     write += 1;
                 }
             }
+            start = end;
         }
-        row_start[self.n] = write;
-        self.row_ptr = row_start;
-        self.col_idx.truncate(write);
-        self.values.truncate(write);
+        self.row_ptr[self.n] = write;
+        self.col_idx.truncate(ix(write));
+        self.values.truncate(ix(write));
         self
     }
 
@@ -284,8 +331,9 @@ impl CsrMatrix {
     /// everywhere in this module).
     ///
     /// # Errors
-    /// Rejects non-positive or non-finite `lambda` and `lambda` below the
-    /// largest row sum (the result would have negative diagonal mass).
+    /// Rejects non-positive or non-finite `lambda`, `lambda` below the
+    /// largest row sum (the result would have negative diagonal mass), and a
+    /// result whose entry count leaves the `u32` index range.
     ///
     /// # Example
     /// ```
@@ -317,11 +365,12 @@ impl CsrMatrix {
             }
         }
         let n = self.n;
-        let mut row_ptr = vec![0usize; n + 1];
+        to_index(self.nnz() + n, "matrix")?;
+        let mut row_ptr = vec![0u32; n + 1];
         let mut col_idx = Vec::with_capacity(self.nnz() + n);
         let mut values = Vec::with_capacity(self.nnz() + n);
-        for i in 0..n {
-            let (cols, vals) = self.row_slices(i);
+        for (i, diag) in (0u32..).zip(0..n) {
+            let (cols, vals) = self.row_slices(diag);
             let mut wrote_diag = false;
             for (&col, &value) in cols.iter().zip(vals) {
                 if !wrote_diag && col >= i {
@@ -329,10 +378,10 @@ impl CsrMatrix {
                     // input carried an explicit (i, i) entry).
                     if col == i {
                         col_idx.push(i);
-                        values.push(1.0 - out[i] / lambda + value / lambda);
+                        values.push(1.0 - out[diag] / lambda + value / lambda);
                     } else {
                         col_idx.push(i);
-                        values.push(1.0 - out[i] / lambda);
+                        values.push(1.0 - out[diag] / lambda);
                         col_idx.push(col);
                         values.push(value / lambda);
                     }
@@ -344,9 +393,9 @@ impl CsrMatrix {
             }
             if !wrote_diag {
                 col_idx.push(i);
-                values.push(1.0 - out[i] / lambda);
+                values.push(1.0 - out[diag] / lambda);
             }
-            row_ptr[i + 1] = col_idx.len();
+            row_ptr[diag + 1] = to_index(col_idx.len(), "matrix")?;
         }
         Ok(CsrMatrix {
             n,
@@ -379,8 +428,7 @@ impl CsrMatrix {
             if w == 0.0 {
                 continue;
             }
-            let (cols, vals) = self.row_slices(i);
-            for (&col, &value) in cols.iter().zip(vals) {
+            for (col, value) in self.row(i) {
                 y[col] += w * value;
             }
         }
@@ -400,7 +448,7 @@ impl CsrMatrix {
 /// # Example
 /// ```
 /// use burstcap_qn::csr::CsrMatrix;
-/// let mut b = CsrMatrix::builder(3);
+/// let mut b = CsrMatrix::builder(3)?;
 /// b.push(0, 1, 2.0)?;
 /// b.push(0, 2, 1.0)?;
 /// b.push(2, 0, 4.0)?; // row 1 is empty; rows may only move forward
@@ -412,8 +460,8 @@ impl CsrMatrix {
 #[derive(Debug, Clone)]
 pub struct CsrBuilder {
     n: usize,
-    row_ptr: Vec<usize>,
-    col_idx: Vec<usize>,
+    row_ptr: Vec<u32>,
+    col_idx: Vec<u32>,
     values: Vec<f64>,
 }
 
@@ -422,8 +470,8 @@ impl CsrBuilder {
     /// zeros are dropped.
     ///
     /// # Errors
-    /// Rejects out-of-range indices, non-finite values, and a `row` smaller
-    /// than the last pushed row.
+    /// Rejects out-of-range indices, non-finite values, a `row` smaller
+    /// than the last pushed row, and an entry past the `u32` index range.
     pub fn push(&mut self, row: usize, col: usize, value: f64) -> Result<(), QnError> {
         if row >= self.n || col >= self.n {
             return Err(QnError::InvalidParameter {
@@ -444,11 +492,14 @@ impl CsrBuilder {
                 reason: format!("row {row} pushed after row {current}: rows must not decrease"),
             });
         }
+        // `builder` bounded n, so the column fits; the position is checked.
+        let end = to_index(self.col_idx.len(), "entry")?;
         while self.row_ptr.len() <= row {
-            self.row_ptr.push(self.col_idx.len());
+            self.row_ptr.push(end);
         }
         if value != 0.0 {
-            self.col_idx.push(col);
+            to_index(self.col_idx.len() + 1, "entry")?;
+            self.col_idx.push(to_index(col, "entry")?);
             self.values.push(value);
         }
         Ok(())
@@ -467,8 +518,10 @@ impl CsrBuilder {
 
     /// Close any trailing empty rows and return the finished matrix.
     pub fn finish(mut self) -> CsrMatrix {
+        // `push` kept the entry count inside u32; the fallback is unreachable.
+        let end = u32::try_from(self.col_idx.len()).unwrap_or(u32::MAX);
         while self.row_ptr.len() <= self.n {
-            self.row_ptr.push(self.col_idx.len());
+            self.row_ptr.push(end);
         }
         CsrMatrix {
             n: self.n,
@@ -529,7 +582,7 @@ mod tests {
     fn builder_matches_triplets() {
         let triplets = [(0, 1, 2.0), (0, 2, 3.0), (1, 0, 4.0), (2, 1, 1.0)];
         let a = CsrMatrix::from_triplets(3, triplets).unwrap();
-        let mut b = CsrMatrix::builder(3);
+        let mut b = CsrMatrix::builder(3).unwrap();
         for (i, j, v) in triplets {
             b.push(i, j, v).unwrap();
         }
@@ -539,7 +592,7 @@ mod tests {
 
     #[test]
     fn builder_skips_rows_and_rejects_backwards() {
-        let mut b = CsrMatrix::builder(4);
+        let mut b = CsrMatrix::builder(4).unwrap();
         b.push(1, 0, 1.0).unwrap();
         b.push(3, 2, 2.0).unwrap();
         assert!(b.push(2, 0, 1.0).is_err(), "row went backwards");
@@ -579,7 +632,7 @@ mod tests {
 
     #[test]
     fn merge_adjacent_duplicates_compacts_sorted_rows() {
-        let mut b = CsrMatrix::builder(3);
+        let mut b = CsrMatrix::builder(3).unwrap();
         b.push(0, 1, 1.0).unwrap();
         b.push(0, 1, 2.0).unwrap();
         b.push(0, 2, 3.0).unwrap();
@@ -630,6 +683,36 @@ mod tests {
         // out[0] = 2.0 (row sum includes the diagonal), so
         // p_00 = 1 - 2/4 + 1/4 = 0.75.
         assert_eq!(p.row(0).collect::<Vec<_>>(), vec![(0, 0.75), (1, 0.25)]);
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn u32_index_guard_is_a_typed_error() {
+        // The guard itself, and the constructors that call it before they
+        // allocate: no chain of 2^32 states is ever built.
+        let past = usize::try_from(u32::MAX).unwrap() + 1;
+        assert_eq!(to_index(past - 1, "n"), Ok(u32::MAX));
+        let refused = |r: Result<(), QnError>, what: &str| {
+            assert!(
+                matches!(r, Err(QnError::InvalidParameter { .. })),
+                "{what}: {r:?}"
+            );
+        };
+        refused(to_index(past, "n").map(drop), "to_index");
+        refused(CsrMatrix::builder(past).map(drop), "builder");
+        refused(
+            CsrMatrix::from_triplets(past, []).map(drop),
+            "from_triplets",
+        );
+        let net = crate::mapqn::MapNetwork::tandem(
+            300,
+            0.5,
+            vec![burstcap_map::Map2::poisson(1.0).unwrap(); 4],
+        )
+        .unwrap()
+        .state_limit(usize::MAX);
+        assert!(net.state_count() > past);
+        refused(net.outgoing_csr().map(drop), "outgoing_csr");
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! two interchangeable steady-state solver families —
 //!
 //! * [`SteadyStateMethod::Sparse`] — the production path, iterative solvers
-//!   over CSR rows: ILU(0)-preconditioned BiCGSTAB
+//!   over CSR rows: BiCGSTAB preconditioned by a diagonal ILU
 //!   ([`SparseMethod::BiCgStab`], the default and the solver behind every
 //!   production CSR solve), under-relaxed Gauss-Seidel sweeps (see
 //!   [`SparseMethod::GaussSeidel`] for why the relaxation factor sits just
@@ -22,9 +22,9 @@
 //! population. A Krylov method converges at the rate the preconditioned
 //! spectrum allows instead. To get a nonsingular system it pins one state
 //! (the singular `pi Q = 0` becomes `A x = e_r`), and it preconditions
-//! with an incomplete LU factor stored on the incoming CSR's own pattern,
-//! so the solve copies no matrix and needs about as much memory as CSR
-//! assembly did. [`SparseMethod::BiCgStab`] gives the details.
+//! with an incomplete LU factor whose triangles are the incoming CSR
+//! itself, so the solve copies no matrix and stores one pivot per state.
+//! [`SparseMethod::BiCgStab`] gives the details.
 //!
 //! # Example
 //!
@@ -53,7 +53,7 @@ use serde::{Deserialize, Serialize};
 
 use burstcap_obs::{metrics, Trace};
 
-use crate::csr::CsrMatrix;
+use crate::csr::{ix, CsrMatrix};
 use crate::QnError;
 
 /// Sparse CTMC stored as incoming CSR adjacency (what the balance equations
@@ -99,41 +99,56 @@ pub enum SparseMethod {
         max_iter: usize,
     },
     /// BiCGSTAB (van der Vorst, SIAM J. Sci. Stat. Comput. 13, 1992) with
-    /// an ILU(0) preconditioner — the default, and the solver behind every
-    /// production CSR solve.
+    /// a diagonal ILU (D-ILU) preconditioner applied by Eisenstat's trick —
+    /// the default, and the solver behind every production CSR solve. Its
+    /// solver label in traces and errors is `"bicgstab-ilu0"`: D-ILU is the
+    /// ILU(0) variant that modifies only the diagonal, and on fitted MAP
+    /// networks the two are the same factor (see below).
     ///
     /// **Why a state is pinned.** `pi Q = 0` is singular. The solver pins
     /// the state `r` holding the largest entry of the starting vector
     /// (state 0 for the uniform start) and solves `A x = e_r`, where `A` is
     /// `-Q^T` with row `r` replaced by `e_r^T`; then `pi = x / sum(x)`. For
     /// an irreducible chain `-Q^T` without row and column `r` is a
-    /// nonsingular M-matrix, so `A` is nonsingular and its incomplete LU
-    /// factorization exists with positive pivots. The iterate starts as the
+    /// nonsingular M-matrix, so `A` is nonsingular and its incomplete
+    /// factorizations exist with positive pivots. The iterate starts as the
     /// guess scaled to `x_r = 1`, so an already stationary guess has a zero
     /// residual and returns after 0 iterations.
     ///
-    /// **Why ILU(0) sits on the incoming pattern.** Off the diagonal, `A`
-    /// is the incoming CSR negated, and its rows are already column-sorted.
-    /// The factor keeps exactly that pattern (no fill-in), so it is one
-    /// array the length of the CSR values, aligned with them position for
-    /// position, plus a pivot and a split point (the first entry right of
-    /// the diagonal) per row. Products with `A` read the incoming CSR and
-    /// the exit rates directly; no matrix is copied.
+    /// **The preconditioner.** `M = (D + L) D^-1 (D + U)`, where `L` and
+    /// `U` are `A`'s own strict triangles — the incoming CSR negated,
+    /// split at each row's diagonal — and only the pivots
+    /// `d_i = a_ii - sum_{k<i} a_ik a_ki / d_k` are computed. ILU(0) would
+    /// also update off-diagonal entries where two transitions chain into a
+    /// third. Fitted MAP(2)s have no hidden phase flips, so their networks
+    /// have no such triangle and D-ILU *is* their ILU(0) factor; general
+    /// MAP(2)s (hidden flips and completions from both phases) do, and
+    /// there D-ILU is a different, still convergent, M-matrix splitting.
     ///
-    /// **Memory bound.** On top of the chain (`16·nnz + 16·n` bytes) the
-    /// solve holds the factor (`8·nnz`), the pivots and split points
-    /// (`16·n`), and seven `n`-length vectors (`56·n`): `24·nnz + 88·n` in
-    /// all. Building a chain from its outgoing CSR holds both CSRs at once
-    /// (`32·nnz + 40·n`), so the solve needs at most `48·n` bytes more than
-    /// assembly did, and less once states average six transitions. The
-    /// two-tier MAP model at population 150 (45,904 states, 226,500
-    /// transitions) solves in 9.5 MB.
+    /// **Eisenstat's trick (1981).** BiCGSTAB iterates on the split system
+    /// `Â y = D (D + L)^-1 e_r` with `Â = D (D + L)^-1 A (D + U)^-1` and
+    /// `x = (D + U)^-1 y`. Writing `A = (D + L) + (D + U) + (D_A - 2D)`
+    /// gives `Â v = D [t + (D + L)^-1 (v + (D_A - 2D) t)]` with
+    /// `t = (D + U)^-1 v`: one backward and one forward sweep over the CSR,
+    /// the work of one product with `A` (applying `M^-1` and `A` one after
+    /// the other costs two triangular sweeps plus the product). `sum(x)` is
+    /// carried from the sums of the `t` vectors the applies already form.
     ///
-    /// **Convergence.** One iteration is two products with `A` and two
-    /// triangular solves, about four Gauss-Seidel sweeps of work. The
-    /// recurrence residual bounds the scale-free balance residual, and only
-    /// when it drops below `tol` is the true residual measured — on the
-    /// vector the solve would return (negatives clamped to 0, then
+    /// **Memory bound.** On top of the chain (`12·nnz + 12·n` bytes: `f64`
+    /// rates, `u32` columns and row pointers, `f64` exit rates) the solve
+    /// holds the pivots and their inverses (`16·n`), a `u32` split point
+    /// per row (`4·n`) and seven `n`-length vectors (`56·n`): `12·nnz +
+    /// 88·n` in all, with no array the size of the matrix. Building a chain
+    /// from its outgoing CSR holds both CSRs at once (`24·nnz + 20·n`).
+    /// The three-tier model at population 45 (138,368 states, 778,320
+    /// transitions) solves in 21.5 MB.
+    ///
+    /// **Convergence.** One iteration is two applies of `Â`, about two
+    /// products with `A`. The preconditioned recurrence residual is
+    /// watched; once it falls below `tol`, its unpreconditioned norm (one
+    /// lower sweep, nothing stored) must bound the scale-free balance
+    /// residual below `tol` too before the true residual is measured — on
+    /// the vector the solve would return (negatives clamped to 0, then
     /// normalized). Below `tol` it is accepted and reported as
     /// [`SolveRun::final_residual`]; otherwise the solve restarts from that
     /// vector. A breakdown (zero or non-finite `rho`, `<r0, v>` or `omega`)
@@ -141,7 +156,7 @@ pub enum SparseMethod {
     BiCgStab {
         /// Convergence tolerance on the scale-free L1 residual of `pi Q`.
         tol: f64,
-        /// Iteration budget (each iteration costs about four sweeps).
+        /// Iteration budget (each iteration costs about two sweeps).
         max_iter: usize,
     },
 }
@@ -195,7 +210,7 @@ impl SteadyStateMethod {
         SteadyStateMethod::Sparse(SparseMethod::Power { tol, max_iter })
     }
 
-    /// ILU(0)-preconditioned BiCGSTAB with explicit tuning.
+    /// D-ILU-preconditioned BiCGSTAB with explicit tuning.
     pub fn bicgstab(tol: f64, max_iter: usize) -> Self {
         SteadyStateMethod::Sparse(SparseMethod::BiCgStab { tol, max_iter })
     }
@@ -283,7 +298,7 @@ impl Ctmc {
     /// use burstcap_qn::csr::CsrMatrix;
     /// use burstcap_qn::ctmc::Ctmc;
     ///
-    /// let mut b = CsrMatrix::builder(2);
+    /// let mut b = CsrMatrix::builder(2)?;
     /// b.push(0, 1, 2.0)?;
     /// b.push(1, 0, 3.0)?;
     /// let chain = Ctmc::from_outgoing_csr(b.finish())?;
@@ -360,13 +375,34 @@ impl Ctmc {
             .sum()
     }
 
+    /// ILU(0) updates that land inside the stored pattern: entry `(i, j)`
+    /// of the balance matrix reached from a lower entry `(i, k)`, `k < i`,
+    /// through an upper entry `(k, j)`, `j > k`, `j != i`. With none,
+    /// ILU(0) leaves every off-diagonal entry as it is in the matrix and
+    /// coincides with the D-ILU factor of [`SparseMethod::BiCgStab`].
+    #[cfg(test)]
+    pub(crate) fn ilu0_fill(&self) -> usize {
+        let mut fill = 0;
+        for i in 0..self.len() {
+            let own: Vec<usize> = self.incoming.row(i).map(|(j, _)| j).collect();
+            for &k in own.iter().filter(|&&k| k < i) {
+                fill += self
+                    .incoming
+                    .row(k)
+                    .filter(|&(j, _)| j > k && j != i && own.contains(&j))
+                    .count();
+            }
+        }
+        fill
+    }
+
     /// Probability flow into state `i` under `x`: `sum_j x_j q_ji`, in the
     /// incoming row's column order.
     fn inflow(&self, i: usize, x: &[f64]) -> f64 {
         let (cols, vals) = self.incoming.row_slices(i);
         let mut inflow = 0.0;
         for (&j, &q) in cols.iter().zip(vals) {
-            inflow += x[j] * q;
+            inflow += x[ix(j)] * q;
         }
         inflow
     }
@@ -396,7 +432,7 @@ impl Ctmc {
     /// # Panics
     ///
     /// Only if a justified internal invariant is violated (1 reachable
-    /// panic site, e.g. `crates/qn/src/ctmc.rs:777`; `burstcap-lint report` lists them),
+    /// panic site, e.g. `crates/qn/src/ctmc.rs:828`; `burstcap-lint report` lists them),
     /// never for inputs this API accepts.
     pub fn steady_state(&self, method: SteadyStateMethod) -> Result<Vec<f64>, QnError> {
         let guess = vec![1.0 / self.len() as f64; self.len()];
@@ -426,7 +462,7 @@ impl Ctmc {
     /// # Panics
     ///
     /// Only if a justified internal invariant is violated (1 reachable
-    /// panic site, e.g. `crates/qn/src/ctmc.rs:777`; `burstcap-lint report` lists them),
+    /// panic site, e.g. `crates/qn/src/ctmc.rs:828`; `burstcap-lint report` lists them),
     /// never for inputs this API accepts.
     pub fn steady_state_run(
         &self,
@@ -450,7 +486,7 @@ impl Ctmc {
     /// # Panics
     ///
     /// Only if a justified internal invariant is violated (1 reachable
-    /// panic site, e.g. `crates/qn/src/ctmc.rs:777`; `burstcap-lint report` lists them),
+    /// panic site, e.g. `crates/qn/src/ctmc.rs:828`; `burstcap-lint report` lists them),
     /// never for inputs this API accepts.
     pub fn steady_state_run_traced(
         &self,
@@ -539,7 +575,7 @@ impl Ctmc {
     /// # Panics
     ///
     /// Only if a justified internal invariant is violated (1 reachable
-    /// panic site, e.g. `crates/qn/src/ctmc.rs:777`; `burstcap-lint report` lists them),
+    /// panic site, e.g. `crates/qn/src/ctmc.rs:828`; `burstcap-lint report` lists them),
     /// never for inputs this API accepts.
     pub fn steady_state_from(
         &self,
@@ -654,8 +690,10 @@ impl Ctmc {
         let Some(sys) = PinnedSystem::factor(self, pinned) else {
             return Err(stall(trace, BICGSTAB, 0, f64::INFINITY));
         };
-        let mut x = guess;
-        sys.pin_scale(&mut x);
+        // The iterate lives in the transformed space: y = (D + U) x.
+        let mut y = guess;
+        sys.pin_scale(&mut y);
+        sys.upper_mul(&mut y);
         // The recurrence residual off the pinned row bounds ||x Q||_1 (the
         // pinned component is minus the sum of the others), so twice it,
         // over sum(x) and the mean exit rate, bounds the scale-free residual
@@ -667,24 +705,35 @@ impl Ctmc {
                 f64::INFINITY
             }
         };
+        // The recurrence tracks the preconditioned residual; once that
+        // passes, its unpreconditioned norm must pass too.
+        let check = |r: &[f64], state: (f64, f64)| {
+            let est = estimate(state);
+            if est < tol {
+                estimate(sys.unconditioned(r, state))
+            } else {
+                est
+            }
+        };
         let mut r = vec![0.0; n];
         let (mut r0, mut p, mut v) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
-        let (mut z, mut t) = (vec![0.0; n], vec![0.0; n]);
+        let (mut t, mut s) = (vec![0.0; n], vec![0.0; n]);
         let mut iterations = 0;
         let mut est;
         let final_residual = 'restart: loop {
-            let mut fresh = sys.residual(&x, &mut r);
+            let mut fresh = sys.residual(&y, &mut s, &mut r);
             if !(fresh.0.is_finite() && fresh.1.is_finite()) {
                 return Err(stall(trace, BICGSTAB, iterations, f64::INFINITY));
             }
-            est = estimate(fresh);
+            est = check(&r, fresh);
             if est < tol {
-                if let Some(res) = sys.accept(&mut x, tol, scale, iterations, trace) {
+                if let Some(res) = sys.accept(&mut y, tol, scale, iterations, trace) {
                     break 'restart res;
                 }
-                fresh = sys.residual(&x, &mut r);
+                fresh = sys.residual(&y, &mut s, &mut r);
             }
             let mut peak = fresh.0;
+            let mut sum_x = fresh.1;
             r0.copy_from_slice(&r);
             p.fill(0.0);
             v.fill(0.0);
@@ -696,38 +745,40 @@ impl Ctmc {
                     continue 'restart;
                 }
                 let beta = (rho / rho_prev) * (alpha / omega);
-                // p = r + beta (p - omega v), copied to z for preconditioning.
-                for (((pi, zi), &ri), &vi) in p.iter_mut().zip(z.iter_mut()).zip(&r).zip(&v) {
+                for ((pi, &ri), &vi) in p.iter_mut().zip(&r).zip(&v) {
                     *pi = ri + beta * (*pi - omega * vi);
-                    *zi = *pi;
                 }
-                sys.precondition(&mut z);
-                let (r0v, _) = sys.apply(&z, &mut v, &r0);
+                let (r0v, _, sum_t) = sys.apply(&p, &mut v, &mut s, &r0);
                 if !(r0v != 0.0 && r0v.is_finite()) {
                     continue 'restart;
                 }
                 alpha = rho / r0v;
-                // Half step: x += alpha z and s = r - alpha v, with s kept
-                // in r (and in z, to be preconditioned next).
-                let half = sys.step(&mut x, alpha, &mut z, &mut r, &v);
-                est = estimate(sys.replace(&x, &mut r, &mut z, half, &mut peak));
+                // Half step: y += alpha p and r -= alpha v; x = (D + U)^-1 y
+                // moves by alpha times the t the apply formed from p.
+                sum_x += alpha * sum_t;
+                let half = sys.step(&mut y, alpha, Some(&p), &mut r, &v);
+                let half = sys.replace(&y, &mut s, &mut r, (half, sum_x), &mut peak);
+                sum_x = half.1;
+                est = check(&r, half);
                 if est < tol {
-                    match sys.accept(&mut x, tol, scale, iterations, trace) {
+                    match sys.accept(&mut y, tol, scale, iterations, trace) {
                         Some(res) => break 'restart res,
                         None => continue 'restart,
                     }
                 }
-                sys.precondition(&mut z);
-                let (ts, tt) = sys.apply(&z, &mut t, &r);
+                let (ts, tt, sum_t) = sys.apply(&r, &mut t, &mut s, &r);
                 omega = ts / tt;
                 if !(omega != 0.0 && omega.is_finite()) {
                     continue 'restart;
                 }
-                let full = sys.step(&mut x, omega, &mut z, &mut r, &t);
+                sum_x += omega * sum_t;
+                let full = sys.step(&mut y, omega, None, &mut r, &t);
                 rho_prev = rho;
-                est = estimate(sys.replace(&x, &mut r, &mut z, full, &mut peak));
+                let full = sys.replace(&y, &mut s, &mut r, (full, sum_x), &mut peak);
+                sum_x = full.1;
+                est = check(&r, full);
                 if est < tol {
-                    match sys.accept(&mut x, tol, scale, iterations, trace) {
+                    match sys.accept(&mut y, tol, scale, iterations, trace) {
                         Some(res) => break 'restart res,
                         None => continue 'restart,
                     }
@@ -743,7 +794,7 @@ impl Ctmc {
             return Err(stall(trace, BICGSTAB, max_iter, est));
         };
         Ok(SolveRun {
-            pi: x,
+            pi: y,
             iterations,
             final_residual,
         })
@@ -878,162 +929,242 @@ fn dot(a: &[f64], b: &[f64]) -> f64 {
 }
 
 /// The pinned balance matrix of [`SparseMethod::BiCgStab`] — `A = -Q^T`
-/// with row `pinned` replaced by `e_pinned^T` — and its ILU(0) factor on
-/// the incoming CSR's own pattern.
+/// with row `pinned` replaced by `e_pinned^T` — and its diagonal ILU
+/// preconditioner `M = (D + L) D^-1 (D + U)`: `L` and `U` are `A`'s own
+/// strict triangles, read from the incoming CSR, and only the pivots `D`
+/// are stored.
 struct PinnedSystem<'a> {
     chain: &'a Ctmc,
     pinned: usize,
-    /// One entry per stored incoming entry: the unit-lower multiplier
-    /// `L[i][j]` left of the diagonal (`j < i`), the upper entry `U[i][j]`
-    /// right of it.
-    factor: Vec<f64>,
-    /// `1 / U[i][i]` per row.
+    /// The pivot `d_i` per row.
+    pivot: Vec<f64>,
+    /// `1 / d_i` per row.
     inv_pivot: Vec<f64>,
     /// Position of each row's first entry right of the diagonal.
-    split: Vec<usize>,
+    split: Vec<u32>,
 }
 
 impl<'a> PinnedSystem<'a> {
-    /// ILU(0) row by row (the IKJ order), restricted to the stored pattern.
-    /// `None` on a pivot that is not positive and finite, which an
-    /// irreducible chain cannot produce (its pinned matrix is an M-matrix).
+    /// The D-ILU pivots `d_i = a_ii - sum_{k<i} a_ik a_ki / d_k`, where
+    /// `a_ik a_ki = q_ki q_ik` pairs each lower entry of row `i` with its
+    /// mirror in row `k` (the pinned row has no off-diagonal entries, so it
+    /// pairs with nothing and its pivot is 1). `None` on a pivot that is not
+    /// positive and finite, which an irreducible chain cannot produce: the
+    /// pinned matrix is an M-matrix, and D-ILU of an M-matrix is a regular
+    /// splitting with positive pivots.
     fn factor(chain: &'a Ctmc, pinned: usize) -> Option<Self> {
         let (row_ptr, cols, vals) = chain.incoming.parts();
         let n = chain.len();
-        let mut factor: Vec<f64> = vals.iter().map(|&q| -q).collect();
-        let mut inv_pivot = vec![0.0; n];
-        let mut split = vec![0; n];
-        for i in 0..n {
-            let (start, end) = (row_ptr[i], row_ptr[i + 1]);
-            let mid = start + cols[start..end].partition_point(|&j| j < i);
-            split[i] = mid;
+        let split: Vec<u32> = (0u32..)
+            .zip(row_ptr.windows(2))
+            .map(|(i, ends)| {
+                let mut mid = ends[0];
+                while mid < ends[1] && cols[ix(mid)] < i {
+                    mid += 1;
+                }
+                mid
+            })
+            .collect();
+        let mut pivot = vec![1.0; n];
+        let mut inv_pivot = vec![1.0; n];
+        for (row, i) in (0u32..).zip(0..n) {
             if i == pinned {
-                factor[start..end].fill(0.0);
-                inv_pivot[i] = 1.0;
                 continue;
             }
-            let mut pivot = chain.out_rate[i];
-            for at in start..mid {
-                let k = cols[at];
-                let l = factor[at] * inv_pivot[k];
-                factor[at] = l;
-                // Row i -= l * (U's row k), kept to row i's own pattern;
-                // both rows are column-sorted, so one merge walk suffices.
-                let mut slot = at + 1;
-                for ku in split[k]..row_ptr[k + 1] {
-                    let (j, u) = (cols[ku], factor[ku]);
-                    if j == i {
-                        pivot -= l * u;
-                        continue;
-                    }
-                    while slot < end && cols[slot] < j {
-                        slot += 1;
-                    }
-                    if slot < end && cols[slot] == j {
-                        factor[slot] -= l * u;
-                    }
+            let mut d = chain.out_rate[i];
+            for at in ix(row_ptr[i])..ix(split[i]) {
+                let k = ix(cols[at]);
+                if k == pinned {
+                    continue;
+                }
+                let (mid, end) = (ix(split[k]), ix(row_ptr[k + 1]));
+                if let Ok(mirror) = cols[mid..end].binary_search(&row) {
+                    d -= vals[at] * vals[mid + mirror] * inv_pivot[k];
                 }
             }
-            if !(pivot > 0.0 && pivot.is_finite()) {
+            if !(d > 0.0 && d.is_finite()) {
                 return None;
             }
-            inv_pivot[i] = 1.0 / pivot;
+            pivot[i] = d;
+            inv_pivot[i] = 1.0 / d;
         }
         Some(PinnedSystem {
             chain,
             pinned,
-            factor,
+            pivot,
             inv_pivot,
             split,
         })
     }
 
-    /// `out = A y`: the balance rows read straight from the incoming CSR
-    /// and the exit rates, the pinned row copied through. Returns
-    /// `(out · w, out · out)` from the same pass.
-    fn apply(&self, y: &[f64], out: &mut [f64], w: &[f64]) -> (f64, f64) {
+    /// `t <- (D + U)^-1 v` by one backward sweep, where `v` is `input` or,
+    /// when `None`, `t` itself. Returns `sum(t)`.
+    fn upper_solve(&self, t: &mut [f64], input: Option<&[f64]>) -> f64 {
+        let (row_ptr, cols, vals) = self.chain.incoming.parts();
+        let mut sum = 0.0;
+        for i in (0..t.len()).rev() {
+            let mut acc = input.map_or(t[i], |v| v[i]);
+            if i != self.pinned {
+                let (mid, hi) = (ix(self.split[i]), ix(row_ptr[i + 1]));
+                for (&j, &q) in cols[mid..hi].iter().zip(&vals[mid..hi]) {
+                    acc += q * t[ix(j)];
+                }
+                acc *= self.inv_pivot[i];
+            }
+            t[i] = acc;
+            sum += acc;
+        }
+        sum
+    }
+
+    /// `x <- (D + U) x` in place (rows in ascending order read only entries
+    /// not yet overwritten): the transformed iterate of a vector.
+    fn upper_mul(&self, x: &mut [f64]) {
+        let (row_ptr, cols, vals) = self.chain.incoming.parts();
+        for i in 0..x.len() {
+            if i == self.pinned {
+                continue;
+            }
+            let (mid, hi) = (ix(self.split[i]), ix(row_ptr[i + 1]));
+            let mut acc = self.pivot[i] * x[i];
+            for (&j, &q) in cols[mid..hi].iter().zip(&vals[mid..hi]) {
+                acc -= q * x[ix(j)];
+            }
+            x[i] = acc;
+        }
+    }
+
+    /// `out = Â v` for the preconditioned operator `Â = D (D + L)^-1 A
+    /// (D + U)^-1`, by Eisenstat's trick (1981): with `t = (D + U)^-1 v`,
+    /// `A = (D + L) + (D + U) + (D_A - 2D)` gives
+    /// `Â v = D [t + (D + L)^-1 (v + (D_A - 2D) t)]`, one backward and one
+    /// forward sweep, about the work of one product with `A`. `s` holds `t`
+    /// and then `w = (D + L)^-1 (…)`. Returns `(out · w0, out · out,
+    /// sum(t))` from the same passes.
+    fn apply(&self, v: &[f64], out: &mut [f64], s: &mut [f64], w0: &[f64]) -> (f64, f64, f64) {
+        let sum_t = self.upper_solve(s, Some(v));
+        let (row_ptr, cols, vals) = self.chain.incoming.parts();
         let (mut ow, mut oo) = (0.0, 0.0);
-        for (i, (o, &wi)) in out.iter_mut().zip(w).enumerate() {
+        for (i, (o, &wi)) in out.iter_mut().zip(w0).enumerate() {
+            let t = s[i];
             let a = if i == self.pinned {
-                y[i]
+                // Row `e_pinned`: t = v there, so w = 0 and out = v.
+                s[i] = 0.0;
+                t
             } else {
-                self.chain.out_rate[i] * y[i] - self.chain.inflow(i, y)
+                let d = self.pivot[i];
+                let mut acc = v[i] + (self.chain.out_rate[i] - 2.0 * d) * t;
+                let (lo, mid) = (ix(row_ptr[i]), ix(self.split[i]));
+                for (&k, &q) in cols[lo..mid].iter().zip(&vals[lo..mid]) {
+                    acc += q * s[ix(k)];
+                }
+                s[i] = acc * self.inv_pivot[i];
+                d * t + acc
             };
             *o = a;
             ow += a * wi;
             oo += a * a;
         }
-        (ow, oo)
+        (ow, oo, sum_t)
     }
 
-    /// `z <- (L U)^{-1} z`: forward then backward substitution, in place.
-    fn precondition(&self, z: &mut [f64]) {
-        let (row_ptr, cols, _) = self.chain.incoming.parts();
-        for i in 0..z.len() {
-            let (lo, mid) = (row_ptr[i], self.split[i]);
-            let mut acc = z[i];
-            for (&j, &l) in cols[lo..mid].iter().zip(&self.factor[lo..mid]) {
-                acc -= l * z[j];
-            }
-            z[i] = acc;
+    /// `r = D (D + L)^-1 (e_pinned - A x)` with `x = (D + U)^-1 y` formed in
+    /// `x`: the preconditioned residual of the iterate `y`. Returns its L1
+    /// norm off the pinned row and `sum(x)`.
+    fn residual(&self, y: &[f64], x: &mut [f64], r: &mut [f64]) -> (f64, f64) {
+        let sum_x = self.upper_solve(x, Some(y));
+        let out_rate = &self.chain.out_rate;
+        for (i, ri) in r.iter_mut().enumerate() {
+            *ri = if i == self.pinned {
+                1.0 - x[i]
+            } else {
+                self.chain.inflow(i, x) - out_rate[i] * x[i]
+            };
         }
-        for i in (0..z.len()).rev() {
-            let (mid, hi) = (self.split[i], row_ptr[i + 1]);
-            let mut acc = z[i];
-            for (&j, &u) in cols[mid..hi].iter().zip(&self.factor[mid..hi]) {
-                acc -= u * z[j];
+        // Forward sweep w = (D + L)^-1 r in place, then r = D w.
+        let (row_ptr, cols, vals) = self.chain.incoming.parts();
+        for i in 0..r.len() {
+            if i == self.pinned {
+                continue;
             }
-            z[i] = acc * self.inv_pivot[i];
+            let (lo, mid) = (ix(row_ptr[i]), ix(self.split[i]));
+            let mut acc = r[i];
+            for (&k, &q) in cols[lo..mid].iter().zip(&vals[lo..mid]) {
+                acc += q * r[ix(k)];
+            }
+            r[i] = acc * self.inv_pivot[i];
         }
-    }
-
-    /// `r = e_pinned - A x`; returns the L1 norm of `r` off the pinned row
-    /// and `sum(x)`.
-    fn residual(&self, x: &[f64], r: &mut [f64]) -> (f64, f64) {
-        self.apply(x, r, x);
         let mut l1 = 0.0;
-        for ri in r.iter_mut() {
-            *ri = -*ri;
+        for (ri, &d) in r.iter_mut().zip(&self.pivot) {
+            *ri *= d;
             l1 += ri.abs();
-        }
-        l1 -= r[self.pinned].abs();
-        r[self.pinned] += 1.0;
-        (l1, x.iter().sum())
-    }
-
-    /// `x += a d` and `r -= a w`, then `d = r` (the next vector to
-    /// precondition). Returns the L1 norm of `r` off the pinned row and
-    /// `sum(x)`.
-    fn step(&self, x: &mut [f64], a: f64, d: &mut [f64], r: &mut [f64], w: &[f64]) -> (f64, f64) {
-        let (mut l1, mut sum_x) = (0.0, 0.0);
-        for (((xi, di), ri), &wi) in x.iter_mut().zip(d.iter_mut()).zip(r.iter_mut()).zip(w) {
-            *xi += a * *di;
-            sum_x += *xi;
-            *ri -= a * wi;
-            l1 += ri.abs();
-            *di = *ri;
         }
         (l1 - r[self.pinned].abs(), sum_x)
     }
 
+    /// The unpreconditioned residual `(D + L) D^-1 r` of a preconditioned
+    /// residual `r`, measured without storing it: its L1 norm off the
+    /// pinned row (with `sum(x)` passed through). The estimate that stops
+    /// the iteration is taken on this norm, so the preconditioner cannot
+    /// hide residual from the acceptance test.
+    fn unconditioned(&self, r: &[f64], (_, sum_x): (f64, f64)) -> (f64, f64) {
+        let (row_ptr, cols, vals) = self.chain.incoming.parts();
+        let mut l1 = 0.0;
+        for (i, &ri) in r.iter().enumerate() {
+            if i == self.pinned {
+                continue;
+            }
+            let (lo, mid) = (ix(row_ptr[i]), ix(self.split[i]));
+            let mut acc = ri;
+            for (&k, &q) in cols[lo..mid].iter().zip(&vals[lo..mid]) {
+                let k = ix(k);
+                acc -= q * r[k] * self.inv_pivot[k];
+            }
+            l1 += acc.abs();
+        }
+        (l1, sum_x)
+    }
+
+    /// `y += a d` (`d = r` when `None`) and `r -= a w`. Returns the L1 norm
+    /// of `r` off the pinned row.
+    fn step(&self, y: &mut [f64], a: f64, d: Option<&[f64]>, r: &mut [f64], w: &[f64]) -> f64 {
+        let mut l1 = 0.0;
+        match d {
+            Some(d) => {
+                for (((yi, &di), ri), &wi) in y.iter_mut().zip(d).zip(r.iter_mut()).zip(w) {
+                    *yi += a * di;
+                    *ri -= a * wi;
+                    l1 += ri.abs();
+                }
+            }
+            None => {
+                for ((yi, ri), &wi) in y.iter_mut().zip(r.iter_mut()).zip(w) {
+                    *yi += a * *ri;
+                    *ri -= a * wi;
+                    l1 += ri.abs();
+                }
+            }
+        }
+        l1 - r[self.pinned].abs()
+    }
+
     /// Residual replacement (Sleijpen and van der Vorst, 1996): once the
     /// recurrence residual `r` has fallen two decades below its peak since
-    /// the last replacement, swap in the true residual (and copy it to `d`,
-    /// as [`PinnedSystem::step`] does). Rounding in the recurrence grows
-    /// with that peak, and without the swap it leaves `r` orders of
-    /// magnitude below the true residual. Passes `step`'s `(l1, sum_x)`
-    /// through, or the true residual's.
+    /// the last replacement, swap in the true preconditioned residual of
+    /// `y` (with `x` as scratch). Rounding in the recurrence grows with that
+    /// peak, and without the swap it leaves `r` orders of magnitude below
+    /// the true residual. Passes `(l1, sum_x)` through, or the true
+    /// residual's.
     fn replace(
         &self,
-        x: &[f64],
+        y: &[f64],
+        x: &mut [f64],
         r: &mut [f64],
-        d: &mut [f64],
         (l1, sum_x): (f64, f64),
         peak: &mut f64,
     ) -> (f64, f64) {
         if l1 < 1e-2 * *peak {
-            let fresh = self.residual(x, r);
-            d.copy_from_slice(r);
+            let fresh = self.residual(y, x, r);
             *peak = fresh.0;
             return fresh;
         }
@@ -1041,26 +1172,28 @@ impl<'a> PinnedSystem<'a> {
         (l1, sum_x)
     }
 
-    /// The acceptance test of [`SparseMethod::BiCgStab`]: clamp `x`'s
-    /// negatives to 0, normalize it, and measure the scale-free residual of
-    /// exactly that vector. Below `tol` that residual is returned and `x` is
-    /// the answer; otherwise `x` is scaled back to `x_pinned = 1` for the
-    /// restart.
+    /// The acceptance test of [`SparseMethod::BiCgStab`]: turn the iterate
+    /// `y` into `x = (D + U)^-1 y` in place, clamp `x`'s negatives to 0,
+    /// normalize it, and measure the scale-free residual of exactly that
+    /// vector. Below `tol` that residual is returned and the buffer holds
+    /// the answer; otherwise `x` is scaled back to `x_pinned = 1` and
+    /// transformed back into `y` for the restart.
     fn accept(
         &self,
-        x: &mut [f64],
+        y: &mut [f64],
         tol: f64,
         scale: f64,
         iterations: usize,
         trace: &Trace,
     ) -> Option<f64> {
-        for xi in x.iter_mut() {
+        self.upper_solve(y, None);
+        for xi in y.iter_mut() {
             if *xi < 0.0 {
                 *xi = 0.0;
             }
         }
-        normalize(x);
-        let residual = self.chain.residual(x) / scale;
+        normalize(y);
+        let residual = self.chain.residual(y) / scale;
         if residual < tol {
             trace.event(
                 "ctmc.sweep",
@@ -1068,7 +1201,8 @@ impl<'a> PinnedSystem<'a> {
             );
             return Some(residual);
         }
-        self.pin_scale(x);
+        self.pin_scale(y);
+        self.upper_mul(y);
         None
     }
 
@@ -1173,6 +1307,81 @@ mod tests {
         }
     }
 
+    /// A general MAP(2) with every rate drawn from `next`: hidden phase
+    /// flips and completions from both phases.
+    fn general_map(next: &mut impl FnMut() -> f64) -> burstcap_map::Map2 {
+        let mut rate = || 0.5 + 20.0 * next();
+        let (h0, h1) = (rate(), rate());
+        let d1 = [[rate(), rate()], [rate(), rate()]];
+        let d0 = [
+            [-(h0 + d1[0][0] + d1[0][1]), h0],
+            [h1, -(h1 + d1[1][0] + d1[1][1])],
+        ];
+        burstcap_map::Map2::new(d0, d1).unwrap()
+    }
+
+    #[test]
+    fn eisenstat_apply_matches_the_explicit_product() {
+        // On small general-MAP tandems (where D-ILU is not ILU(0)), the
+        // two-sweep apply equals D (D + L)^-1 A (D + U)^-1 v formed with
+        // dense triangular solves, and the pivots follow their recurrence.
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        for (m, pop) in [(1, 6), (2, 3), (3, 2)] {
+            let stations = (0..m).map(|_| general_map(&mut next)).collect();
+            let net = crate::mapqn::MapNetwork::tandem(pop, 0.2 + next(), stations).unwrap();
+            let chain = Ctmc::from_outgoing_csr(net.outgoing_csr().unwrap()).unwrap();
+            assert!(chain.ilu0_fill() > 0, "M = {m}: general MAPs fill");
+            let n = chain.len();
+            for pinned in [0, n / 2] {
+                let sys = PinnedSystem::factor(&chain, pinned).unwrap();
+                let mut a = vec![vec![0.0; n]; n];
+                for (i, j, q) in chain.incoming.iter() {
+                    a[i][j] -= q;
+                }
+                for (i, row) in a.iter_mut().enumerate() {
+                    row[i] = chain.out_rate[i];
+                }
+                a[pinned] = (0..n).map(|j| f64::from(u8::from(j == pinned))).collect();
+                for i in 0..n {
+                    let d = a[i][i]
+                        - (0..i)
+                            .map(|k| a[i][k] * a[k][i] / sys.pivot[k])
+                            .sum::<f64>();
+                    assert!((d - sys.pivot[i]).abs() <= 1e-13 * d.abs(), "pivot {i}");
+                }
+                let v: Vec<f64> = (0..n).map(|_| next() - 0.5).collect();
+                let mut t = vec![0.0; n];
+                for i in (0..n).rev() {
+                    let upper: f64 = (i + 1..n).map(|j| a[i][j] * t[j]).sum();
+                    t[i] = (v[i] - upper) / sys.pivot[i];
+                }
+                let u: Vec<f64> = a.iter().map(|row| dot(row, &t)).collect();
+                let mut w = vec![0.0; n];
+                for i in 0..n {
+                    let lower: f64 = (0..i).map(|k| a[i][k] * w[k]).sum();
+                    w[i] = (u[i] - lower) / sys.pivot[i];
+                }
+                let naive: Vec<f64> = (0..n).map(|i| sys.pivot[i] * w[i]).collect();
+                let (mut out, mut s) = (vec![0.0; n], vec![0.0; n]);
+                let (ov, oo, sum_t) = sys.apply(&v, &mut out, &mut s, &v);
+                let size = naive.iter().fold(0.0_f64, |m, x| m.max(x.abs()));
+                for (got, want) in out.iter().zip(&naive) {
+                    assert!((got - want).abs() <= 1e-13 * size, "{got} vs {want}");
+                }
+                let t_size = t.iter().map(|x| x.abs()).sum::<f64>();
+                assert!((sum_t - t.iter().sum::<f64>()).abs() <= 1e-13 * t_size);
+                assert!((ov - dot(&out, &v)).abs() <= 1e-13 * oo.sqrt() * dot(&v, &v).sqrt());
+                assert!((oo - dot(&out, &out)).abs() <= 1e-13 * oo);
+            }
+        }
+    }
+
     #[test]
     fn bicgstab_budget_exhaustion_is_a_traced_stall() {
         use burstcap_obs::{FieldValue, Recorder};
@@ -1265,7 +1474,7 @@ mod tests {
             (2, 0, 3.0),
         ];
         let a = Ctmc::from_transitions(3, triplets).unwrap();
-        let mut b = CsrMatrix::builder(3);
+        let mut b = CsrMatrix::builder(3).unwrap();
         for (i, j, v) in triplets {
             b.push(i, j, v).unwrap();
         }
@@ -1286,7 +1495,7 @@ mod tests {
     #[test]
     fn from_outgoing_csr_validation() {
         // Empty chain.
-        assert!(Ctmc::from_outgoing_csr(CsrMatrix::builder(0).finish()).is_err());
+        assert!(Ctmc::from_outgoing_csr(CsrMatrix::builder(0).unwrap().finish()).is_err());
         // Self-loop.
         let m = CsrMatrix::from_triplets(2, [(0, 0, 1.0), (0, 1, 1.0), (1, 0, 1.0)]).unwrap();
         assert!(Ctmc::from_outgoing_csr(m).is_err());
@@ -1303,7 +1512,7 @@ mod tests {
         // Duplicate (from, to) pairs accumulate in both paths and are
         // counted once in transition_count either way.
         let a = Ctmc::from_transitions(2, [(0, 1, 1.0), (0, 1, 1.0), (1, 0, 1.0)]).unwrap();
-        let mut b = CsrMatrix::builder(2);
+        let mut b = CsrMatrix::builder(2).unwrap();
         b.push(0, 1, 1.0).unwrap();
         b.push(0, 1, 1.0).unwrap();
         b.push(1, 0, 1.0).unwrap();

@@ -42,11 +42,13 @@
 //! [`MapNetwork::outgoing_csr`] assembles the generator straight into
 //! compressed sparse row form (no triplet list — each state has at most
 //! `2 + 3M` outgoing transitions), and
-//! [`MapNetwork::solve_sparse_with_initial`] runs the ILU(0)-preconditioned
+//! [`MapNetwork::solve_sparse_with_initial`] runs the D-ILU-preconditioned
 //! BiCGSTAB of [`crate::ctmc`] on it, whose iteration count does not follow
-//! how slowly the phases mix. [`MapNetwork::solve_iterative`] runs any
-//! [`crate::ctmc`] method on the same chain, the dense LU oracle included
-//! (for cross-validation on small models).
+//! how slowly the phases mix; a cold solve starts from the network's
+//! product form with exponential servers (exact for Poisson stations).
+//! [`MapNetwork::solve_iterative`] runs any [`crate::ctmc`] method on the
+//! same chain, the dense LU oracle included (for cross-validation on small
+//! models).
 //!
 //! [`MapNetwork::solve_tiers`] is the one place that picks an engine and a
 //! fallback; its [`TierPolicy`] names the two production callers.
@@ -72,19 +74,27 @@ pub const AUTO_SPARSE_THRESHOLD: usize = 10_000;
 
 /// State-count crossover between the CSR sparse engine and the matrix-free
 /// engine in [`MapNetwork::solve_tiers`]: above this the `O(nnz)` CSR arrays
-/// dominate memory (a `C(N+M,M)·2^M`-state tandem has `≈ (2 + 3M)`
-/// transitions per state) and the matrix-free sweep — which regenerates
-/// transitions from the per-station `Map2` factors on the fly,
-/// `O(states·M)` memory total — takes over. Measured on the bench frontier
-/// grid (`M = 3..4`, populations past the 170k-state point); see
-/// `BENCH_baseline.json`.
-pub const AUTO_MATFREE_THRESHOLD: usize = 120_000;
+/// would exceed the memory ceiling below, and the matrix-free sweep — which
+/// regenerates transitions from the per-station `Map2` factors on the fly,
+/// `O(states·M)` memory total — takes over.
+///
+/// Derived from bytes, not fitted. The ceiling is the CSR working set the
+/// former 120,000-state cut allowed under the ILU(0) layout (`24·nnz +
+/// 88·n` bytes): ≈ 26.7 MB at `M = 3`, where the benchmark's three-tier
+/// fits have 5.63 transitions per state. The D-ILU layout of
+/// [`crate::ctmc::SparseMethod::BiCgStab`] solves in `12·nnz + 88·n`
+/// bytes; at the densest tandem, `M = 4` (7.5 transitions per state at
+/// `BENCH_baseline.json`'s 170,016-state point), that is 178 bytes per
+/// state, and 26.7 MB / 178 B ≈ 150,000 states. Assembly briefly holds the
+/// outgoing and incoming CSR together (`24·nnz + 20·n`, 200 bytes per
+/// state at `M = 4`, 155 at `M = 3`), which the solve then frees.
+pub const AUTO_MATFREE_THRESHOLD: usize = 150_000;
 
 /// Tolerance and iteration budget of the full CSR solve
 /// ([`MapNetwork::solve_sparse_with_initial_traced`], the online first
 /// attempt, and the matrix-free stall fallback). An iteration costs about
-/// four sweeps, so 100,000 iterations keep the work of the former
-/// 400,000-sweep budget.
+/// two sweeps; the budget is far above any measured solve (at most a few
+/// hundred iterations) and only bounds a pathological one.
 const CSR_FULL: (f64, usize) = (1e-12, 100_000);
 
 /// Tolerance and iteration budget of the batch first CSR attempt: a stall
@@ -148,7 +158,7 @@ pub enum SolveEngine {
     Direct,
     /// Dense LU on the full generator (small-model oracle).
     DenseLu,
-    /// CSR-backed iterative solve (ILU(0)-BiCGSTAB in production;
+    /// CSR-backed iterative solve (D-ILU BiCGSTAB in production;
     /// Gauss-Seidel or uniformized power through
     /// [`MapNetwork::solve_iterative`]).
     SparseCsr,
@@ -229,9 +239,12 @@ pub struct SolveDiagnostics {
     pub final_residual: f64,
     /// Sweeps attributed per engine tier, stalled attempts included.
     pub sweeps_per_engine: EngineSweeps,
-    /// Id of the `qn.solve` / `qn.solve_auto` span this solve ran under in
-    /// a recorded trace (`burstcap_obs`), linking the solution to its span
-    /// tree; `0` when the solve was untraced.
+    /// Id of the span this solve ran under in a recorded trace
+    /// (`burstcap_obs`), linking the solution to its span tree: the
+    /// ladder's `qn.solve_auto` span for every answer of
+    /// [`MapNetwork::solve_tiers`], whichever tier gave it, and the
+    /// engine's `qn.solve` span for a direct engine call; `0` when the
+    /// solve was untraced.
     pub trace_id: u64,
 }
 
@@ -862,7 +875,7 @@ impl MapNetwork {
     /// # Panics
     ///
     /// Only if a justified internal invariant is violated (1 reachable
-    /// panic site, e.g. `crates/qn/src/ctmc.rs:777`; `burstcap-lint report` lists them),
+    /// panic site, e.g. `crates/qn/src/ctmc.rs:828`; `burstcap-lint report` lists them),
     /// never for inputs this API accepts.
     pub fn solve_iterative(&self, method: SteadyStateMethod) -> Result<MapQnSolution, QnError> {
         self.check_state_limit()?;
@@ -882,7 +895,7 @@ impl MapNetwork {
             )))
     }
 
-    /// Warm-startable sparse solve with production tuning: ILU(0)-BiCGSTAB
+    /// Warm-startable sparse solve with production tuning: D-ILU BiCGSTAB
     /// at a 1e-12 scale-free residual, tight enough that throughput agrees
     /// with the direct solver to ~1e-8, stiff fitted MAPs included. It is
     /// seeded from an optional stationary-vector guess and returns both the
@@ -897,7 +910,10 @@ impl MapNetwork {
     /// stationary vector is an excellent initial iterate (the underlying
     /// seam is [`crate::ctmc::Ctmc::steady_state_from`], which normalizes
     /// and floors the guess). With `None` the solve starts cold from the
-    /// uniform distribution.
+    /// network's product form with exponential servers of the stations'
+    /// mean service times, weighted by each station's phase distribution —
+    /// exact for [`Map2::poisson`] stations, and 5–40% fewer iterations
+    /// than the uniform vector on the benchmark's fitted bursty MAPs.
     ///
     /// # Errors
     /// Rejects a guess whose length differs from
@@ -925,7 +941,7 @@ impl MapNetwork {
     /// # Panics
     ///
     /// Only if a justified internal invariant is violated (1 reachable
-    /// panic site, e.g. `crates/qn/src/ctmc.rs:777`; `burstcap-lint report` lists them),
+    /// panic site, e.g. `crates/qn/src/ctmc.rs:828`; `burstcap-lint report` lists them),
     /// never for inputs this API accepts.
     pub fn solve_sparse_with_initial(
         &self,
@@ -947,7 +963,7 @@ impl MapNetwork {
     /// # Panics
     ///
     /// Only if a justified internal invariant is violated (1 reachable
-    /// panic site, e.g. `crates/qn/src/ctmc.rs:777`; `burstcap-lint report` lists them),
+    /// panic site, e.g. `crates/qn/src/ctmc.rs:828`; `burstcap-lint report` lists them),
     /// never for inputs this API accepts.
     pub fn solve_sparse_with_initial_traced(
         &self,
@@ -957,8 +973,9 @@ impl MapNetwork {
         self.solve_csr(guess, CSR_FULL, trace)
     }
 
-    /// The one CSR solve body: assemble the chain and run ILU(0)-BiCGSTAB
-    /// at `(tol, max_iter)`.
+    /// The one CSR solve body: assemble the chain and run D-ILU BiCGSTAB
+    /// at `(tol, max_iter)`, from `guess` or, without one, from
+    /// [`MapNetwork::product_form_start`].
     fn solve_csr(
         &self,
         guess: Option<Vec<f64>>,
@@ -967,10 +984,94 @@ impl MapNetwork {
     ) -> Result<(MapQnSolution, Vec<f64>), QnError> {
         self.solve_engine(SolveEngine::SparseCsr, trace, || {
             let chain = Ctmc::from_outgoing_csr(self.outgoing_csr()?)?;
+            // Built once the outgoing CSR is gone, so the start adds nothing
+            // to the assembly peak.
+            let guess = match guess {
+                Some(g) => g,
+                None => self.product_form_start(&self.indexer()?),
+            };
             let method = SteadyStateMethod::Sparse(SparseMethod::BiCgStab { tol, max_iter });
-            let run = chain.steady_state_run_traced(method, guess, trace)?;
+            let run = chain.steady_state_run_traced(method, Some(guess), trace)?;
             Ok((run.pi, run.iterations, run.final_residual))
         })
+    }
+
+    /// The cold start of the CSR engine: the product form the network would
+    /// have with exponential servers of the stations' mean service times
+    /// `m_i`, times each station's phase distribution `theta_i` (the
+    /// stationary vector of `D0 + D1`),
+    ///
+    /// `pi(n, q) ∝ Z^{n_0} / n_0! · prod_i m_i^{n_i} · prod_i theta_i(q_i)`,
+    ///
+    /// with `n_0` the thinking customers. It is exact when every station is
+    /// [`Map2::poisson`] (a completion redraws the phase uniformly, idle or
+    /// busy); on the benchmark's fitted bursty MAPs it saves BiCGSTAB 5–40%
+    /// of the iterations the uniform vector needs. Computed in log space,
+    /// `O(states · M)`.
+    fn product_form_start(&self, idx: &StateIndexer) -> Vec<f64> {
+        let n = self.population;
+        let m = self.stations.len();
+        let theta: Vec<[f64; 2]> = self
+            .stations
+            .iter()
+            .map(|s| {
+                // Off-diagonal rates of the phase generator D0 + D1.
+                let (d0, d1) = (s.d0(), s.d1());
+                let up = d0[0][1] + d1[0][1];
+                let down = d0[1][0] + d1[1][0];
+                if up + down > 0.0 {
+                    [down / (up + down), up / (up + down)]
+                } else {
+                    [0.5, 0.5]
+                }
+            })
+            .collect();
+        // The mean service time is one over the fundamental rate theta D1 1.
+        let ln_mean: Vec<f64> = self
+            .stations
+            .iter()
+            .zip(&theta)
+            .map(|(s, th)| {
+                let d1 = s.d1();
+                -(th[0] * (d1[0][0] + d1[0][1]) + th[1] * (d1[1][0] + d1[1][1])).ln()
+            })
+            .collect();
+        let ln_phase: Vec<f64> = (0..idx.phases)
+            .map(|q| (0..m).map(|i| theta[i][phase_of(q, i, m)].ln()).sum())
+            .collect();
+        let mut ln_think = Vec::with_capacity(n + 1);
+        let mut ln_fact = 0.0;
+        for thinking in 0..=n {
+            if thinking > 0 {
+                ln_fact += (thinking as f64).ln();
+            }
+            ln_think.push(thinking as f64 * self.think_time.ln() - ln_fact);
+        }
+        let mut pi = Vec::with_capacity(idx.state_count());
+        let mut occ = vec![0usize; m];
+        loop {
+            let total: usize = occ.iter().sum();
+            let ln_occ: f64 = occ
+                .iter()
+                .zip(&ln_mean)
+                .map(|(&k, &l)| k as f64 * l)
+                .sum::<f64>()
+                + ln_think[n - total];
+            pi.extend(ln_phase.iter().map(|&lp| ln_occ + lp));
+            if !next_occupancy(&mut occ, total, n) {
+                break;
+            }
+        }
+        let top = pi.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        let mut sum = 0.0;
+        for x in pi.iter_mut() {
+            *x = (*x - top).exp();
+            sum += *x;
+        }
+        for x in pi.iter_mut() {
+            *x /= sum;
+        }
+        pi
     }
 
     /// The one matrix-free solve body: run `method` on the operator of
@@ -1117,7 +1218,7 @@ impl MapNetwork {
     /// # Panics
     ///
     /// Only if a justified internal invariant is violated (1 reachable
-    /// panic site, e.g. `crates/qn/src/ctmc.rs:777`; `burstcap-lint report` lists them),
+    /// panic site, e.g. `crates/qn/src/ctmc.rs:828`; `burstcap-lint report` lists them),
     /// never for inputs this API accepts.
     pub fn solve_auto_with_initial(
         &self,
@@ -1137,7 +1238,7 @@ impl MapNetwork {
     /// # Panics
     ///
     /// Only if a justified internal invariant is violated (1 reachable
-    /// panic site, e.g. `crates/qn/src/ctmc.rs:777`; `burstcap-lint report` lists them),
+    /// panic site, e.g. `crates/qn/src/ctmc.rs:828`; `burstcap-lint report` lists them),
     /// never for inputs this API accepts.
     pub fn solve_auto_traced(
         &self,
@@ -1158,7 +1259,7 @@ impl MapNetwork {
     /// 1. **Direct** level-reduction (immune to stiffness) up to the
     ///    policy's direct threshold ([`AUTO_SPARSE_THRESHOLD`] for
     ///    [`TierPolicy::BATCH`], none for [`TierPolicy::ONLINE`]);
-    /// 2. **Sparse CSR** ILU(0)-BiCGSTAB, at the policy's first-attempt
+    /// 2. **Sparse CSR** D-ILU BiCGSTAB, at the policy's first-attempt
     ///    budget, up to [`AUTO_MATFREE_THRESHOLD`] states (or the direct
     ///    threshold, if higher), with a stall falling back to the direct
     ///    solver;
@@ -1179,8 +1280,8 @@ impl MapNetwork {
     /// `qn.fallback` event whenever an iterative attempt stalls (carrying
     /// the sweeps the stalled attempt burned), and lets the engines emit
     /// their residual trajectories inside the span.
-    /// [`SolveDiagnostics::trace_id`] links the returned solution to the
-    /// span tree. Pass [`Trace::noop`] to observe nothing at near-zero
+    /// [`SolveDiagnostics::trace_id`] is the `qn.solve_auto` span's id on
+    /// every answer, fallbacks included. Pass [`Trace::noop`] to observe nothing at near-zero
     /// cost.
     ///
     /// # Errors
@@ -1207,7 +1308,7 @@ impl MapNetwork {
     /// # Panics
     ///
     /// Only if a justified internal invariant is violated (1 reachable
-    /// panic site, e.g. `crates/qn/src/ctmc.rs:777`; `burstcap-lint report` lists them),
+    /// panic site, e.g. `crates/qn/src/ctmc.rs:828`; `burstcap-lint report` lists them),
     /// never for inputs this API accepts.
     pub fn solve_tiers(
         &self,
@@ -1229,18 +1330,17 @@ impl MapNetwork {
                 ("stations", self.stations.len().into()),
             ],
         );
-        // The direct solver opens no span of its own: link the ladder's.
-        let direct = |guess| {
-            let (mut sol, pi) = self.solve_with_initial(guess)?;
+        // Whichever tier answers, the solution links the ladder's span.
+        let linked = |(mut sol, pi): (MapQnSolution, Vec<f64>)| {
             sol.diagnostics.trace_id = span.id();
-            Ok::<_, QnError>((sol, pi))
+            (sol, pi)
         };
         if states <= direct_up_to {
             trace.event(
                 "qn.engine",
                 vec![("engine", "direct".into()), ("tier", 1_u64.into())],
             );
-            return direct(guess);
+            return self.solve_with_initial(guess).map(linked);
         }
         let csr_tier = states <= limits.matfree_above.max(direct_up_to);
         let (engine, tier, fallback) = if csr_tier {
@@ -1262,7 +1362,7 @@ impl MapNetwork {
             ..
         }) = attempt
         else {
-            return attempt;
+            return attempt.map(linked);
         };
         trace.event(
             "qn.fallback",
@@ -1277,11 +1377,11 @@ impl MapNetwork {
         // stiffness-proof direct solver. A matrix-free stall falls back to
         // the full-budget CSR solve: dense level blocks are infeasible at
         // that size.
-        let (mut sol, pi) = if csr_tier {
-            direct(guess)?
+        let (mut sol, pi) = linked(if csr_tier {
+            self.solve_with_initial(guess)?
         } else {
             self.solve_csr(guess, limits.csr, trace)?
-        };
+        });
         sol.diagnostics.fell_back = true;
         sol.diagnostics.sweeps_per_engine.tally(engine, stalled);
         Ok((sol, pi))
@@ -1376,7 +1476,7 @@ impl MapNetwork {
     /// ```
     pub fn outgoing_csr(&self) -> Result<CsrMatrix, QnError> {
         let idx = self.indexer()?;
-        let mut builder = CsrMatrix::builder(self.state_count());
+        let mut builder = CsrMatrix::builder(self.state_count())?;
         let mut transitions = 0usize;
         self.for_each_transition(&idx, |_, _, _| transitions += 1);
         builder.reserve(transitions);
@@ -2483,6 +2583,154 @@ mod tests {
         let (warm, warm_pi) = net.solve_sparse_with_initial(Some(guess)).unwrap();
         assert_eq!(sol.throughput.to_bits(), warm.throughput.to_bits());
         assert_eq!(pi, warm_pi);
+    }
+
+    /// The mild network of `diagnostics_identify_engine_and_fallback`,
+    /// solved by the `tier` the policy's state-count cuts pick, traced:
+    /// the solution's `trace_id` must be the span of the ladder's
+    /// `qn.engine` event (`qn.solve_auto`), never an engine's inner span.
+    fn assert_trace_id_is_the_ladder_span(
+        net: &MapNetwork,
+        policy: TierPolicy,
+    ) -> SolveDiagnostics {
+        let recorder = Recorder::new();
+        let (sol, _) = net.solve_tiers(policy, None, &recorder.trace()).unwrap();
+        let events = recorder.events();
+        let ladder = events
+            .iter()
+            .find(|e| e.name == "qn.engine")
+            .expect("a qn.engine event")
+            .span;
+        assert_ne!(ladder, 0);
+        assert_eq!(sol.diagnostics.trace_id, ladder);
+        assert!(events
+            .iter()
+            .filter(|e| e.name.ends_with(".sweep"))
+            .all(|e| e.span != ladder));
+        sol.diagnostics
+    }
+
+    fn mild_net() -> MapNetwork {
+        let front = Map2Fitter::new(0.01, 8.0, 0.03).fit().unwrap().map();
+        let db = Map2Fitter::new(0.008, 12.0, 0.02).fit().unwrap().map();
+        MapNetwork::new(10, 0.3, front, db).unwrap()
+    }
+
+    #[test]
+    fn trace_id_links_the_ladder_span_on_the_direct_tier() {
+        let d = assert_trace_id_is_the_ladder_span(&mild_net(), TierPolicy::BATCH);
+        assert_eq!((d.engine, d.fell_back), (SolveEngine::Direct, false));
+    }
+
+    #[test]
+    fn trace_id_links_the_ladder_span_on_the_csr_tier() {
+        let d = assert_trace_id_is_the_ladder_span(&mild_net(), TierPolicy::ONLINE);
+        assert_eq!((d.engine, d.fell_back), (SolveEngine::SparseCsr, false));
+    }
+
+    #[test]
+    fn trace_id_links_the_ladder_span_on_the_matrix_free_tier() {
+        let policy = TierPolicy {
+            limits: TierLimits {
+                matfree_above: 0,
+                ..TIER_LIMITS
+            },
+            ..TierPolicy::ONLINE
+        };
+        let d = assert_trace_id_is_the_ladder_span(&mild_net(), policy);
+        assert_eq!((d.engine, d.fell_back), (SolveEngine::MatrixFree, false));
+    }
+
+    #[test]
+    fn trace_id_links_the_ladder_span_after_a_fallback() {
+        // Both fallback edges: CSR -> direct and matrix-free -> CSR.
+        let csr_stalls = TierPolicy {
+            direct_up_to: 0,
+            first_csr: (CSR_BOUNDED.0, 1),
+            ..TierPolicy::BATCH
+        };
+        let d = assert_trace_id_is_the_ladder_span(&stiff_net(), csr_stalls);
+        assert_eq!((d.engine, d.fell_back), (SolveEngine::Direct, true));
+        let matfree_stalls = TierPolicy {
+            limits: MATFREE_STALLS,
+            ..TierPolicy::ONLINE
+        };
+        let d = assert_trace_id_is_the_ladder_span(&stiff_net(), matfree_stalls);
+        assert_eq!((d.engine, d.fell_back), (SolveEngine::SparseCsr, true));
+    }
+
+    #[test]
+    fn product_form_start_solves_poisson_tandems_in_zero_iterations() {
+        // Exponential stations: the cold start is the exact product form,
+        // so the CSR engine accepts it without iterating, and the answer
+        // is MVA's.
+        let stations = vec![
+            Map2::poisson(100.0).unwrap(),
+            Map2::poisson(60.0).unwrap(),
+            Map2::poisson(160.0).unwrap(),
+        ];
+        let demands: Vec<f64> = stations.iter().map(Map2::mean).collect();
+        let mva = ClosedMva::new(demands, 0.4).unwrap();
+        for pop in [1, 8, 25] {
+            let net = MapNetwork::tandem(pop, 0.4, stations.clone()).unwrap();
+            let (sol, _) = net.solve_sparse_with_initial(None).unwrap();
+            assert_eq!(sol.diagnostics.iterations, 0, "N={pop}");
+            let exact = mva.solve(pop).unwrap();
+            let gap = (sol.throughput - exact.throughput).abs() / exact.throughput;
+            assert!(
+                gap < 1e-12,
+                "N={pop}: X {} vs MVA {}",
+                sol.throughput,
+                exact.throughput
+            );
+            for (u, v) in sol.utilization.iter().zip(&exact.utilization) {
+                assert!((u - v).abs() < 1e-12, "N={pop}: U {u} vs {v}");
+            }
+        }
+    }
+
+    #[test]
+    fn fitted_networks_have_no_ilu0_fill() {
+        // Fitted MAP(2)s have no hidden phase flips, so no two transitions
+        // chain into a third: ILU(0) puts nothing inside the pattern, and
+        // the D-ILU factor the CSR engine uses is exactly ILU(0) there.
+        let fits = [(0.01, 8.0, 0.03), (0.02, 200.0, 0.06), (0.008, 720.0, 0.02)];
+        let maps: Vec<Map2> = fits
+            .iter()
+            .map(|&(mean, i, p95)| Map2Fitter::new(mean, i, p95).fit().unwrap().map())
+            .collect();
+        for m in 1..=4 {
+            let stations: Vec<Map2> = (0..m).map(|i| maps[i % maps.len()]).collect();
+            let net = MapNetwork::tandem(6, 0.4, stations).unwrap();
+            let chain = Ctmc::from_outgoing_csr(net.outgoing_csr().unwrap()).unwrap();
+            assert_eq!(chain.ilu0_fill(), 0, "M = {m}");
+        }
+    }
+
+    #[test]
+    fn general_map_network_with_fill_matches_direct() {
+        // Hidden flips and completions from both phases: ILU(0) would fill
+        // inside the pattern, D-ILU does not, and the CSR answer still
+        // agrees with the direct solver.
+        let general = |scale: f64| {
+            Map2::new(
+                [[-30.0 * scale, 4.0 * scale], [1.5 * scale, -9.0 * scale]],
+                [[20.0 * scale, 6.0 * scale], [2.5 * scale, 5.0 * scale]],
+            )
+            .unwrap()
+        };
+        for stations in [
+            vec![general(4.0), general(7.0)],
+            vec![general(5.0), general(3.0), general(9.0)],
+        ] {
+            let net = MapNetwork::tandem(14, 0.3, stations).unwrap();
+            let chain = Ctmc::from_outgoing_csr(net.outgoing_csr().unwrap()).unwrap();
+            assert!(chain.ilu0_fill() > 0);
+            let (csr, _) = net.solve_sparse_with_initial(None).unwrap();
+            let direct = net.solve().unwrap();
+            let gap = (csr.throughput - direct.throughput).abs() / direct.throughput;
+            assert!(gap < 1e-8, "gap {gap:.3e}");
+        }
     }
 
     proptest! {

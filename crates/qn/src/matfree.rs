@@ -109,7 +109,7 @@ impl ApplyQ for Ctmc {
             let (cols, vals) = self.incoming_csr().row_slices(i);
             let mut inflow = 0.0;
             for (&j, &q) in cols.iter().zip(vals) {
-                inflow += x[j] * q;
+                inflow += x[crate::csr::ix(j)] * q;
             }
             *slot = inflow;
         }

@@ -42,7 +42,7 @@ proptest! {
 
     /// The sparse engine agrees with the dense LU oracle to 1e-8 per state
     /// on random ergodic chains: every member of the
-    /// `SteadyStateMethod::Sparse` family (ILU(0)-preconditioned BiCGSTAB,
+    /// `SteadyStateMethod::Sparse` family (D-ILU-preconditioned BiCGSTAB,
     /// under-relaxed Gauss-Seidel and uniformized power iteration) against
     /// exact elimination.
     #[test]
