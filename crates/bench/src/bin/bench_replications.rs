@@ -198,7 +198,10 @@ fn main() {
     }
 
     let speedup = serial_total / parallel_total;
-    // burstcap-lint: allow(unscoped-parallelism) — reads the core count for reporting; spawns nothing outside core::experiment
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "reads the core count for reporting; spawns nothing outside core::experiment"
+    )]
     let parallelism = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);

@@ -219,7 +219,7 @@ fn escape(s: &str) -> String {
 
 /// Write a rendered snapshot to `path` — the shared tail of every bench
 /// binary. Announcing the path on stdout is the caller's job (library code
-/// keeps off stdout — see the `stray-print` rule).
+/// keeps off stdout — the crate root denies `clippy::print_stdout`).
 ///
 /// # Panics
 /// Panics if the file cannot be written (bench binaries treat an unwritable

@@ -1,5 +1,5 @@
 //! Experiment harness shared by the per-figure/table regeneration binaries
-//! and the Criterion benchmarks.
+//! and the `bench_*` record writers.
 //!
 //! Every binary in `src/bin/` regenerates one table or figure of the paper
 //! (see `DESIGN.md` for the full index) and prints rows in a stable,
@@ -8,6 +8,10 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// The experiment harness may abort on a broken invariant, but its library
+// owns no console: only the binaries under `src/bin/` print. The panic
+// lints of the other library roots do not apply here.
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
 
 use burstcap_tpcw::mix::Mix;
 use burstcap_tpcw::monitor::TestbedRun;
@@ -65,7 +69,8 @@ pub fn pct(x: f64) -> String {
 }
 
 /// Render a section header for experiment output; the binary owns the
-/// printing (library code keeps off stdout — see the `stray-print` rule).
+/// printing (library code keeps off stdout — the crate root denies
+/// `clippy::print_stdout`).
 #[must_use]
 pub fn header(title: &str) -> String {
     format!("\n=== {title} ===")

@@ -1,15 +1,13 @@
 //! The workspace's single wall-clock seam.
 //!
-//! Wall-clock reads make runs non-reproducible, so burstcap-lint's
-//! `wallclock` rule bans `Instant::now`/`SystemTime` everywhere in
-//! non-test code — except here. Benchmark binaries that need to *measure*
+//! Wall-clock reads make runs non-reproducible, so the root `clippy.toml`
+//! bans `Instant::now`/`SystemTime::now` everywhere (`disallowed_methods`)
+//! — except at the one call below. Benchmark binaries that need to *measure*
 //! solver or ingest latency (a legitimately non-deterministic quantity;
 //! the measured numbers are reported, never fed back into any model) go
 //! through [`Stopwatch`]. Keeping every read behind one seam means a
 //! grep for `Stopwatch::start` enumerates every timing side channel in
 //! the workspace.
-//!
-//! burstcap-lint: allow-file(wallclock) — this module IS the bench timing seam the rule confines wall-clock reads to
 
 use std::time::Instant;
 
@@ -26,6 +24,10 @@ impl Stopwatch {
     /// Start timing now.
     #[must_use]
     pub fn start() -> Self {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "this module is the bench timing seam the wall-clock ban confines reads to"
+        )]
         Stopwatch(Instant::now())
     }
 

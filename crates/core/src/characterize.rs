@@ -82,7 +82,7 @@ pub struct ServiceCharacterization {
 /// # Panics
 ///
 /// Only if a justified internal invariant is violated (6 reachable
-/// panic sites, e.g. `crates/stats/src/dispersion.rs:268`; `burstcap-lint report` lists them),
+/// panic sites, e.g. `crates/stats/src/dispersion.rs:277`; `burstcap-lint report` lists them),
 /// never for inputs this API accepts.
 pub fn characterize(
     measurements: &TierMeasurements,

@@ -164,7 +164,7 @@ impl Replications {
     /// # Panics
     ///
     /// Only if a justified internal invariant is violated (2 reachable
-    /// panic sites, e.g. `crates/core/src/experiment.rs:260`; `burstcap-lint report` lists them),
+    /// panic sites, e.g. `crates/core/src/experiment.rs:276`; `burstcap-lint report` lists them),
     /// never for inputs this API accepts.
     pub fn run<T, E, F>(&self, scenario: F) -> Result<Vec<T>, E>
     where
@@ -191,7 +191,7 @@ impl Replications {
     /// # Panics
     ///
     /// Only if a justified internal invariant is violated (2 reachable
-    /// panic sites, e.g. `crates/core/src/experiment.rs:260`; `burstcap-lint report` lists them),
+    /// panic sites, e.g. `crates/core/src/experiment.rs:276`; `burstcap-lint report` lists them),
     /// never for inputs this API accepts.
     pub fn run_traced<T, E, F>(&self, scenario: F, trace: &Trace) -> Result<Vec<T>, E>
     where
@@ -246,6 +246,10 @@ impl Replications {
         }
         let workers = self.workers.min(span);
         let indices: Vec<u64> = range.collect();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "core::experiment is a parallelism seam: replications fan out on scoped workers"
+        )]
         let striped: Vec<Vec<(usize, Result<T, E>)>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
                 .map(|w| {
@@ -263,9 +267,12 @@ impl Replications {
                     })
                 })
                 .collect();
+            #[expect(
+                clippy::expect_used,
+                reason = "a panicked worker is re-raised, not masked; there is no partial result to recover"
+            )]
             handles
                 .into_iter()
-                // burstcap-lint: allow(panic-in-lib) — a panicked worker is re-raised, not masked; there is no partial result to recover
                 .map(|h| h.join().expect("replication worker must not panic"))
                 .collect()
         });
@@ -274,10 +281,13 @@ impl Replications {
         for (slot, result) in striped.into_iter().flatten() {
             slots[slot] = Some(result);
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "the dispatch loop writes every slot exactly once before collection"
+        )]
         collect(
             slots
                 .into_iter()
-                // burstcap-lint: allow(panic-in-lib) — the dispatch loop writes every slot exactly once before collection
                 .map(|s| s.expect("every replication slot is filled"))
                 .collect(),
         )
@@ -350,7 +360,7 @@ impl Experiment {
     /// # Panics
     ///
     /// Only if a justified internal invariant is violated (4 reachable
-    /// panic sites, e.g. `crates/core/src/experiment.rs:260`; `burstcap-lint report` lists them),
+    /// panic sites, e.g. `crates/core/src/experiment.rs:276`; `burstcap-lint report` lists them),
     /// never for inputs this API accepts.
     pub fn run<T, E, F>(&self, scenario: F) -> Result<ExperimentResult<T>, E>
     where
@@ -374,7 +384,7 @@ impl Experiment {
     /// # Panics
     ///
     /// Only if a justified internal invariant is violated (2 reachable
-    /// panic sites, e.g. `crates/core/src/experiment.rs:260`; `burstcap-lint report` lists them),
+    /// panic sites, e.g. `crates/core/src/experiment.rs:276`; `burstcap-lint report` lists them),
     /// never for inputs this API accepts.
     pub fn run_traced<T, E, F>(&self, scenario: F, trace: &Trace) -> Result<ExperimentResult<T>, E>
     where
@@ -401,7 +411,7 @@ impl Experiment {
     /// # Panics
     ///
     /// Only if a justified internal invariant is violated (3 reachable
-    /// panic sites, e.g. `crates/core/src/experiment.rs:260`; `burstcap-lint report` lists them),
+    /// panic sites, e.g. `crates/core/src/experiment.rs:276`; `burstcap-lint report` lists them),
     /// never for inputs this API accepts.
     pub fn run_until<T, E, F>(
         &self,
@@ -421,8 +431,11 @@ impl Experiment {
             let range = outputs.len() as u64..target as u64;
             outputs.extend(self.plan.run_range(range, &scenario)?);
             let values: Vec<f64> = outputs.iter().map(&metric).collect();
+            #[expect(
+                clippy::expect_used,
+                reason = "mean_ci only errors on fewer than two samples; the schedule starts at two replications"
+            )]
             let ci = mean_ci(&values, self.confidence)
-                // burstcap-lint: allow(panic-in-lib) — mean_ci only errors on fewer than two samples; the schedule starts at two replications
                 .expect("two or more replications always have an interval");
             if rule.satisfied_by(&ci) || target >= max_replications {
                 return Ok(ExperimentResult {

@@ -96,7 +96,7 @@ impl CapacityPlanner {
     /// # Panics
     ///
     /// Only if a justified internal invariant is violated (9 reachable
-    /// panic sites, e.g. `crates/map/src/fit.rs:305`; `burstcap-lint report` lists them),
+    /// panic sites, e.g. `crates/map/src/fit.rs:314`; `burstcap-lint report` lists them),
     /// never for inputs this API accepts.
     pub fn from_measurements(
         front: &TierMeasurements,
@@ -114,7 +114,7 @@ impl CapacityPlanner {
     /// # Panics
     ///
     /// Only if a justified internal invariant is violated (9 reachable
-    /// panic sites, e.g. `crates/map/src/fit.rs:305`; `burstcap-lint report` lists them),
+    /// panic sites, e.g. `crates/map/src/fit.rs:314`; `burstcap-lint report` lists them),
     /// never for inputs this API accepts.
     pub fn with_options(
         front: &TierMeasurements,
@@ -134,7 +134,7 @@ impl CapacityPlanner {
     /// # Panics
     ///
     /// Only if a justified internal invariant is violated (9 reachable
-    /// panic sites, e.g. `crates/map/src/fit.rs:305`; `burstcap-lint report` lists them),
+    /// panic sites, e.g. `crates/map/src/fit.rs:314`; `burstcap-lint report` lists them),
     /// never for inputs this API accepts.
     pub fn from_tier_measurements(
         tiers: &[&TierMeasurements],
@@ -157,7 +157,7 @@ impl CapacityPlanner {
     /// # Panics
     ///
     /// Only if a justified internal invariant is violated (3 reachable
-    /// panic sites, e.g. `crates/map/src/fit.rs:305`; `burstcap-lint report` lists them),
+    /// panic sites, e.g. `crates/map/src/fit.rs:314`; `burstcap-lint report` lists them),
     /// never for inputs this API accepts.
     pub fn from_characterizations(
         front: ServiceCharacterization,
@@ -176,7 +176,7 @@ impl CapacityPlanner {
     /// # Panics
     ///
     /// Only if a justified internal invariant is violated (3 reachable
-    /// panic sites, e.g. `crates/map/src/fit.rs:305`; `burstcap-lint report` lists them),
+    /// panic sites, e.g. `crates/map/src/fit.rs:314`; `burstcap-lint report` lists them),
     /// never for inputs this API accepts.
     pub fn from_tier_characterizations(
         tiers: Vec<ServiceCharacterization>,
@@ -221,10 +221,13 @@ impl CapacityPlanner {
     /// # Panics
     ///
     /// Only if a justified internal invariant is violated (1 reachable
-    /// panic site, e.g. `crates/core/src/planner.rs:248`; `burstcap-lint report` lists them),
+    /// panic site, e.g. `crates/core/src/planner.rs:231`; `burstcap-lint report` lists them),
     /// never for inputs this API accepts.
     pub fn db_characterization(&self) -> &ServiceCharacterization {
-        // burstcap-lint: allow(panic-in-lib) — the constructor rejects empty tier lists
+        #[expect(
+            clippy::expect_used,
+            reason = "the constructor rejects empty tier lists"
+        )]
         self.tiers.last().expect("validated non-empty")
     }
 
@@ -238,10 +241,13 @@ impl CapacityPlanner {
     /// # Panics
     ///
     /// Only if a justified internal invariant is violated (1 reachable
-    /// panic site, e.g. `crates/core/src/planner.rs:259`; `burstcap-lint report` lists them),
+    /// panic site, e.g. `crates/core/src/planner.rs:251`; `burstcap-lint report` lists them),
     /// never for inputs this API accepts.
     pub fn db_fit(&self) -> &FittedMap2 {
-        // burstcap-lint: allow(panic-in-lib) — the constructor rejects empty tier lists
+        #[expect(
+            clippy::expect_used,
+            reason = "the constructor rejects empty tier lists"
+        )]
         self.fits.last().expect("validated non-empty")
     }
 
@@ -277,7 +283,7 @@ impl CapacityPlanner {
     /// # Panics
     ///
     /// Only if a justified internal invariant is violated (1 reachable
-    /// panic site, e.g. `crates/qn/src/ctmc.rs:828`; `burstcap-lint report` lists them),
+    /// panic site, e.g. `crates/qn/src/ctmc.rs:831`; `burstcap-lint report` lists them),
     /// never for inputs this API accepts.
     pub fn predict(&self, population: usize, think_time: f64) -> Result<Prediction, PlanError> {
         let net = self.network(population, think_time)?;
@@ -293,7 +299,7 @@ impl CapacityPlanner {
     /// # Panics
     ///
     /// Only if a justified internal invariant is violated (2 reachable
-    /// panic sites, e.g. `crates/core/src/planner.rs:444`; `burstcap-lint report` lists them),
+    /// panic sites, e.g. `crates/core/src/planner.rs:469`; `burstcap-lint report` lists them),
     /// never for inputs this API accepts.
     pub fn predict_sweep(
         &self,
@@ -327,7 +333,7 @@ impl CapacityPlanner {
 /// # Panics
 ///
 /// Only if a justified internal invariant is violated (3 reachable
-/// panic sites, e.g. `crates/map/src/fit.rs:305`; `burstcap-lint report` lists them),
+/// panic sites, e.g. `crates/map/src/fit.rs:314`; `burstcap-lint report` lists them),
 /// never for inputs this API accepts.
 pub fn fit_characterization(
     c: &ServiceCharacterization,
@@ -429,10 +435,13 @@ impl MvaBaseline {
     /// # Panics
     ///
     /// Only if a justified internal invariant is violated (1 reachable
-    /// panic site, e.g. `crates/core/src/planner.rs:429`; `burstcap-lint report` lists them),
+    /// panic site, e.g. `crates/core/src/planner.rs:445`; `burstcap-lint report` lists them),
     /// never for inputs this API accepts.
     pub fn db_demand(&self) -> f64 {
-        // burstcap-lint: allow(panic-in-lib) — the constructor rejects empty tier lists
+        #[expect(
+            clippy::expect_used,
+            reason = "the constructor rejects empty tier lists"
+        )]
         *self.demands.last().expect("validated non-empty")
     }
 
@@ -443,8 +452,8 @@ impl MvaBaseline {
     ///
     /// # Panics
     ///
-    /// Only if a justified internal invariant is violated (2 reachable
-    /// panic sites, e.g. `crates/core/src/planner.rs:444`; `burstcap-lint report` lists them),
+    /// Only if a justified internal invariant is violated (1 reachable
+    /// panic site, e.g. `crates/core/src/planner.rs:469`; `burstcap-lint report` lists them),
     /// never for inputs this API accepts.
     pub fn predict(&self, population: usize, think_time: f64) -> Result<Prediction, PlanError> {
         let mva = ClosedMva::new(self.demands.clone(), think_time)?;
@@ -453,7 +462,10 @@ impl MvaBaseline {
             population,
             throughput: s.throughput,
             utilization_front: s.utilization[0],
-            // burstcap-lint: allow(panic-in-lib) — solutions come from networks validated to hold at least one station
+            #[expect(
+                clippy::expect_used,
+                reason = "solutions come from networks validated to hold at least one station"
+            )]
             utilization_db: *s.utilization.last().expect("at least one station"),
             utilization: s.utilization,
             response_time: s.response_time,
@@ -468,7 +480,7 @@ impl MvaBaseline {
     /// # Panics
     ///
     /// Only if a justified internal invariant is violated (2 reachable
-    /// panic sites, e.g. `crates/core/src/planner.rs:444`; `burstcap-lint report` lists them),
+    /// panic sites, e.g. `crates/core/src/planner.rs:469`; `burstcap-lint report` lists them),
     /// never for inputs this API accepts.
     pub fn predict_sweep(
         &self,

@@ -447,13 +447,11 @@ pub fn render_report(model: &WorkspaceModel, graph: &CallGraph) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
     out.push_str("{\n");
-    let _ = writeln!(out, "  \"schema\": \"burstcap-lint-report-v1\",");
+    let _ = writeln!(out, "  \"schema\": \"burstcap-lint-report-v2\",");
     let _ = writeln!(out, "  \"files\": {},", model.files.len());
     let n_fns = model.fns.iter().filter(|f| !f.in_test).count();
     let _ = writeln!(out, "  \"functions\": {n_fns},");
     let _ = writeln!(out, "  \"panic_sites\": {},", model.panic_sites.len());
-    let justified = model.panic_sites.iter().filter(|p| p.justified).count();
-    let _ = writeln!(out, "  \"justified_panic_sites\": {justified},");
     let _ = writeln!(out, "  \"resolved_edges\": {},", graph.edges.len());
     let _ = writeln!(out, "  \"unresolved_edges\": {},", graph.unresolved.len());
     // Unresolved tally by callee path (std/external calls dominate; the
@@ -482,8 +480,7 @@ pub fn render_report(model: &WorkspaceModel, graph: &CallGraph) -> String {
         let _ = writeln!(out, "      \"path\": \"{}\",", site.path);
         let _ = writeln!(out, "      \"line\": {},", site.line);
         let _ = writeln!(out, "      \"what\": \"{}\",", site.what);
-        let _ = writeln!(out, "      \"in_lib\": {},", site.in_lib);
-        let _ = writeln!(out, "      \"justified\": {}", site.justified);
+        let _ = writeln!(out, "      \"in_lib\": {}", site.in_lib);
         out.push_str("    }");
         out.push_str(if i + 1 == sites.len() { "\n" } else { ",\n" });
     }
@@ -543,7 +540,7 @@ mod tests {
         let a = "\
 pub fn entry(x: u64) -> u64 { helper(x) }
 fn helper(x: u64) -> u64 {
-    // burstcap-lint: allow(panic-in-lib) — test invariant
+    #[expect(clippy::unwrap_used, reason = \"test invariant\")]
     deep::risky(x).unwrap()
 }
 ";
@@ -620,7 +617,7 @@ pub fn other(xs: &mut Vec<(f64, f64)>) {
         let r1 = render_report(&m, &g);
         let r2 = render_report(&m, &g);
         assert_eq!(r1, r2);
-        assert!(r1.contains("\"schema\": \"burstcap-lint-report-v1\""));
+        assert!(r1.contains("\"schema\": \"burstcap-lint-report-v2\""));
         assert!(r1
             .lines()
             .any(|l| l.trim() == "\"fn\": \"qn::deep::risky\","));

@@ -2,27 +2,24 @@
 //! markers.
 //!
 //! Rules fire or stay silent depending on *where* code lives: library code
-//! carries the full invariant set, experiment binaries may abort on I/O
-//! failure, and test code is exempt from most rules. Context is derived
-//! from the workspace-relative path; *within* a file, `#[cfg(test)]`-gated
-//! items form test regions found by brace tracking over the token stream.
+//! carries the full rule set, binaries and the bench harness skip the
+//! library-only rules, and test code is exempt from every rule. Context is
+//! derived from the workspace-relative path; *within* a file,
+//! `#[cfg(test)]`-gated items form test regions found by brace tracking
+//! over the token stream.
 
 use crate::lexer::{TokKind, Token};
 
 /// Where a file sits in the workspace, which decides the active rule set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FileKind {
-    /// Library code (`crates/*/src`, root `src/`): full invariant set.
+    /// Library code (`crates/*/src`, root `src/`): every rule applies.
     Lib,
-    /// Binary targets (`src/bin/*`, `src/main.rs`): may abort on I/O
-    /// failure, so `panic-in-lib` does not apply.
-    Bin,
-    /// The `crates/bench` experiment harness (lib and bins): panic rules
-    /// off; wall-clock reads still confined to the timing seam.
-    Bench,
-    /// `examples/`: user-facing demos, panic rules off.
-    Example,
-    /// `tests/` directories: exempt from most rules.
+    /// Binary targets, the `crates/bench` harness, and `examples/`: they
+    /// may abort on a broken invariant, so the library-only rules
+    /// (`panic-reachable-api`, `swallowed-result`) do not apply.
+    Harness,
+    /// `tests/` directories: exempt from every rule.
     Test,
 }
 
@@ -47,12 +44,12 @@ impl FileContext {
             .map(str::to_owned);
         let kind = if path.contains("/tests/") || path.starts_with("tests/") {
             FileKind::Test
-        } else if path.contains("/examples/") || path.starts_with("examples/") {
-            FileKind::Example
-        } else if path.contains("/benches/") || crate_name.as_deref() == Some("bench") {
-            FileKind::Bench
-        } else if path.contains("/src/bin/") || path.ends_with("/src/main.rs") {
-            FileKind::Bin
+        } else if path.starts_with("examples/")
+            || crate_name.as_deref() == Some("bench")
+            || path.contains("/src/bin/")
+            || path.ends_with("/src/main.rs")
+        {
+            FileKind::Harness
         } else {
             FileKind::Lib
         };
@@ -195,33 +192,31 @@ pub struct Allow {
     pub line: u32,
     /// Marker column.
     pub col: u32,
-    /// Whole-file scope (`allow-file`) instead of line scope.
-    pub file_scope: bool,
     /// Whether a non-empty justification follows the rule name.
     pub justified: bool,
 }
 
-/// Extract suppression markers from comment tokens.
+/// Extract suppression markers from plain (non-doc) comment tokens.
 ///
 /// Grammar: `burstcap-lint: allow(<rule>) — <justification>` (also accepts
-/// `--` or `:` as the separator) anywhere inside a comment;
-/// `allow-file(<rule>)` scopes the suppression to the whole file. A marker
-/// with no justification text is reported by the `bare-allow` rule.
+/// `--` or `:` as the separator) anywhere inside a comment. A marker with
+/// no justification text is reported by the `bare-allow` rule. There is no
+/// file-wide form: a suppression names the line it justifies.
 #[must_use]
 pub fn allows(tokens: &[Token]) -> Vec<Allow> {
     let mut out = Vec::new();
     for tok in tokens.iter().filter(|t| t.kind == TokKind::Comment) {
         let text = &tok.text;
+        // Doc comments describe markers; only plain comments are markers.
+        if text.starts_with("///") || text.starts_with("//!") {
+            continue;
+        }
         let Some(at) = text.find("burstcap-lint:") else {
             continue;
         };
         let rest = text[at + "burstcap-lint:".len()..].trim_start();
-        let (file_scope, rest) = match rest.strip_prefix("allow-file(") {
-            Some(r) => (true, r),
-            None => match rest.strip_prefix("allow(") {
-                Some(r) => (false, r),
-                None => continue,
-            },
+        let Some(rest) = rest.strip_prefix("allow(") else {
+            continue;
         };
         let Some(close) = rest.find(')') else {
             continue;
@@ -240,7 +235,6 @@ pub fn allows(tokens: &[Token]) -> Vec<Allow> {
             rule,
             line: tok.line,
             col: tok.col,
-            file_scope,
             justified,
         });
     }
@@ -257,10 +251,19 @@ mod tests {
         let cases = [
             ("crates/qn/src/mva.rs", FileKind::Lib, Some("qn")),
             ("crates/qn/tests/scale.rs", FileKind::Test, Some("qn")),
-            ("crates/bench/src/bin/b.rs", FileKind::Bench, Some("bench")),
-            ("crates/bench/src/lib.rs", FileKind::Bench, Some("bench")),
-            ("crates/lint/src/main.rs", FileKind::Bin, Some("lint")),
-            ("examples/quickstart.rs", FileKind::Example, None),
+            (
+                "crates/bench/src/bin/b.rs",
+                FileKind::Harness,
+                Some("bench"),
+            ),
+            ("crates/bench/src/lib.rs", FileKind::Harness, Some("bench")),
+            ("crates/lint/src/main.rs", FileKind::Harness, Some("lint")),
+            (
+                "crates/core/src/bin/tool.rs",
+                FileKind::Harness,
+                Some("core"),
+            ),
+            ("examples/quickstart.rs", FileKind::Harness, None),
             ("tests/smoke.rs", FileKind::Test, None),
             ("src/lib.rs", FileKind::Lib, None),
         ];
@@ -316,14 +319,15 @@ mod tests {
     fn allow_markers_parse_with_and_without_justification() {
         let src = "\
 let a = x; // burstcap-lint: allow(float-eq) — exact sentinel comparison\n\
-// burstcap-lint: allow(wallclock)\n\
-// burstcap-lint: allow-file(panic-in-lib) -- experiment harness\n";
+// burstcap-lint: allow(silent-clamp)\n\
+// burstcap-lint: allow(silent-clamp) -- roundoff guard\n\
+// burstcap-lint: allow-file(silent-clamp) — no file-wide form\n";
         let marks = allows(&lex(src));
         assert_eq!(marks.len(), 3);
-        assert!(marks[0].justified && !marks[0].file_scope);
+        assert!(marks[0].justified);
         assert_eq!(marks[0].rule, "float-eq");
         assert!(!marks[1].justified);
-        assert!(marks[2].justified && marks[2].file_scope);
-        assert_eq!(marks[2].rule, "panic-in-lib");
+        assert!(marks[2].justified);
+        assert_eq!(marks[2].rule, "silent-clamp");
     }
 }

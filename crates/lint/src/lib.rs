@@ -7,7 +7,10 @@
 //! the same token stream — a lightweight recursive-descent [`parser`], a
 //! workspace [`model`], and a [`callgraph`] feeding the interprocedural
 //! semantic rules ([`semrules`]): panic reachability for the public API,
-//! parallelism scoping, `Result` discipline, and seed provenance.
+//! `Result` discipline, and seed provenance. What clippy can express —
+//! wall-clock reads, RNG construction, hash collections, console output,
+//! panicking shortcuts, unscoped parallelism — is clippy's, configured by
+//! the root `clippy.toml` and the library roots' `#![deny(..)]` lists.
 //! `cargo run --release -p burstcap-lint -- check` is a blocking CI gate;
 //! the workspace stays lint-clean, and `burstcap-lint report` emits the
 //! full panic-reachability matrix as deterministic JSON that CI archives
@@ -19,12 +22,25 @@
 //! let u = (x * d).min(1.0); // burstcap-lint: allow(silent-clamp) — <why>
 //! ```
 //!
-//! A bare allow with no justification is itself a violation
-//! (`bare-allow`). `allow-file(<rule>)` at any line scopes the suppression
-//! to the whole file (used by the bench timing seam).
+//! A marker with no justification, an unknown rule, or nothing to suppress
+//! is itself a violation (`bare-allow`), as an unfulfilled `#[expect]` is
+//! for clippy.
 //!
 //! See ARCHITECTURE.md, "Static analysis", for the rule table, the
 //! clippy/burstcap-lint ownership partition, and how to add a rule.
+
+// Library code returns typed errors and owns no console; test code is exempt
+// through clippy.toml (ARCHITECTURE.md, "Static analysis").
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    clippy::dbg_macro
+)]
 
 pub mod callgraph;
 pub mod context;
@@ -39,7 +55,7 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use context::Allow;
+use context::FileKind;
 use lexer::{TokKind, Token};
 pub use rules::{Violation, RULES};
 
@@ -119,9 +135,9 @@ fn json_escape(s: &str) -> String {
 /// "directly below" skips attribute lines, so a marker placed above
 /// `#[derive(...)]` / `#[must_use]` reaches the item underneath. For a
 /// statement spanning several lines the marker covers only the reported
-/// line (put it on or directly above the line the finding names).
-/// `allow-file` silences the rule for the whole file. Markers without a
-/// justification silence nothing and are reported as `bare-allow`.
+/// line (put it on or directly above the line the finding names). A
+/// marker without a justification, naming an unknown rule, or silencing
+/// nothing is reported as `bare-allow`.
 ///
 /// The returned violations are sorted by (path, line, col, rule), so the
 /// report is independent of the order of `sources`.
@@ -141,53 +157,58 @@ pub fn lint_sources(sources: &[(String, String)]) -> Report {
     }
     violations.extend(semrules::check_semantic(&ws, &graph));
 
-    // Per-file suppression state: marks + attribute-line sets.
-    let per_file: Vec<(&str, &[Allow], BTreeSet<u32>)> = ws
+    // Which markers suppressed something; the rest are stale.
+    let attrs: Vec<BTreeSet<u32>> = ws
         .files
         .iter()
-        .map(|f| {
-            (
-                f.rel_path.as_str(),
-                f.marks.as_slice(),
-                attribute_lines(&f.tokens),
-            )
-        })
+        .map(|f| attribute_lines(&f.tokens))
         .collect();
-    let file_state = |path: &str| per_file.iter().find(|(p, _, _)| *p == path);
-
+    let mut used: Vec<Vec<bool>> = ws
+        .files
+        .iter()
+        .map(|f| vec![false; f.marks.len()])
+        .collect();
     violations.retain(|v| {
-        let Some((_, marks, attrs)) = file_state(&v.path) else {
+        let Some(fi) = ws.files.iter().position(|f| f.rel_path == v.path) else {
             return true;
         };
-        !marks.iter().any(|a| {
+        let hit = ws.files[fi].marks.iter().position(|a| {
             a.justified
                 && a.rule == v.rule
-                && (a.file_scope || v.line == a.line || v.line == covered_line(attrs, a.line))
-        })
+                && (v.line == a.line || v.line == covered_line(&attrs[fi], a.line))
+        });
+        if let Some(m) = hit {
+            used[fi][m] = true;
+        }
+        hit.is_none()
     });
 
-    for (path, marks, _) in &per_file {
-        for a in *marks {
-            if !a.justified {
-                violations.push(Violation {
-                    rule: "bare-allow",
-                    path: (*path).to_owned(),
-                    line: a.line,
-                    col: a.col,
-                    message: format!(
-                        "allow({}) without a justification; write `// burstcap-lint: allow({}) — <why>`",
-                        a.rule, a.rule
-                    ),
-                });
+    // Test files are exempt from every rule, markers included.
+    let linted = ws.files.iter().zip(&used);
+    for (file, used) in linted.filter(|(f, _)| f.ctx.kind != FileKind::Test) {
+        for (a, &used) in file.marks.iter().zip(used) {
+            let message = if !a.justified {
+                format!(
+                    "allow({}) without a justification; write `// burstcap-lint: allow({}) — <why>`",
+                    a.rule, a.rule
+                )
             } else if !RULES.iter().any(|r| r.name == a.rule) {
-                violations.push(Violation {
-                    rule: "bare-allow",
-                    path: (*path).to_owned(),
-                    line: a.line,
-                    col: a.col,
-                    message: format!("allow marker names unknown rule `{}`", a.rule),
-                });
-            }
+                format!("allow marker names unknown rule `{}`", a.rule)
+            } else if !used {
+                format!(
+                    "allow({}) suppresses nothing; delete the stale marker",
+                    a.rule
+                )
+            } else {
+                continue;
+            };
+            violations.push(Violation {
+                rule: "bare-allow",
+                path: file.rel_path.clone(),
+                line: a.line,
+                col: a.col,
+                message,
+            });
         }
     }
 
@@ -341,28 +362,27 @@ mod tests {
     #[test]
     fn trailing_and_leading_markers_suppress_one_line() {
         let src = "\
-use std::time::Instant;
-fn f() {
-    let a = Instant::now(); // burstcap-lint: allow(wallclock) — test of trailing marker
-    // burstcap-lint: allow(wallclock) — test of leading marker
-    let b = Instant::now();
-    let c = Instant::now();
+fn f(x: f64) {
+    let a = x.min(1.0); // burstcap-lint: allow(silent-clamp) — test of trailing marker
+    // burstcap-lint: allow(silent-clamp) — test of leading marker
+    let b = x.min(1.0);
+    let c = x.min(1.0);
 }
 ";
         let v = lint_source("crates/core/src/x.rs", src);
-        let wall: Vec<_> = v.iter().filter(|v| v.rule == "wallclock").collect();
-        assert_eq!(wall.len(), 1, "{wall:?}");
-        assert_eq!(wall[0].line, 6);
+        let clamps: Vec<_> = v.iter().filter(|v| v.rule == "silent-clamp").collect();
+        assert_eq!(clamps.len(), 1, "{clamps:?}");
+        assert_eq!(clamps[0].line, 5);
+        assert_eq!(v.len(), 1, "{v:?}");
     }
 
     #[test]
     fn marker_above_attributes_reaches_the_item() {
         let src = "\
-use std::time::Instant;
-// burstcap-lint: allow(wallclock) — marker above two attribute lines
+// burstcap-lint: allow(silent-clamp) — marker above two attribute lines
 #[allow(dead_code)]
 #[must_use]
-fn stamped() -> Instant { Instant::now() }
+fn clamped(x: f64) -> f64 { x.min(1.0) }
 ";
         let v = lint_source("crates/core/src/x.rs", src);
         assert!(v.is_empty(), "{v:?}");
@@ -380,10 +400,9 @@ fn stamped() -> Instant { Instant::now() }
 
     #[test]
     fn bare_allow_is_a_violation_and_suppresses_nothing() {
-        let src =
-            "fn f() { let t = std::time::SystemTime::now(); } // burstcap-lint: allow(wallclock)\n";
+        let src = "fn f(x: f64) -> f64 { x.max(0.0) } // burstcap-lint: allow(silent-clamp)\n";
         let v = lint_source("crates/core/src/x.rs", src);
-        assert!(v.iter().any(|v| v.rule == "wallclock"));
+        assert!(v.iter().any(|v| v.rule == "silent-clamp"));
         assert!(v.iter().any(|v| v.rule == "bare-allow"));
     }
 
@@ -397,25 +416,23 @@ fn stamped() -> Instant { Instant::now() }
     }
 
     #[test]
-    fn allow_file_scopes_to_whole_file() {
-        let src = "\
-// burstcap-lint: allow-file(wallclock) — timing seam test double
-fn a() { let t = std::time::Instant::now(); }
-fn b() { let t = std::time::Instant::now(); }
-";
+    fn stale_marker_is_reported() {
+        let src = "// burstcap-lint: allow(silent-clamp) — nothing left to clamp\nfn f() {}\n";
         let v = lint_source("crates/core/src/x.rs", src);
-        assert!(v.is_empty(), "{v:?}");
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!(v[0].rule, "bare-allow");
+        assert!(v[0].message.contains("suppresses nothing"));
     }
 
     #[test]
     fn finding_order_is_independent_of_input_order() {
         let a = (
             "crates/core/src/a.rs".to_owned(),
-            "fn f() { let t = std::time::SystemTime::now(); }\n".to_owned(),
+            "fn f(x: f64) -> f64 { x.min(1.0) }\n".to_owned(),
         );
         let b = (
             "crates/core/src/b.rs".to_owned(),
-            "fn g() { let t = std::time::SystemTime::now(); }\n".to_owned(),
+            "fn g(x: f64) -> f64 { x.max(0.0) }\n".to_owned(),
         );
         let fwd = lint_sources(&[a.clone(), b.clone()]);
         let rev = lint_sources(&[b, a]);
@@ -433,11 +450,13 @@ fn b() { let t = std::time::Instant::now(); }
     fn json_rendering_is_one_field_per_line() {
         let report = lint_sources(&[(
             "crates/core/src/a.rs".to_owned(),
-            "fn f() { let t = std::time::SystemTime::now(); }\n".to_owned(),
+            "fn f(x: f64) -> f64 { x.min(1.0) }\n".to_owned(),
         )]);
         let json = report.render_json();
         assert!(json.contains("\"schema\": \"burstcap-lint-findings-v1\""));
-        assert!(json.lines().any(|l| l.trim() == "\"rule\": \"wallclock\","));
+        assert!(json
+            .lines()
+            .any(|l| l.trim() == "\"rule\": \"silent-clamp\","));
         assert!(json.lines().any(|l| l.trim().starts_with("\"line\": ")));
         // Deterministic across renders.
         assert_eq!(json, report.render_json());

@@ -1,6 +1,5 @@
 //! The workspace model: every non-test file parsed, every function given a
-//! qualified identity, panic sites tied to their enclosing functions, and
-//! suppression-justification status resolved.
+//! qualified identity, and panic sites tied to their enclosing functions.
 //!
 //! The model is the substrate the call graph ([`crate::callgraph`]) and the
 //! semantic rules ([`crate::semrules`]) run on. Identity is path-derived:
@@ -10,7 +9,9 @@
 //! Extern-crate names (`burstcap_qn`, and `burstcap` for `crates/core`)
 //! are normalized back to crate directory names during resolution.
 
-use crate::context::{allows, test_regions, Allow, FileContext, FileKind, TestRegion};
+use crate::context::{
+    allows, in_test_region, test_regions, Allow, FileContext, FileKind, TestRegion,
+};
 use crate::lexer::{lex, Token};
 use crate::parser::{self, Call, Discard, Item, ParsedFile, Visibility};
 
@@ -88,8 +89,6 @@ pub struct PanicDef {
     pub what: String,
     /// 1-based line.
     pub line: u32,
-    /// Whether a justified `allow(panic-in-lib)` marker covers the site.
-    pub justified: bool,
     /// Whether the site sits in a `FileKind::Lib` file outside test code
     /// (only those seed panic-reachability).
     pub in_lib: bool,
@@ -216,7 +215,7 @@ fn collect_fns(
                 let fn_in_test = in_test
                     || file_is_test
                     || f.cfg_test
-                    || in_region(&model.files[file_idx].regions, f.line);
+                    || in_test_region(&model.files[file_idx].regions, f.line);
                 push_fn(model, file_idx, f, module, self_ty, fn_in_test);
             }
             Item::Impl {
@@ -226,7 +225,7 @@ fn collect_fns(
                     let fn_in_test = in_test
                         || file_is_test
                         || f.cfg_test
-                        || in_region(&model.files[file_idx].regions, f.line);
+                        || in_test_region(&model.files[file_idx].regions, f.line);
                     push_fn(model, file_idx, f, module, Some(ty.as_str()), fn_in_test);
                 }
             }
@@ -243,12 +242,6 @@ fn collect_fns(
             _ => {}
         }
     }
-}
-
-fn in_region(regions: &[TestRegion], line: u32) -> bool {
-    regions
-        .iter()
-        .any(|r| (r.start_line..=r.end_line).contains(&line))
 }
 
 fn push_fn(
@@ -278,18 +271,12 @@ fn push_fn(
         if let Some(body) = &f.body {
             let in_lib = file.ctx.kind == FileKind::Lib;
             for p in &body.panics {
-                let justified = file.marks.iter().any(|a| {
-                    a.justified
-                        && a.rule == "panic-in-lib"
-                        && (a.file_scope || p.line == a.line || p.line == a.line + 1)
-                });
                 panics.push(model.panic_sites.len());
                 model.panic_sites.push(PanicDef {
                     owner: fn_idx,
                     path: file.rel_path.clone(),
                     what: p.what.clone(),
                     line: p.line,
-                    justified,
                     in_lib,
                 });
             }
@@ -362,12 +349,12 @@ mod tests {
     }
 
     #[test]
-    fn build_ties_panics_to_fns_and_marks_justification() {
+    fn build_ties_panics_to_fns() {
         let src = "\
 pub struct S;
 impl S {
     pub fn risky(&self) -> u64 {
-        // burstcap-lint: allow(panic-in-lib) — invariant: always Some here
+        #[expect(clippy::unwrap_used, reason = \"invariant: always Some here\")]
         self.inner.unwrap()
     }
     fn helper(&self) { other.expect(\"boom\"); }
@@ -384,14 +371,14 @@ mod tests {
         assert_eq!(risky.vis, Visibility::Pub);
         assert!(risky.is_method);
         assert_eq!(risky.panics.len(), 1);
-        assert!(model.panic_sites[risky.panics[0]].justified);
+        assert_eq!(model.panic_sites[risky.panics[0]].line, 5);
         let helper = model
             .fns
             .iter()
             .find(|f| f.name == "helper")
             .expect("helper");
         assert_eq!(helper.panics.len(), 1);
-        assert!(!model.panic_sites[helper.panics[0]].justified);
+        assert_eq!(model.panic_sites[helper.panics[0]].what, "expect");
         // The cfg(test) fn contributes no panic sites.
         assert_eq!(model.panic_sites.len(), 2);
         let t = model.fns.iter().find(|f| f.name == "t").expect("t");

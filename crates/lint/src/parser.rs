@@ -61,10 +61,10 @@ pub struct Call {
     pub receiver_call: Option<Vec<String>>,
 }
 
-/// A statically-detected panic site (same vocabulary as `panic-in-lib`:
-/// `.unwrap()` / `.expect()` method calls and `panic!` / `todo!` /
-/// `unimplemented!` macros; `unreachable!` documents a closed branch and is
-/// not counted).
+/// A statically-detected panic site (the vocabulary of the library roots'
+/// clippy deny list: `.unwrap()` / `.expect()` method calls and `panic!` /
+/// `todo!` / `unimplemented!` macros; `unreachable!` documents a closed
+/// branch and is not counted).
 #[derive(Debug, Clone)]
 pub struct PanicSite {
     /// The panicking name (`unwrap`, `panic`, ...).
@@ -460,8 +460,8 @@ impl<'a> Parser<'a> {
                     });
                 }
                 _ => {
-                    // Item-position macro invocation (`criterion_group! {..}`,
-                    // `thread_local! {..}`, `foo!(..);`): skip the delimited
+                    // Item-position macro invocation (`thread_local! {..}`,
+                    // `macro_rules! m {..}`, `foo!(..);`): skip the delimited
                     // body wholesale — macro input is not item syntax.
                     if kw.kind == TokKind::Ident && self.peek(1).is_some_and(|t| t.is_punct("!")) {
                         let name = kw.text.clone();
@@ -989,6 +989,25 @@ fn extract_body(toks: &[&Token]) -> FnBody {
     let mut i = 0usize;
     while i < toks.len() {
         let t = toks[i];
+        // Statement attributes (`#[expect(..)]`) are not calls.
+        if t.is_punct("#") && toks.get(i + 1).is_some_and(|n| n.is_punct("[")) {
+            let mut depth = 0usize;
+            i += 1;
+            while let Some(n) = toks.get(i) {
+                depth = if n.is_punct("[") {
+                    depth + 1
+                } else if n.is_punct("]") {
+                    depth - 1
+                } else {
+                    depth
+                };
+                i += 1;
+                if depth == 0 {
+                    break;
+                }
+            }
+            continue;
+        }
         // `let _ = <expr>;` discard statements.
         if t.is_ident("let")
             && toks.get(i + 1).is_some_and(|t| t.is_ident("_"))

@@ -1,13 +1,15 @@
-//! The invariant rules: each is a named, individually-suppressible check
+//! The lexical rules: each is a named, individually-suppressible check
 //! over the token stream of one file.
 //!
 //! Every rule exists because a shipped bug class violated the workspace's
 //! determinism-and-exactness contract silently (see ARCHITECTURE.md,
-//! "Static analysis"): seed collisions (PR 3), silent `I`-clamping (PR 4),
-//! rank overflow (PR 6). Rules are lexical by design — they over-approximate
-//! and rely on justified `// burstcap-lint: allow(<rule>) — why` markers
-//! where the idiom is intentional; clippy owns the type-aware complements
-//! (see the ownership table in ARCHITECTURE.md).
+//! "Static analysis"): silent `I`-clamping (PR 4), rank overflow (PR 6).
+//! Rules are lexical by design — they over-approximate and rely on
+//! justified `// burstcap-lint: allow(<rule>) — why` markers where the
+//! idiom is intentional. Everything clippy can express (wall-clock reads,
+//! RNG construction, hash collections, console output, panicking
+//! shortcuts, unscoped parallelism) is clippy's, through the root
+//! `clippy.toml` and the library roots' `#![deny(..)]` lists.
 
 use crate::context::{in_test_region, FileContext, FileKind, TestRegion};
 use crate::lexer::{float_is_zero, TokKind, Token};
@@ -42,34 +44,9 @@ pub struct RuleInfo {
 /// (it guards the suppression mechanism itself and cannot be suppressed).
 pub const RULES: &[RuleInfo] = &[
     RuleInfo {
-        name: "wallclock",
-        summary: "no Instant::now / SystemTime outside the bench timing seam",
-        scope: "all non-test code",
-    },
-    RuleInfo {
-        name: "raw-rng",
-        summary: "RNG construction must route the seed through seeds::derive",
-        scope: "all non-test code",
-    },
-    RuleInfo {
-        name: "unordered-iter",
-        summary: "no HashMap/HashSet in deterministic-output crates",
-        scope: "crates qn, stats, online, bench, obs (non-test)",
-    },
-    RuleInfo {
-        name: "stray-print",
-        summary: "no println!/eprintln!/print!/eprint!/dbg! outside binary targets; return the text or trace it",
-        scope: "library code, including the bench crate's lib (non-test)",
-    },
-    RuleInfo {
         name: "lossy-state-cast",
         summary: "no lossy integer `as` casts (crate-wide) or unchecked index arithmetic in state-indexing code (Indexer impls, rank fns)",
         scope: "crate qn (non-test)",
-    },
-    RuleInfo {
-        name: "panic-in-lib",
-        summary: "no unwrap/expect/panic!/todo!/unimplemented! in library code",
-        scope: "library crates (non-test)",
     },
     RuleInfo {
         name: "float-eq",
@@ -87,30 +64,21 @@ pub const RULES: &[RuleInfo] = &[
         scope: "library crates (non-test), via the workspace call graph",
     },
     RuleInfo {
-        name: "unscoped-parallelism",
-        summary: "std::thread/Atomic*/Mutex/RwLock only inside core::experiment, qn::matfree, and obs::recorder",
-        scope: "all non-test code",
-    },
-    RuleInfo {
         name: "swallowed-result",
         summary: "no `let _ =` or statement-level `.ok()` discard of a workspace Result",
         scope: "library crates (non-test)",
     },
     RuleInfo {
         name: "seed-provenance",
-        summary: "a seed parameter fed raw to an RNG constructor must be derived by every caller (dataflow raw-rng)",
+        summary: "a seed parameter fed raw to an RNG constructor must be derived by every caller",
         scope: "all non-test code, via the workspace call graph",
     },
     RuleInfo {
         name: "bare-allow",
-        summary: "every allow marker must carry a written justification",
+        summary: "every allow marker must name a rule, carry a written justification, and suppress a finding",
         scope: "everywhere (not suppressible)",
     },
 ];
-
-/// Crates whose outputs are asserted bit-identical across runs in CI, so
-/// unordered iteration anywhere near them is a determinism hazard.
-const DETERMINISTIC_OUTPUT_CRATES: &[&str] = &["qn", "stats", "online", "bench", "obs"];
 
 /// Integer target types of a lossy `as` cast.
 const INT_CAST_TARGETS: &[&str] = &[
@@ -135,29 +103,8 @@ pub fn check_all(
     let mut v = Vec::new();
     let live = |t: &Token| !in_test_region(regions, t.line);
 
-    wallclock(path, &code, &live, &mut v);
-    raw_rng(path, &code, &live, &mut v);
-    if ctx
-        .crate_name
-        .as_deref()
-        .is_some_and(|c| DETERMINISTIC_OUTPUT_CRATES.contains(&c))
-    {
-        unordered_iter(path, &code, &live, &mut v);
-    }
     if ctx.crate_name.as_deref() == Some("qn") {
         lossy_state_cast(path, &code, &live, &mut v);
-    }
-    if ctx.kind == FileKind::Lib {
-        panic_in_lib(path, &code, &live, &mut v);
-    }
-    // Bench *bins* narrate to stdout by design; the bench lib (timing,
-    // scenarios, report writers) is library code and must stay silent.
-    if ctx.kind == FileKind::Lib
-        || (ctx.kind == FileKind::Bench
-            && !path.contains("/src/bin/")
-            && !path.contains("/benches/"))
-    {
-        stray_print(path, &code, &live, &mut v);
     }
     float_eq(path, &code, &live, &mut v);
     silent_clamp(path, &code, &live, &mut v);
@@ -172,103 +119,6 @@ fn report(v: &mut Vec<Violation>, rule: &'static str, path: &str, tok: &Token, m
         col: tok.col,
         message,
     });
-}
-
-/// `wallclock`: wall-clock reads make runs non-reproducible; they are
-/// confined to `burstcap_bench::timing` (which carries a file-scoped allow).
-fn wallclock(path: &str, code: &[&Token], live: &dyn Fn(&Token) -> bool, v: &mut Vec<Violation>) {
-    for (i, tok) in code.iter().enumerate() {
-        if !live(tok) {
-            continue;
-        }
-        let instant_now = tok.is_ident("Instant")
-            && code.get(i + 1).is_some_and(|t| t.is_punct("::"))
-            && code.get(i + 2).is_some_and(|t| t.is_ident("now"));
-        if instant_now || tok.is_ident("SystemTime") {
-            report(
-                v,
-                "wallclock",
-                path,
-                tok,
-                "wall-clock read outside the bench timing seam; use burstcap_bench::timing"
-                    .to_owned(),
-            );
-        }
-    }
-}
-
-/// `raw-rng`: seeding a generator from an underived integer recreates the
-/// PR-3 cross-simulator stream collision; the seed argument must pass
-/// through `seeds::derive`.
-fn raw_rng(path: &str, code: &[&Token], live: &dyn Fn(&Token) -> bool, v: &mut Vec<Violation>) {
-    const CONSTRUCTORS: &[&str] = &["seed_from_u64", "from_seed", "from_entropy", "from_os_rng"];
-    for (i, tok) in code.iter().enumerate() {
-        if !live(tok) || tok.kind != TokKind::Ident {
-            continue;
-        }
-        if !CONSTRUCTORS.contains(&tok.text.as_str()) {
-            continue;
-        }
-        // Skip definitions (`fn seed_from_u64(...)` in a trait impl).
-        if i > 0 && code[i - 1].is_ident("fn") {
-            continue;
-        }
-        if !code.get(i + 1).is_some_and(|t| t.is_punct("(")) {
-            continue;
-        }
-        // Scan the argument list for a `derive` call.
-        let mut depth = 0usize;
-        let mut derived = false;
-        for t in &code[i + 1..] {
-            if t.is_punct("(") {
-                depth += 1;
-            } else if t.is_punct(")") {
-                depth -= 1;
-                if depth == 0 {
-                    break;
-                }
-            } else if t.is_ident("derive") {
-                derived = true;
-            }
-        }
-        if !derived {
-            report(
-                v,
-                "raw-rng",
-                path,
-                tok,
-                format!(
-                    "`{}` seeded without seeds::derive — raw seeds collide across components",
-                    tok.text
-                ),
-            );
-        }
-    }
-}
-
-/// `unordered-iter`: hash iteration order is arbitrary; in crates whose
-/// outputs CI diffs bit-for-bit, any map that can reach an output must be
-/// ordered (`BTreeMap`/`BTreeSet`) or an index vector.
-fn unordered_iter(
-    path: &str,
-    code: &[&Token],
-    live: &dyn Fn(&Token) -> bool,
-    v: &mut Vec<Violation>,
-) {
-    for tok in code {
-        if live(tok) && (tok.is_ident("HashMap") || tok.is_ident("HashSet")) {
-            report(
-                v,
-                "unordered-iter",
-                path,
-                tok,
-                format!(
-                    "{} in a deterministic-output crate; use BTreeMap/BTreeSet or an index vector",
-                    tok.text
-                ),
-            );
-        }
-    }
 }
 
 /// `lossy-state-cast`: the PR-6 class — state-space ranks overflow
@@ -411,69 +261,6 @@ fn state_arith_regions(code: &[&Token]) -> Vec<(u32, u32)> {
         i += 1;
     }
     out
-}
-
-/// `panic-in-lib`: library code must surface failures as typed errors; a
-/// panicking shortcut in a solver aborts a whole replication sweep.
-/// (`unreachable!` with a message is permitted: it documents an invariant
-/// on a branch the type system cannot close.)
-fn panic_in_lib(
-    path: &str,
-    code: &[&Token],
-    live: &dyn Fn(&Token) -> bool,
-    v: &mut Vec<Violation>,
-) {
-    for (i, tok) in code.iter().enumerate() {
-        if !live(tok) || tok.kind != TokKind::Ident {
-            continue;
-        }
-        let method_call = matches!(tok.text.as_str(), "unwrap" | "expect")
-            && i > 0
-            && (code[i - 1].is_punct(".") || code[i - 1].is_punct("::"))
-            && code.get(i + 1).is_some_and(|t| t.is_punct("("));
-        let macro_call = matches!(tok.text.as_str(), "panic" | "todo" | "unimplemented")
-            && code.get(i + 1).is_some_and(|t| t.is_punct("!"));
-        if method_call || macro_call {
-            report(
-                v,
-                "panic-in-lib",
-                path,
-                tok,
-                format!(
-                    "`{}` in library code; return a typed error or justify the invariant",
-                    tok.text
-                ),
-            );
-        }
-    }
-}
-
-/// `stray-print`: ad-hoc console output in library code bypasses the
-/// observability layer — it interleaves nondeterministically under
-/// parallel execution, corrupts machine-read stdout (the bench JSON
-/// contract), and cannot be captured or diffed. Library code returns its
-/// text or records a trace event; only binary targets own stdout.
-fn stray_print(path: &str, code: &[&Token], live: &dyn Fn(&Token) -> bool, v: &mut Vec<Violation>) {
-    const PRINT_MACROS: &[&str] = &["println", "eprintln", "print", "eprint", "dbg"];
-    for (i, tok) in code.iter().enumerate() {
-        if !live(tok) || tok.kind != TokKind::Ident {
-            continue;
-        }
-        if PRINT_MACROS.contains(&tok.text.as_str())
-            && code.get(i + 1).is_some_and(|t| t.is_punct("!"))
-        {
-            report(
-                v,
-                "stray-print",
-                path,
-                tok,
-                format!(
-                    "`{}!` in library code; return the text, record a trace event, or justify",
-                    tok.text
-                ),
-            );
-        }
-    }
 }
 
 /// `float-eq`: exact float equality is almost never the intended predicate.

@@ -1,52 +1,31 @@
-//! The four semantic rules, run over the workspace model
+//! The three semantic rules, run over the workspace model
 //! ([`crate::model`]) and call graph ([`crate::callgraph`]) instead of a
 //! single file's token stream:
 //!
 //! - `panic-reachable-api` — every `pub` lib function that can
-//!   transitively reach a panic site (justified ones included) must carry
-//!   a `# Panics` doc section or a justified allow.
-//! - `unscoped-parallelism` — `std::thread` / `Atomic*` / `Mutex` /
-//!   `RwLock` and friends are confined to the three audited seams
-//!   (`core::experiment`, `qn::matfree`, `obs::recorder`), keeping the
-//!   bit-identical-per-worker-count property reviewable in three files.
+//!   transitively reach a panic site must carry a `# Panics` doc section
+//!   or a justified allow. Clippy's deny list guarantees each library
+//!   panic site its own `#[expect(.., reason)]`; this rule carries the
+//!   obligation up the call graph to the public API.
 //! - `swallowed-result` — `let _ =` bindings and statement-level `.ok()`
 //!   calls that discard the `Result` of a workspace function in lib code.
-//! - `seed-provenance` — the dataflow upgrade of `raw-rng`: a function
-//!   that feeds one of its own parameters into an RNG constructor makes
-//!   every caller responsible for deriving that seed; call sites that
-//!   neither pass a `derive(..)` expression nor forward a parameter of
-//!   their own are flagged.
+//! - `seed-provenance` — a function that feeds one of its own parameters
+//!   into an RNG constructor makes every caller responsible for deriving
+//!   that seed; call sites that neither pass a `derive(..)` expression nor
+//!   forward a parameter of their own are flagged.
 //!
-//! All four over-approximate (method calls resolve by name + arity across
+//! All three over-approximate (method calls resolve by name + arity across
 //! the whole workspace) — the sound direction for reachability — and are
 //! suppressed through the same justified-allow markers as the lexical
 //! rules.
 
 use crate::callgraph::{CallGraph, Resolver};
-use crate::context::{in_test_region, FileKind};
-use crate::lexer::{TokKind, Token};
+use crate::context::FileKind;
 use crate::model::WorkspaceModel;
 use crate::parser::Visibility;
 use crate::rules::Violation;
 
-/// The three sanctioned parallelism seams, as (crate_dir, top module).
-pub const PARALLEL_SEAMS: &[(&str, &str)] = &[
-    ("core", "experiment"),
-    ("qn", "matfree"),
-    ("obs", "recorder"),
-];
-
-/// Identifier names that signal shared-state parallelism.
-const PARALLEL_TYPES: &[&str] = &[
-    "Mutex",
-    "RwLock",
-    "Condvar",
-    "Barrier",
-    "JoinHandle",
-    "mpsc",
-];
-
-/// RNG constructor names (the same vocabulary as the lexical `raw-rng`).
+/// RNG constructor names.
 const RNG_CONSTRUCTORS: &[&str] = &["seed_from_u64", "from_seed", "from_entropy", "from_os_rng"];
 
 /// Run the semantic rules; violations carry the owning file's path and
@@ -55,7 +34,6 @@ const RNG_CONSTRUCTORS: &[&str] = &["seed_from_u64", "from_seed", "from_entropy"
 pub fn check_semantic(model: &WorkspaceModel, graph: &CallGraph) -> Vec<Violation> {
     let mut v = Vec::new();
     panic_reachable_api(model, graph, &mut v);
-    unscoped_parallelism(model, &mut v);
     swallowed_result(model, &mut v);
     seed_provenance(model, graph, &mut v);
     v
@@ -97,48 +75,6 @@ fn panic_reachable_api(model: &WorkspaceModel, graph: &CallGraph, v: &mut Vec<Vi
                 refs.len()
             ),
         });
-    }
-}
-
-/// `unscoped-parallelism`: parallelism vocabulary outside the seams.
-fn unscoped_parallelism(model: &WorkspaceModel, v: &mut Vec<Violation>) {
-    for file in &model.files {
-        if file.ctx.kind == FileKind::Test {
-            continue;
-        }
-        if PARALLEL_SEAMS
-            .iter()
-            .any(|&(c, m)| file.crate_dir == c && file.module.first().is_some_and(|s| s == m))
-        {
-            continue;
-        }
-        let code: Vec<&Token> = file
-            .tokens
-            .iter()
-            .filter(|t| t.kind != TokKind::Comment)
-            .collect();
-        for (i, tok) in code.iter().enumerate() {
-            if tok.kind != TokKind::Ident || in_test_region(&file.regions, tok.line) {
-                continue;
-            }
-            let text = tok.text.as_str();
-            let hit = PARALLEL_TYPES.contains(&text)
-                || text.starts_with("Atomic")
-                || (text == "thread"
-                    && (code.get(i + 1).is_some_and(|t| t.is_punct("::"))
-                        || (i > 0 && code[i - 1].is_punct("::"))));
-            if hit {
-                v.push(Violation {
-                    rule: "unscoped-parallelism",
-                    path: file.rel_path.clone(),
-                    line: tok.line,
-                    col: tok.col,
-                    message: format!(
-                        "`{text}` outside the sanctioned parallelism seams (core::experiment, qn::matfree, obs::recorder)"
-                    ),
-                });
-            }
-        }
     }
 }
 
@@ -305,7 +241,7 @@ pub fn undocumented(x: u64) -> u64 { helper(x) }
 pub fn documented(x: u64) -> u64 { helper(x) }
 pub fn safe(x: u64) -> u64 { x }
 fn helper(x: u64) -> u64 {
-    // burstcap-lint: allow(panic-in-lib) — invariant
+    #[expect(clippy::unwrap_used, reason = \"invariant\")]
     x.checked_mul(2).unwrap()
 }
 ";
@@ -316,28 +252,6 @@ fn helper(x: u64) -> u64 {
             .map(|v| (v.line, v.rule))
             .collect();
         assert_eq!(hits, vec![(1, "panic-reachable-api")], "{v:?}");
-    }
-
-    #[test]
-    fn parallelism_confined_to_seams() {
-        let src = "\
-use std::sync::Mutex;
-pub fn f() {
-    let h = std::thread::spawn(|| 1);
-}
-";
-        let v = check(&[("crates/stats/src/x.rs", src)]);
-        let lines: Vec<u32> = v
-            .iter()
-            .filter(|v| v.rule == "unscoped-parallelism")
-            .map(|v| v.line)
-            .collect();
-        assert_eq!(lines, vec![1, 3], "{v:?}");
-        // Same tokens inside a seam: clean.
-        let v = check(&[("crates/qn/src/matfree.rs", src)]);
-        assert!(v.iter().all(|v| v.rule != "unscoped-parallelism"), "{v:?}");
-        let v = check(&[("crates/core/src/experiment.rs", src)]);
-        assert!(v.iter().all(|v| v.rule != "unscoped-parallelism"), "{v:?}");
     }
 
     #[test]
@@ -364,7 +278,7 @@ pub fn caller() {
     fn seed_provenance_tracks_raw_parameters_through_callers() {
         let src = "\
 pub fn make_rng(seed: u64) -> SmallRng {
-    // burstcap-lint: allow(raw-rng) — seed derivation is the callers' contract
+    #[expect(clippy::disallowed_methods, reason = \"seed derivation is the callers' contract\")]
     SmallRng::seed_from_u64(seed)
 }
 pub fn forwards(seed: u64) -> SmallRng { make_rng(seed) }

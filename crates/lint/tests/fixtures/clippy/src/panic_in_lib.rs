@@ -1,15 +1,16 @@
-// Fixture: `panic-in-lib`. Panicking shortcuts fire in library code only.
+//! `panic-in-lib` → `unwrap_used`/`expect_used`/`panic`/`todo`/
+//! `unimplemented`, denied in library roots only.
 
 pub fn hit(v: Option<u32>) -> u32 {
-    v.unwrap() // line 4: the live violation
+    v.unwrap() // the live violation
 }
 
 pub fn hit_macro() {
-    panic!("fixture"); // line 8: second live violation
+    panic!("fixture"); // second live violation
 }
 
 pub fn suppressed(v: Option<u32>) -> u32 {
-    // burstcap-lint: allow(panic-in-lib) — fixture: invariant documented here
+    #[expect(clippy::expect_used, reason = "fixture: invariant documented here")]
     v.expect("fixture invariant")
 }
 

@@ -1,19 +1,23 @@
-// Fixture: `unordered-iter`. Hash collections fire in deterministic-output
-// crates; BTree replacements and suppressed/test uses don't.
+//! `unordered-iter` → `disallowed-types` on `HashMap`/`HashSet`, now in
+//! every crate rather than five.
 use std::collections::BTreeMap;
-use std::collections::HashMap; // line 4: the live violation
+use std::collections::HashMap; // the live violation
 
 pub fn ordered() -> BTreeMap<u64, f64> {
     BTreeMap::new()
 }
 
+#[expect(
+    clippy::disallowed_types,
+    reason = "fixture: keyed access only, never iterated"
+)]
 pub fn suppressed() -> usize {
-    // burstcap-lint: allow(unordered-iter) — fixture: keyed access only, never iterated
     let m: HashMap<u64, f64> = HashMap::new();
     m.len()
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_types, reason = "fixture: tests may hash")]
 mod tests {
     use std::collections::HashSet;
 

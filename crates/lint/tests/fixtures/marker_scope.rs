@@ -1,10 +1,10 @@
 // Fixture: suppression-marker scope. A justified marker reaches past
 // attribute lines to the item below; above a multiline statement it covers
 // only the line directly below, so mid-statement hits need the marker
-// directly above the reporting line.
+// directly above the reporting line (a marker that misses is stale).
 
 fn helper(v: Option<u32>) -> u32 {
-    // burstcap-lint: allow(panic-in-lib) — fixture: callers uphold Some
+    #[expect(clippy::expect_used, reason = "fixture: callers uphold Some")]
     v.expect("fixture invariant")
 }
 
@@ -29,5 +29,5 @@ pub fn multiline_covered(v: f64) -> f64 {
 pub fn multiline_missed(v: f64) -> f64 {
     // burstcap-lint: allow(silent-clamp) — fixture: covers the statement head only
     v
-        .clamp(0.0, 1.0) // line 32: still fires — the marker stopped at line 31
+        .clamp(0.0, 1.0) // line 32: still fires — the marker stopped at line 31, so it is stale
 }

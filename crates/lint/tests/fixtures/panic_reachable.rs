@@ -2,7 +2,7 @@
 // reach a panic site must document it under `# Panics` or justify.
 
 fn helper(v: Option<u32>) -> u32 {
-    // burstcap-lint: allow(panic-in-lib) — fixture: callers uphold Some
+    #[expect(clippy::expect_used, reason = "fixture: callers uphold Some")]
     v.expect("fixture invariant")
 }
 

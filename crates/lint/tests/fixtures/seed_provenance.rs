@@ -7,7 +7,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 pub fn make_rng(seed: u64) -> SmallRng {
-    // burstcap-lint: allow(raw-rng) — fixture: derivation is the caller's contract
+    #[expect(clippy::disallowed_methods, reason = "fixture: derivation is the caller's contract")]
     SmallRng::seed_from_u64(seed)
 }
 

@@ -6,8 +6,20 @@
 //! never descends into, since they contain deliberate violations) and are
 //! linted through `lint_source` with a synthetic workspace-relative path
 //! that selects the context under test.
+//!
+//! The six rules handed to clippy keep their fixtures in the standalone
+//! crate `tests/fixtures/clippy`, whose clippy findings CI compares to
+//! `expected.txt` (`check.sh`). Their tests here check the two halves this
+//! suite can see without running clippy: burstcap-lint no longer polices
+//! the fixture, and `expected.txt` pins the hits the retired assertions
+//! named, each on a line that shows its construct.
 
-use burstcap_lint::lint_source;
+use std::fs;
+use std::path::{Path, PathBuf};
+
+use burstcap_lint::context::{in_test_region, test_regions, FileContext, FileKind};
+use burstcap_lint::lexer::{lex, TokKind};
+use burstcap_lint::{lint_source, read_workspace_sources};
 
 fn rules_at(path: &str, src: &str) -> Vec<(&'static str, u32)> {
     lint_source(path, src)
@@ -16,37 +28,165 @@ fn rules_at(path: &str, src: &str) -> Vec<(&'static str, u32)> {
         .collect()
 }
 
+fn clippy_fixtures() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/clippy")
+}
+
+/// The `(line, lint)` findings `expected.txt` pins for one fixture file.
+fn pinned(file: &str) -> Vec<(u32, String)> {
+    let expected =
+        fs::read_to_string(clippy_fixtures().join("expected.txt")).expect("expected.txt");
+    let mut out: Vec<(u32, String)> = expected
+        .lines()
+        .filter_map(|entry| {
+            let (site, lint) = entry.split_once(' ')?;
+            let (path, line) = site.split_once(':')?;
+            (path == file).then(|| (line.parse().expect("line number"), lint.to_owned()))
+        })
+        .collect();
+    out.sort();
+    out
+}
+
+/// A fixture of a rule handed to clippy: burstcap-lint, run over it as
+/// library code, reports exactly `bespoke` (the call-graph rules it keeps),
+/// and `expected.txt` pins exactly `clippy` for it, each pinned line
+/// showing one of `constructs`.
+fn clippy_owned(file: &str, bespoke: &[(&str, u32)], clippy: &[(u32, &str)], constructs: &[&str]) {
+    let src = fs::read_to_string(clippy_fixtures().join(file)).expect("fixture file");
+    assert_eq!(
+        rules_at("crates/core/src/fixture.rs", &src),
+        bespoke,
+        "{file}"
+    );
+    let want: Vec<(u32, String)> = clippy
+        .iter()
+        .map(|&(l, lint)| (l, lint.to_owned()))
+        .collect();
+    assert_eq!(pinned(file), want, "{file}");
+    for &(line, lint) in clippy {
+        let text = src
+            .lines()
+            .nth(line as usize - 1)
+            .expect("pinned line exists");
+        assert!(
+            constructs.iter().any(|c| text.contains(c)),
+            "{file}:{line} ({lint}) shows none of {constructs:?}: `{}`",
+            text.trim()
+        );
+    }
+}
+
 #[test]
 fn wallclock_fixture() {
-    let src = include_str!("fixtures/wallclock.rs");
-    let got = rules_at("crates/core/src/fixture.rs", src);
-    assert_eq!(got, vec![("wallclock", 5), ("wallclock", 16)]);
+    let methods = "clippy::disallowed_methods";
+    clippy_owned(
+        "src/wallclock.rs",
+        &[],
+        &[(5, methods), (16, methods)],
+        &["Instant::now", "SystemTime::now"],
+    );
+    // The ban holds in binaries too.
+    clippy_owned(
+        "src/bin/harness.rs",
+        &[],
+        &[(8, methods)],
+        &["Instant::now"],
+    );
 }
 
 #[test]
 fn wallclock_is_silent_in_the_bench_timing_seam_context() {
-    // The real seam file carries allow-file(wallclock); replicate that here.
-    let src = "// burstcap-lint: allow-file(wallclock) — the timing seam\n\
-               use std::time::Instant;\n\
-               pub fn now_ms() -> f64 { Instant::now().elapsed().as_secs_f64() * 1e3 }\n";
-    assert!(rules_at("crates/bench/src/timing.rs", src).is_empty());
+    // Outside test code, the timing seam's `#[expect]`-justified read is
+    // the workspace's only wall-clock read.
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("..").join("..");
+    let mut readers = Vec::new();
+    for (path, src) in read_workspace_sources(&root).expect("workspace tree is readable") {
+        if FileContext::classify(&path).kind == FileKind::Test {
+            continue;
+        }
+        let toks = lex(&src);
+        let regions = test_regions(&toks);
+        let code: Vec<_> = toks.iter().filter(|t| t.kind != TokKind::Comment).collect();
+        for w in code.windows(3) {
+            if (w[0].is_ident("Instant") || w[0].is_ident("SystemTime"))
+                && w[1].is_punct("::")
+                && w[2].is_ident("now")
+                && !in_test_region(&regions, w[0].line)
+            {
+                readers.push(format!("{path}:{}", w[0].line));
+            }
+        }
+    }
+    assert_eq!(readers.len(), 1, "{readers:?}");
+    assert!(
+        readers[0].starts_with("crates/bench/src/timing.rs:"),
+        "{readers:?}"
+    );
 }
 
 #[test]
 fn raw_rng_fixture() {
-    let src = include_str!("fixtures/raw_rng.rs");
-    let got = rules_at("crates/sim/src/fixture.rs", src);
-    assert_eq!(got, vec![("raw-rng", 7)]);
+    clippy_owned(
+        "src/raw_rng.rs",
+        &[],
+        &[(8, "clippy::disallowed_methods")],
+        &["seed_from_u64"],
+    );
 }
 
 #[test]
 fn unordered_iter_fixture() {
-    let src = include_str!("fixtures/unordered_iter.rs");
-    // In a deterministic-output crate the bare HashMap import fires.
-    let got = rules_at("crates/stats/src/fixture.rs", src);
-    assert_eq!(got, vec![("unordered-iter", 4)]);
-    // In crates outside the deterministic-output set the rule is off.
-    assert!(rules_at("crates/map/src/fixture.rs", src).is_empty());
+    clippy_owned(
+        "src/unordered_iter.rs",
+        &[],
+        &[(4, "clippy::disallowed_types")],
+        &["HashMap"],
+    );
+}
+
+#[test]
+fn panic_in_lib_fixture() {
+    // The panicking shortcuts are clippy's; panic reachability from the
+    // pub entry points that lack a `# Panics` section stays bespoke, the
+    // justified `expect` in `suppressed` included.
+    clippy_owned(
+        "src/panic_in_lib.rs",
+        &[
+            ("panic-reachable-api", 4),
+            ("panic-reachable-api", 8),
+            ("panic-reachable-api", 12),
+        ],
+        &[(5, "clippy::unwrap_used"), (9, "clippy::panic")],
+        &[".unwrap()", "panic!"],
+    );
+}
+
+#[test]
+fn stray_print_fixture() {
+    clippy_owned(
+        "src/stray_print.rs",
+        &[],
+        &[
+            (5, "clippy::print_stdout"),
+            (6, "clippy::print_stderr"),
+            (7, "clippy::dbg_macro"),
+        ],
+        &["println!", "eprintln!", "dbg!"],
+    );
+}
+
+#[test]
+fn unscoped_parallelism_fixture() {
+    clippy_owned(
+        "src/unscoped_parallelism.rs",
+        &[],
+        &[
+            (5, "clippy::disallowed_types"),
+            (8, "clippy::disallowed_methods"),
+        ],
+        &["Mutex", "thread::spawn"],
+    );
 }
 
 #[test]
@@ -61,34 +201,11 @@ fn lossy_state_cast_fixture() {
             ("lossy-state-cast", 21), // `as usize`
         ]
     );
-    // The rule is scoped to crate qn.
-    assert!(rules_at("crates/stats/src/fixture.rs", src).is_empty());
-}
-
-#[test]
-fn panic_in_lib_fixture() {
-    let src = include_str!("fixtures/panic_in_lib.rs");
-    let got = rules_at("crates/core/src/fixture.rs", src);
-    // The lexical hits at 4 and 8, plus the call-graph rule at each pub
-    // entry point that can reach a panic site without a `# Panics` doc
-    // section — including `suppressed` (line 11), whose justified allow
-    // silences the lexical rule but still leaves the panic reachable.
-    // `invariant_branch` (line 20) stays clean: `unreachable!` is not a
-    // panic site.
+    // The rule is scoped to crate qn; elsewhere its two markers are stale.
     assert_eq!(
-        got,
-        vec![
-            ("panic-reachable-api", 3),
-            ("panic-in-lib", 4),
-            ("panic-reachable-api", 7),
-            ("panic-in-lib", 8),
-            ("panic-reachable-api", 11),
-        ]
+        rules_at("crates/stats/src/fixture.rs", src),
+        vec![("bare-allow", 15), ("bare-allow", 25)]
     );
-    // Binaries, benches, and examples are exempt from the panic rules.
-    assert!(rules_at("crates/core/src/bin/tool.rs", src).is_empty());
-    assert!(rules_at("crates/bench/src/fixture.rs", src).is_empty());
-    assert!(rules_at("examples/fixture.rs", src).is_empty());
 }
 
 #[test]
@@ -113,37 +230,35 @@ fn silent_clamp_fixture() {
 }
 
 #[test]
-fn stray_print_fixture() {
-    let src = include_str!("fixtures/stray_print.rs");
-    let got = rules_at("crates/core/src/fixture.rs", src);
-    assert_eq!(
-        got,
-        vec![("stray-print", 5), ("stray-print", 6), ("stray-print", 7),]
-    );
-    // The bench *lib* is library code for this rule; bench bins, other
-    // bins, and examples own stdout and are exempt.
-    assert_eq!(rules_at("crates/bench/src/fixture.rs", src).len(), 3);
-    assert!(rules_at("crates/bench/src/bin/tool.rs", src).is_empty());
-    assert!(rules_at("crates/core/src/bin/tool.rs", src).is_empty());
-    assert!(rules_at("examples/fixture.rs", src).is_empty());
-}
-
-#[test]
 fn bare_allow_fixture() {
     let src = include_str!("fixtures/bare_allow.rs");
     let got = rules_at("crates/core/src/fixture.rs", src);
-    // The unjustified marker is a violation AND fails to suppress the
-    // panic-in-lib hit below it; the unknown rule name is also reported.
-    // Because the panic site stays unjustified and undocumented, the
-    // call-graph rule fires on the enclosing pub fn as well.
+    // The unjustified marker is a violation AND fails to suppress the clamp
+    // below it; the marker for a rule handed to clippy names an unknown
+    // rule; the stale marker suppresses nothing; and the `allow-file` line
+    // is no marker at all, so the float comparison under it still fires.
     assert_eq!(
         got,
         vec![
-            ("panic-reachable-api", 4),
-            ("bare-allow", 5),
-            ("panic-in-lib", 6),
-            ("bare-allow", 10),
+            ("bare-allow", 7),
+            ("silent-clamp", 8),
+            ("bare-allow", 12),
+            ("bare-allow", 17),
+            ("float-eq", 23),
         ]
+    );
+    // The clippy half: an allow without a reason, an unknown lint, and an
+    // expectation that suppresses nothing. (The allowed unwrap still seeds
+    // panic reachability.)
+    clippy_owned(
+        "src/bare_allow.rs",
+        &[("panic-reachable-api", 5)],
+        &[
+            (4, "clippy::allow_attributes_without_reason"),
+            (9, "unknown_lints"),
+            (14, "unfulfilled_lint_expectations"),
+        ],
+        &["#[allow(", "#[expect("],
     );
 }
 
@@ -152,24 +267,14 @@ fn panic_reachable_fixture() {
     let src = include_str!("fixtures/panic_reachable.rs");
     let got = rules_at("crates/core/src/fixture.rs", src);
     // Only the undocumented entry point fires; the `# Panics` section and
-    // the justified allow discharge the other two, and the helper's own
-    // justified panic site produces no lexical hit.
+    // the justified allow discharge the other two. The helper's own panic
+    // site carries clippy's `#[expect]` and still seeds reachability.
     assert_eq!(got, vec![("panic-reachable-api", 9)]);
-    // The rule is scoped to library code.
-    assert!(rules_at("crates/core/src/bin/tool.rs", src).is_empty());
-}
-
-#[test]
-fn unscoped_parallelism_fixture() {
-    let src = include_str!("fixtures/unscoped_parallelism.rs");
-    let got = rules_at("crates/stats/src/fixture.rs", src);
+    // The rule is scoped to library code; in a binary its marker is stale.
     assert_eq!(
-        got,
-        vec![("unscoped-parallelism", 4), ("unscoped-parallelism", 7)]
+        rules_at("crates/core/src/bin/tool.rs", src),
+        vec![("bare-allow", 22)]
     );
-    // The same tokens inside the sanctioned seams are clean.
-    assert!(rules_at("crates/core/src/experiment.rs", src).is_empty());
-    assert!(rules_at("crates/qn/src/matfree.rs", src).is_empty());
 }
 
 #[test]
@@ -198,16 +303,24 @@ fn marker_scope_fixture() {
     // `attributed` is covered by the marker above its attribute lines;
     // `unprotected` is not. A marker directly above a mid-statement line
     // covers it, but a marker above the statement head does not reach a
-    // hit two lines down.
-    assert_eq!(got, vec![("panic-reachable-api", 19), ("silent-clamp", 32)]);
+    // hit two lines down, and so suppresses nothing.
+    assert_eq!(
+        got,
+        vec![
+            ("panic-reachable-api", 19),
+            ("bare-allow", 30),
+            ("silent-clamp", 32),
+        ]
+    );
 }
 
 #[test]
 fn test_files_are_fully_exempt() {
     for fixture in [
-        include_str!("fixtures/wallclock.rs"),
-        include_str!("fixtures/panic_in_lib.rs"),
+        include_str!("fixtures/float_eq.rs"),
+        include_str!("fixtures/panic_reachable.rs"),
         include_str!("fixtures/silent_clamp.rs"),
+        include_str!("fixtures/bare_allow.rs"),
     ] {
         assert!(rules_at("crates/core/tests/fixture.rs", fixture).is_empty());
     }

@@ -188,7 +188,7 @@ impl Map2Fitter {
     /// # Panics
     ///
     /// Only if a justified internal invariant is violated (3 reachable
-    /// panic sites, e.g. `crates/map/src/fit.rs:305`; `burstcap-lint report` lists them),
+    /// panic sites, e.g. `crates/map/src/fit.rs:314`; `burstcap-lint report` lists them),
     /// never for inputs this API accepts.
     pub fn fit(&self) -> Result<FittedMap2, MapError> {
         // Opt-in floor for infeasibly low targets: rerun the search at the
@@ -306,8 +306,11 @@ impl Map2Fitter {
                 ),
             })?;
 
+        #[expect(
+            clippy::expect_used,
+            reason = "the chosen candidate was built from this same feasible marginal during search"
+        )]
         let marginal = h2_with_weight(self.mean, chosen.scv, chosen.p)
-            // burstcap-lint: allow(panic-in-lib) — the chosen candidate was built from this same feasible marginal during search
             .expect("chosen candidate was constructed from a feasible marginal");
         let map = Map2::from_hyper_marginal(marginal, chosen.gamma)?;
         Ok(FittedMap2 {
@@ -412,7 +415,7 @@ fn select_candidate(candidates: &mut Vec<Candidate>, target_p95: f64) -> Option<
 /// # Panics
 ///
 /// Only if a justified internal invariant is violated (1 reachable
-/// panic site, e.g. `crates/map/src/general.rs:102`; `burstcap-lint report` lists them),
+/// panic site, e.g. `crates/map/src/general.rs:105`; `burstcap-lint report` lists them),
 /// never for inputs this API accepts.
 pub fn renewal_map2(marginal: Ph2) -> Result<Map2, MapError> {
     match marginal {
@@ -481,7 +484,7 @@ fn h2_with_weight(m: f64, c2: f64, p: f64) -> Option<Ph2> {
 /// # Panics
 ///
 /// Only if a justified internal invariant is violated (9 reachable
-/// panic sites, e.g. `crates/map/src/fit.rs:305`; `burstcap-lint report` lists them),
+/// panic sites, e.g. `crates/map/src/fit.rs:314`; `burstcap-lint report` lists them),
 /// never for inputs this API accepts.
 pub fn fit_from_trace(
     service_times: &[f64],
@@ -515,6 +518,10 @@ pub fn fit_from_trace(
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "unit tests seed literal streams; seeds::derive is the production contract"
+)]
 mod tests {
     use super::*;
 

@@ -96,9 +96,12 @@ impl Map {
             .collect();
         let mut inv = identity(n);
         for col in 0..n {
+            #[expect(
+                clippy::expect_used,
+                reason = "col < n keeps the pivot range non-empty"
+            )]
             let pivot = (col..n)
                 .max_by(|&i, &j| a[i][col].abs().total_cmp(&a[j][col].abs()))
-                // burstcap-lint: allow(panic-in-lib) — col < n keeps the pivot range non-empty
                 .expect("non-empty");
             a.swap(col, pivot);
             inv.swap(col, pivot);
@@ -130,7 +133,7 @@ impl Map {
     /// # Panics
     ///
     /// Only if a justified internal invariant is violated (1 reachable
-    /// panic site, e.g. `crates/map/src/general.rs:102`; `burstcap-lint report` lists them),
+    /// panic site, e.g. `crates/map/src/general.rs:105`; `burstcap-lint report` lists them),
     /// never for inputs this API accepts.
     pub fn embedded_chain(&self) -> Vec<Vec<f64>> {
         mat_mul(&self.m_matrix(), &self.d1)
@@ -141,7 +144,7 @@ impl Map {
     /// # Panics
     ///
     /// Only if a justified internal invariant is violated (1 reachable
-    /// panic site, e.g. `crates/map/src/general.rs:102`; `burstcap-lint report` lists them),
+    /// panic site, e.g. `crates/map/src/general.rs:105`; `burstcap-lint report` lists them),
     /// never for inputs this API accepts.
     pub fn embedded_stationary(&self) -> Vec<f64> {
         let p = self.embedded_chain();
@@ -184,7 +187,7 @@ impl Map {
     /// # Panics
     ///
     /// Only if a justified internal invariant is violated (1 reachable
-    /// panic site, e.g. `crates/map/src/general.rs:102`; `burstcap-lint report` lists them),
+    /// panic site, e.g. `crates/map/src/general.rs:105`; `burstcap-lint report` lists them),
     /// never for inputs this API accepts.
     pub fn mean(&self) -> f64 {
         self.moment(1)
@@ -195,7 +198,7 @@ impl Map {
     /// # Panics
     ///
     /// Only if a justified internal invariant is violated (1 reachable
-    /// panic site, e.g. `crates/map/src/general.rs:102`; `burstcap-lint report` lists them),
+    /// panic site, e.g. `crates/map/src/general.rs:105`; `burstcap-lint report` lists them),
     /// never for inputs this API accepts.
     pub fn scv(&self) -> f64 {
         let m1 = self.moment(1);
@@ -209,7 +212,7 @@ impl Map {
     /// # Panics
     ///
     /// Only if a justified internal invariant is violated (2 reachable
-    /// panic sites, e.g. `crates/map/src/general.rs:102`; `burstcap-lint report` lists them),
+    /// panic sites, e.g. `crates/map/src/general.rs:105`; `burstcap-lint report` lists them),
     /// never for inputs this API accepts.
     pub fn index_of_dispersion(&self) -> f64 {
         let n = self.order();
@@ -262,7 +265,7 @@ impl GeneralSampler {
     /// # Panics
     ///
     /// Only if a justified internal invariant is violated (1 reachable
-    /// panic site, e.g. `crates/map/src/general.rs:102`; `burstcap-lint report` lists them),
+    /// panic site, e.g. `crates/map/src/general.rs:105`; `burstcap-lint report` lists them),
     /// never for inputs this API accepts.
     pub fn new<R: Rng + ?Sized>(map: Map, rng: &mut R) -> Self {
         let pi = map.embedded_stationary();
@@ -356,9 +359,12 @@ fn invert(a: &[Vec<f64>]) -> Vec<Vec<f64>> {
     let mut work: Vec<Vec<f64>> = a.to_vec();
     let mut inv = identity(n);
     for col in 0..n {
+        #[expect(
+            clippy::expect_used,
+            reason = "col < n keeps the pivot range non-empty"
+        )]
         let pivot = (col..n)
             .max_by(|&i, &j| work[i][col].abs().total_cmp(&work[j][col].abs()))
-            // burstcap-lint: allow(panic-in-lib) — col < n keeps the pivot range non-empty
             .expect("non-empty");
         work.swap(col, pivot);
         inv.swap(col, pivot);
@@ -385,6 +391,10 @@ fn invert(a: &[Vec<f64>]) -> Vec<Vec<f64>> {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "unit tests seed literal streams; seeds::derive is the production contract"
+)]
 mod tests {
     use super::*;
     use crate::fit::Map2Fitter;

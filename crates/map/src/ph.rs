@@ -138,7 +138,7 @@ impl Ph2 {
     /// # Panics
     ///
     /// Only if a justified internal invariant is violated (1 reachable
-    /// panic site, e.g. `crates/map/src/general.rs:102`; `burstcap-lint report` lists them),
+    /// panic site, e.g. `crates/map/src/general.rs:105`; `burstcap-lint report` lists them),
     /// never for inputs this API accepts.
     pub fn variance(&self) -> f64 {
         let m = self.mean();
@@ -150,7 +150,7 @@ impl Ph2 {
     /// # Panics
     ///
     /// Only if a justified internal invariant is violated (1 reachable
-    /// panic site, e.g. `crates/map/src/general.rs:102`; `burstcap-lint report` lists them),
+    /// panic site, e.g. `crates/map/src/general.rs:105`; `burstcap-lint report` lists them),
     /// never for inputs this API accepts.
     pub fn scv(&self) -> f64 {
         let m = self.mean();
@@ -189,7 +189,7 @@ impl Ph2 {
     /// # Panics
     ///
     /// Only if a justified internal invariant is violated (1 reachable
-    /// panic site, e.g. `crates/map/src/general.rs:102`; `burstcap-lint report` lists them),
+    /// panic site, e.g. `crates/map/src/general.rs:105`; `burstcap-lint report` lists them),
     /// never for inputs this API accepts.
     pub fn quantile(&self, q: f64) -> Result<f64, MapError> {
         if !(q > 0.0 && q < 1.0) {
@@ -248,6 +248,10 @@ pub(crate) fn sample_exp<R: Rng + ?Sized>(rng: &mut R, rate: f64) -> f64 {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "unit tests seed literal streams; seeds::derive is the production contract"
+)]
 mod tests {
     use super::*;
     use rand::rngs::SmallRng;

@@ -40,7 +40,7 @@ impl MapSampler {
     /// # Panics
     ///
     /// Only if a justified internal invariant is violated (1 reachable
-    /// panic site, e.g. `crates/map/src/general.rs:102`; `burstcap-lint report` lists them),
+    /// panic site, e.g. `crates/map/src/general.rs:105`; `burstcap-lint report` lists them),
     /// never for inputs this API accepts.
     pub fn new<R: Rng + ?Sized>(map: Map2, rng: &mut R) -> Self {
         let pi = map.embedded_stationary();
@@ -104,6 +104,10 @@ impl MapSampler {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "unit tests seed literal streams; seeds::derive is the production contract"
+)]
 mod tests {
     use super::*;
     use crate::fit::Map2Fitter;

@@ -2,8 +2,8 @@
 //!
 //! An [`Event`] is a named point on the recorder's **logical clock** — a
 //! sequence number assigned at emission, not a wall-clock timestamp. The
-//! workspace-wide `wallclock` lint rule applies here exactly as it does to
-//! solver code: nothing in a recorded event may read `Instant::now`. When
+//! workspace-wide wall-clock ban (`clippy.toml`) applies here exactly as it
+//! does to solver code: nothing in a recorded event may read `Instant::now`. When
 //! an experiment wants wall-clock context it attaches it *outside* the
 //! deterministic trace, through the sanctioned `burstcap_bench::timing`
 //! seam, as a [volatile](Event::volatile) field — volatile events are kept

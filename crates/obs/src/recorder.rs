@@ -1,8 +1,8 @@
 //! The recorder sink and the [`Trace`] handle instrumented code holds.
 //!
 //! This module is one of the workspace's **sanctioned parallelism seams**
-//! (with `core::experiment` and `qn::matfree` — enforced by burstcap-lint's
-//! `unscoped-parallelism` rule): the recorder's interior is a
+//! (with `core::experiment` and `qn::matfree` — enforced by the root
+//! `clippy.toml`'s thread and lock bans): the recorder's interior is a
 //! `Mutex<State>` behind an `Arc`, so a `Trace` handle is `Send + Sync`
 //! and may be cloned into scoped solver workers. Determinism does not come
 //! from the lock, though — it comes from the **emission discipline**: hot
@@ -14,6 +14,10 @@
 //! advance the logical clock and is excluded from the deterministic export.
 
 use std::collections::BTreeMap;
+#[expect(
+    clippy::disallowed_types,
+    reason = "obs::recorder is a parallelism seam: trace handles share one locked buffer"
+)]
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::event::{Event, EventKind, FieldValue};
@@ -64,6 +68,10 @@ impl State {
 
 #[derive(Debug, Default)]
 struct Shared {
+    #[expect(
+        clippy::disallowed_types,
+        reason = "obs::recorder is a parallelism seam: trace handles share one locked buffer"
+    )]
     state: Mutex<State>,
 }
 
@@ -360,6 +368,10 @@ impl Drop for SpanGuard {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "a unit test drives trace handles from scoped threads"
+)]
 mod tests {
     use super::*;
     use crate::metrics::RESIDUAL_DECADES;

@@ -93,7 +93,7 @@ impl TierEstimator {
     /// # Panics
     ///
     /// Only if a justified internal invariant is violated (3 reachable
-    /// panic sites, e.g. `crates/stats/src/streaming.rs:317`; `burstcap-lint report` lists them),
+    /// panic sites, e.g. `crates/stats/src/streaming.rs:326`; `burstcap-lint report` lists them),
     /// never for inputs this API accepts.
     pub fn push(&mut self, sample: &TierSample) -> Result<(), OnlineError> {
         // Validate once up front so a bad sample cannot leave the three
@@ -125,7 +125,7 @@ impl TierEstimator {
     /// # Panics
     ///
     /// Only if a justified internal invariant is violated (5 reachable
-    /// panic sites, e.g. `crates/stats/src/streaming.rs:419`; `burstcap-lint report` lists them),
+    /// panic sites, e.g. `crates/stats/src/streaming.rs:440`; `burstcap-lint report` lists them),
     /// never for inputs this API accepts.
     pub fn characterize(&self) -> Result<ServiceCharacterization, OnlineError> {
         let demand = self.demand.estimate()?;

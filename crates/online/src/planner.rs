@@ -273,7 +273,7 @@ impl OnlinePlanner {
     /// # Panics
     ///
     /// Only if a justified internal invariant is violated (15 reachable
-    /// panic sites, e.g. `crates/map/src/fit.rs:305`; `burstcap-lint report` lists them),
+    /// panic sites, e.g. `crates/map/src/fit.rs:314`; `burstcap-lint report` lists them),
     /// never for inputs this API accepts.
     pub fn ingest(&mut self, window: &MonitorWindow) -> Result<Option<OnlineReport>, OnlineError> {
         if window.tiers.len() != self.tiers.len() {
@@ -387,7 +387,10 @@ impl OnlinePlanner {
             if fresh.iter().any(Option::is_none) {
                 return Ok(None);
             }
-            // burstcap-lint: allow(panic-in-lib) — every fresh entry was checked Some in the guard above
+            #[expect(
+                clippy::expect_used,
+                reason = "every fresh entry was checked Some in the guard above"
+            )]
             let chars: Vec<_> = fresh.into_iter().map(|c| c.expect("checked")).collect();
             let drifts = vec![0.0; chars.len()];
             return match self.refit_and_solve(chars.clone()) {
@@ -419,7 +422,10 @@ impl OnlinePlanner {
         let mut refitted = false;
         let mut warm = false;
         if want_refit && can_refit {
-            // burstcap-lint: allow(panic-in-lib) — every fresh entry was checked Some in the guard above
+            #[expect(
+                clippy::expect_used,
+                reason = "every fresh entry was checked Some in the guard above"
+            )]
             let chars: Vec<_> = fresh.iter().cloned().map(|c| c.expect("checked")).collect();
             match self.refit_and_solve(chars) {
                 Ok(w) => {
@@ -440,9 +446,12 @@ impl OnlinePlanner {
             .tiers
             .iter()
             .map(|t| {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "refitting is only reached once every tier has been characterized"
+                )]
                 t.last_char
                     .clone()
-                    // burstcap-lint: allow(panic-in-lib) — refitting is only reached once every tier has been characterized
                     .expect("fits exist => all characterized once")
             })
             .collect();
@@ -530,10 +539,13 @@ impl OnlinePlanner {
             regime_change,
             refitted,
             warm_started,
+            #[expect(
+                clippy::expect_used,
+                reason = "the report path is gated on a prediction existing"
+            )]
             prediction: self
                 .prediction
                 .clone()
-                // burstcap-lint: allow(panic-in-lib) — the report path is gated on a prediction existing
                 .expect("reports are only emitted once a prediction exists"),
         }
     }
@@ -548,7 +560,7 @@ impl OnlinePlanner {
     /// # Panics
     ///
     /// Only if a justified internal invariant is violated (15 reachable
-    /// panic sites, e.g. `crates/map/src/fit.rs:305`; `burstcap-lint report` lists them),
+    /// panic sites, e.g. `crates/map/src/fit.rs:314`; `burstcap-lint report` lists them),
     /// never for inputs this API accepts.
     pub fn drain(
         &mut self,

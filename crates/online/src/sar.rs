@@ -65,7 +65,7 @@ impl SarTextSource {
     /// # Panics
     ///
     /// Only if a justified internal invariant is violated (3 reachable
-    /// panic sites, e.g. `crates/stats/src/streaming.rs:317`; `burstcap-lint report` lists them),
+    /// panic sites, e.g. `crates/stats/src/streaming.rs:326`; `burstcap-lint report` lists them),
     /// never for inputs this API accepts.
     pub fn parse(text: &str) -> Result<Self, OnlineError> {
         let mut resolution: Option<f64> = None;

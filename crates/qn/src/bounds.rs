@@ -39,7 +39,7 @@ pub struct ThroughputBounds {
 /// # Panics
 ///
 /// Only if a justified internal invariant is violated (2 reachable
-/// panic sites, e.g. `crates/qn/src/bounds.rs:74`; `burstcap-lint report` lists them),
+/// panic sites, e.g. `crates/qn/src/bounds.rs:83`; `burstcap-lint report` lists them),
 /// never for inputs this API accepts.
 pub fn throughput_bounds(
     demands: &[f64],
@@ -75,11 +75,13 @@ pub fn throughput_bounds(
     // vector, so the balanced network (every station at D_avg, same total
     // demand) attains the maximum throughput — its exact MVA solution is a
     // valid upper bound, tightened by the bottleneck asymptote.
+    #[expect(
+        clippy::expect_used,
+        reason = "equal positive demands and a validated think time cannot be rejected; the population was validated at function entry"
+    )]
     let balanced = crate::mva::ClosedMva::new(vec![d_avg; demands.len()], think_time)
-        // burstcap-lint: allow(panic-in-lib) — equal positive demands and a validated think time cannot be rejected
         .expect("balanced demands are valid by construction")
         .solve(population)
-        // burstcap-lint: allow(panic-in-lib) — the population was validated at function entry
         .expect("population validated above");
     let balanced_upper = balanced.throughput.min(upper);
 
@@ -99,7 +101,7 @@ pub fn throughput_bounds(
 /// # Panics
 ///
 /// Only if a justified internal invariant is violated (2 reachable
-/// panic sites, e.g. `crates/qn/src/bounds.rs:74`; `burstcap-lint report` lists them),
+/// panic sites, e.g. `crates/qn/src/bounds.rs:83`; `burstcap-lint report` lists them),
 /// never for inputs this API accepts.
 pub fn saturation_population(demands: &[f64], think_time: f64) -> Result<f64, QnError> {
     let b = throughput_bounds(demands, think_time, 1)?;

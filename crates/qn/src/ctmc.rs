@@ -432,7 +432,7 @@ impl Ctmc {
     /// # Panics
     ///
     /// Only if a justified internal invariant is violated (1 reachable
-    /// panic site, e.g. `crates/qn/src/ctmc.rs:828`; `burstcap-lint report` lists them),
+    /// panic site, e.g. `crates/qn/src/ctmc.rs:831`; `burstcap-lint report` lists them),
     /// never for inputs this API accepts.
     pub fn steady_state(&self, method: SteadyStateMethod) -> Result<Vec<f64>, QnError> {
         let guess = vec![1.0 / self.len() as f64; self.len()];
@@ -462,7 +462,7 @@ impl Ctmc {
     /// # Panics
     ///
     /// Only if a justified internal invariant is violated (1 reachable
-    /// panic site, e.g. `crates/qn/src/ctmc.rs:828`; `burstcap-lint report` lists them),
+    /// panic site, e.g. `crates/qn/src/ctmc.rs:831`; `burstcap-lint report` lists them),
     /// never for inputs this API accepts.
     pub fn steady_state_run(
         &self,
@@ -486,7 +486,7 @@ impl Ctmc {
     /// # Panics
     ///
     /// Only if a justified internal invariant is violated (1 reachable
-    /// panic site, e.g. `crates/qn/src/ctmc.rs:828`; `burstcap-lint report` lists them),
+    /// panic site, e.g. `crates/qn/src/ctmc.rs:831`; `burstcap-lint report` lists them),
     /// never for inputs this API accepts.
     pub fn steady_state_run_traced(
         &self,
@@ -575,7 +575,7 @@ impl Ctmc {
     /// # Panics
     ///
     /// Only if a justified internal invariant is violated (1 reachable
-    /// panic site, e.g. `crates/qn/src/ctmc.rs:828`; `burstcap-lint report` lists them),
+    /// panic site, e.g. `crates/qn/src/ctmc.rs:831`; `burstcap-lint report` lists them),
     /// never for inputs this API accepts.
     pub fn steady_state_from(
         &self,
@@ -822,9 +822,12 @@ impl Ctmc {
 
         // Gaussian elimination with partial pivoting.
         for col in 0..n {
+            #[expect(
+                clippy::expect_used,
+                reason = "col < n keeps the pivot range non-empty"
+            )]
             let pivot = (col..n)
                 .max_by(|&i, &j| a[i][col].abs().total_cmp(&a[j][col].abs()))
-                // burstcap-lint: allow(panic-in-lib) — col < n keeps the pivot range non-empty
                 .expect("non-empty");
             if a[pivot][col].abs() < 1e-14 {
                 return Err(QnError::InvalidParameter {

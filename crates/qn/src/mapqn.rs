@@ -875,7 +875,7 @@ impl MapNetwork {
     /// # Panics
     ///
     /// Only if a justified internal invariant is violated (1 reachable
-    /// panic site, e.g. `crates/qn/src/ctmc.rs:828`; `burstcap-lint report` lists them),
+    /// panic site, e.g. `crates/qn/src/ctmc.rs:831`; `burstcap-lint report` lists them),
     /// never for inputs this API accepts.
     pub fn solve_iterative(&self, method: SteadyStateMethod) -> Result<MapQnSolution, QnError> {
         self.check_state_limit()?;
@@ -941,7 +941,7 @@ impl MapNetwork {
     /// # Panics
     ///
     /// Only if a justified internal invariant is violated (1 reachable
-    /// panic site, e.g. `crates/qn/src/ctmc.rs:828`; `burstcap-lint report` lists them),
+    /// panic site, e.g. `crates/qn/src/ctmc.rs:831`; `burstcap-lint report` lists them),
     /// never for inputs this API accepts.
     pub fn solve_sparse_with_initial(
         &self,
@@ -963,7 +963,7 @@ impl MapNetwork {
     /// # Panics
     ///
     /// Only if a justified internal invariant is violated (1 reachable
-    /// panic site, e.g. `crates/qn/src/ctmc.rs:828`; `burstcap-lint report` lists them),
+    /// panic site, e.g. `crates/qn/src/ctmc.rs:831`; `burstcap-lint report` lists them),
     /// never for inputs this API accepts.
     pub fn solve_sparse_with_initial_traced(
         &self,
@@ -1218,7 +1218,7 @@ impl MapNetwork {
     /// # Panics
     ///
     /// Only if a justified internal invariant is violated (1 reachable
-    /// panic site, e.g. `crates/qn/src/ctmc.rs:828`; `burstcap-lint report` lists them),
+    /// panic site, e.g. `crates/qn/src/ctmc.rs:831`; `burstcap-lint report` lists them),
     /// never for inputs this API accepts.
     pub fn solve_auto_with_initial(
         &self,
@@ -1238,7 +1238,7 @@ impl MapNetwork {
     /// # Panics
     ///
     /// Only if a justified internal invariant is violated (1 reachable
-    /// panic site, e.g. `crates/qn/src/ctmc.rs:828`; `burstcap-lint report` lists them),
+    /// panic site, e.g. `crates/qn/src/ctmc.rs:831`; `burstcap-lint report` lists them),
     /// never for inputs this API accepts.
     pub fn solve_auto_traced(
         &self,
@@ -1308,7 +1308,7 @@ impl MapNetwork {
     /// # Panics
     ///
     /// Only if a justified internal invariant is violated (1 reachable
-    /// panic site, e.g. `crates/qn/src/ctmc.rs:828`; `burstcap-lint report` lists them),
+    /// panic site, e.g. `crates/qn/src/ctmc.rs:831`; `burstcap-lint report` lists them),
     /// never for inputs this API accepts.
     pub fn solve_tiers(
         &self,

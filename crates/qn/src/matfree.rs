@@ -518,6 +518,10 @@ pub fn default_workers() -> usize {
             }
         }
     }
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "qn::matfree is a parallelism seam: it sizes its worker pool"
+    )]
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
@@ -547,6 +551,10 @@ fn apply(op: &impl ApplyQ, x: &[f64], ranges: &[Range<usize>], out: &mut [f64]) 
         return;
     };
     let (head, mut rest) = out.split_at_mut(first.len());
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "qn::matfree is a parallelism seam: the partitioned sweep runs on scoped workers"
+    )]
     std::thread::scope(|scope| {
         for r in others {
             let (chunk, tail) = std::mem::take(&mut rest).split_at_mut(r.len());
@@ -799,6 +807,10 @@ fn normalize(v: &mut [f64]) {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "unit tests seed literal streams; seeds::derive is the production contract"
+)]
 mod tests {
     use super::*;
     use burstcap_map::fit::Map2Fitter;

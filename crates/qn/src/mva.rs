@@ -14,8 +14,8 @@
 
 use serde::{Deserialize, Serialize};
 // BTreeMap, not HashMap: the memo is keyed by population vectors and its
-// iteration order must not leak randomness into any output (burstcap-lint's
-// `unordered-iter` rule; CI diffs solver outputs bit-for-bit).
+// iteration order must not leak randomness into any output (`clippy.toml`
+// bans hash collections; CI diffs solver outputs bit-for-bit).
 use std::collections::BTreeMap;
 
 use crate::QnError;
@@ -260,7 +260,10 @@ impl MulticlassMva {
         })
     }
 
-    #[allow(clippy::type_complexity)]
+    #[allow(
+        clippy::type_complexity,
+        reason = "the memo map and the three result vectors are the recursion's natural shape"
+    )]
     fn solve_recursive(
         &self,
         pop: Vec<usize>,

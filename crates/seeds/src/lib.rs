@@ -42,6 +42,19 @@
 //! ever produce by accident, and the unit tests scan a large grid to
 //! prove the practical disjointness.
 
+// Library code returns typed errors and owns no console; test code is exempt
+// through clippy.toml (ARCHITECTURE.md, "Static analysis").
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    clippy::dbg_macro
+)]
+
 /// Golden-ratio increment of the SplitMix64 generator.
 const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
 /// Domain separator for the stream-absorption round.
@@ -98,6 +111,11 @@ pub const fn derive(master: u64, stream: u64, replication: u64) -> u64 {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "unit tests seed literal streams and count distinct draws in a hash set"
+)]
 mod tests {
     use super::*;
     use rand::rngs::SmallRng;

@@ -83,7 +83,7 @@ impl Dist {
     /// # Panics
     ///
     /// Only if a justified internal invariant is violated (1 reachable
-    /// panic site, e.g. `crates/map/src/general.rs:102`; `burstcap-lint report` lists them),
+    /// panic site, e.g. `crates/map/src/general.rs:105`; `burstcap-lint report` lists them),
     /// never for inputs this API accepts.
     pub fn mean(&self) -> f64 {
         match *self {
@@ -106,6 +106,10 @@ impl Dist {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "unit tests seed literal streams; seeds::derive is the production contract"
+)]
 mod tests {
     use super::*;
     use rand::rngs::SmallRng;

@@ -196,7 +196,7 @@ impl ResponseTally {
     /// # Panics
     ///
     /// Only if a justified internal invariant is violated (1 reachable
-    /// panic site, e.g. `crates/stats/src/streaming.rs:571`; `burstcap-lint report` lists them),
+    /// panic site, e.g. `crates/stats/src/streaming.rs:604`; `burstcap-lint report` lists them),
     /// never for inputs this API accepts.
     pub fn record(&mut self, value: f64) {
         self.stats.push(value);
@@ -216,7 +216,7 @@ impl ResponseTally {
     /// # Panics
     ///
     /// Only if a justified internal invariant is violated (1 reachable
-    /// panic site, e.g. `crates/map/src/general.rs:102`; `burstcap-lint report` lists them),
+    /// panic site, e.g. `crates/map/src/general.rs:105`; `burstcap-lint report` lists them),
     /// never for inputs this API accepts.
     pub fn mean(&self) -> Result<f64, SimError> {
         self.stats.mean().ok_or(SimError::NoObservations {

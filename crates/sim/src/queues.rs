@@ -128,11 +128,15 @@ impl MTrace1 {
     /// # Panics
     ///
     /// Only if a justified internal invariant is violated (2 reachable
-    /// panic sites, e.g. `crates/map/src/general.rs:102`; `burstcap-lint report` lists them),
+    /// panic sites, e.g. `crates/map/src/general.rs:105`; `burstcap-lint report` lists them),
     /// never for inputs this API accepts.
     pub fn run(&self, seed: u64) -> Result<MTrace1Result, SimError> {
         let mean_service = self.trace.iter().sum::<f64>() / self.trace.len() as f64;
         let lambda = self.rho / mean_service;
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the seed is derived through seeds::derive"
+        )]
         let mut rng = SmallRng::seed_from_u64(seeds::derive(seed, seeds::MTRACE1_STREAM, 0));
 
         // Arrivals first: the observation horizon (the last arrival) must
@@ -406,7 +410,7 @@ impl ClosedMapNetwork {
     /// # Panics
     ///
     /// Only if a justified internal invariant is violated (2 reachable
-    /// panic sites, e.g. `crates/map/src/general.rs:102`; `burstcap-lint report` lists them),
+    /// panic sites, e.g. `crates/map/src/general.rs:105`; `burstcap-lint report` lists them),
     /// never for inputs this API accepts.
     pub fn run(&self, horizon: f64, warmup: f64, seed: u64) -> Result<ClosedRunResult, SimError> {
         if !(horizon.is_finite() && warmup >= 0.0 && horizon > warmup) {
@@ -418,6 +422,10 @@ impl ClosedMapNetwork {
             });
         }
         let m = self.stations.len();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the seed is derived through seeds::derive"
+        )]
         let mut net_rng =
             SmallRng::seed_from_u64(seeds::derive(seed, seeds::CLOSED_MAP_NETWORK_STREAM, 0));
         let mut calendar: EventQueue<Event> = EventQueue::new();
@@ -426,6 +434,10 @@ impl ClosedMapNetwork {
             .iter()
             .enumerate()
             .map(|(i, &map)| {
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "the seed is derived through seeds::derive"
+                )]
                 MapStation::new(
                     map,
                     SmallRng::seed_from_u64(seeds::derive(
@@ -481,7 +493,10 @@ impl ClosedMapNetwork {
                             st.queue_len -= 1;
                             if now >= warmup {
                                 st.completions_measured += 1;
-                                // burstcap-lint: allow(panic-in-lib) — a completing server was necessarily marked busy when its service began
+                                #[expect(
+                                    clippy::expect_used,
+                                    reason = "a completing server was necessarily marked busy when its service began"
+                                )]
                                 let since = st.busy_since.expect("busy while serving");
                                 st.busy_total += now - since.max(warmup);
                                 st.busy_since = Some(now);
@@ -591,6 +606,10 @@ fn sample_exp(rng: &mut SmallRng, rate: f64) -> f64 {
 pub type JobQueue = VecDeque<u64>;
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "unit tests seed literal streams; seeds::derive is the production contract"
+)]
 mod tests {
     use super::*;
     use burstcap_map::fit::Map2Fitter;

@@ -117,12 +117,15 @@ impl PsServer {
     pub fn complete(&mut self, now: f64) -> PsJob {
         self.advance(now);
         assert!(!self.jobs.is_empty(), "complete() on an idle PS server");
+        #[expect(
+            clippy::expect_used,
+            reason = "caller holds the non-empty invariant; pop is only reached when jobs exist"
+        )]
         let (idx, _) = self
             .jobs
             .iter()
             .enumerate()
             .min_by(|a, b| a.1.remaining.total_cmp(&b.1.remaining))
-            // burstcap-lint: allow(panic-in-lib) — caller holds the non-empty invariant; pop is only reached when jobs exist
             .expect("non-empty");
         self.generation += 1;
         self.jobs.swap_remove(idx)

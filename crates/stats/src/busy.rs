@@ -62,7 +62,7 @@ pub struct BusyPeriod {
 /// # Panics
 ///
 /// Only if a justified internal invariant is violated (1 reachable
-/// panic site, e.g. `crates/stats/src/streaming.rs:571`; `burstcap-lint report` lists them),
+/// panic site, e.g. `crates/stats/src/streaming.rs:604`; `burstcap-lint report` lists them),
 /// never for inputs this API accepts.
 pub fn busy_periods(
     utilization: &[f64],
@@ -173,7 +173,7 @@ impl ServicePercentileEstimator {
     /// # Panics
     ///
     /// Only if a justified internal invariant is violated (1 reachable
-    /// panic site, e.g. `crates/stats/src/streaming.rs:571`; `burstcap-lint report` lists them),
+    /// panic site, e.g. `crates/stats/src/streaming.rs:604`; `burstcap-lint report` lists them),
     /// never for inputs this API accepts.
     pub fn estimate(
         &self,

@@ -177,7 +177,7 @@ impl Summary {
     /// # Panics
     ///
     /// Only if a justified internal invariant is violated (1 reachable
-    /// panic site, e.g. `crates/stats/src/descriptive.rs:195`; `burstcap-lint report` lists them),
+    /// panic site, e.g. `crates/stats/src/descriptive.rs:204`; `burstcap-lint report` lists them),
     /// never for inputs this API accepts.
     pub fn from_slice(data: &[f64]) -> Result<Self, StatsError> {
         let m = mean(data)?;
@@ -197,7 +197,10 @@ impl Summary {
             min: sorted[0],
             median: percentile_of_sorted(&sorted, 0.5),
             p95: percentile_of_sorted(&sorted, 0.95),
-            // burstcap-lint: allow(panic-in-lib) — the input slice was validated non-empty at entry
+            #[expect(
+                clippy::expect_used,
+                reason = "the input slice was validated non-empty at entry"
+            )]
             max: *sorted.last().expect("non-empty"),
         })
     }

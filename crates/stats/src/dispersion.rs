@@ -210,7 +210,7 @@ impl DispersionEstimator {
     /// # Panics
     ///
     /// Only if a justified internal invariant is violated (6 reachable
-    /// panic sites, e.g. `crates/stats/src/dispersion.rs:268`; `burstcap-lint report` lists them),
+    /// panic sites, e.g. `crates/stats/src/dispersion.rs:277`; `burstcap-lint report` lists them),
     /// never for inputs this API accepts.
     pub fn estimate(
         &self,
@@ -270,7 +270,10 @@ impl DispersionEstimator {
                         needed: self.min_windows,
                     });
                 }
-                // burstcap-lint: allow(panic-in-lib) — the curve was checked non-empty directly above
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the curve was checked non-empty directly above"
+                )]
                 let last = *curve.last().expect("non-empty checked above");
                 return Ok(DispersionEstimate {
                     index: last.y,
@@ -279,14 +282,20 @@ impl DispersionEstimator {
                 });
             }
 
-            // burstcap-lint: allow(panic-in-lib) — window count >= min_windows >= 1 was enforced above
+            #[expect(
+                clippy::expect_used,
+                reason = "window count >= min_windows >= 1 was enforced above"
+            )]
             let e = mean(&counts).expect("window count >= min_windows >= 1");
             if e == 0.0 {
                 return Err(StatsError::Degenerate {
                     reason: "mean completion count is zero in busy windows".into(),
                 });
             }
-            // burstcap-lint: allow(panic-in-lib) — counts are non-empty per the same min_windows bound
+            #[expect(
+                clippy::expect_used,
+                reason = "counts are non-empty per the same min_windows bound"
+            )]
             let y = variance(&counts).expect("non-empty") / e;
             curve.push(CurvePoint {
                 t,
@@ -317,7 +326,10 @@ impl DispersionEstimator {
             prev_y = Some(y);
         }
 
-        // burstcap-lint: allow(panic-in-lib) — max_levels >= 1 guarantees at least one curve point
+        #[expect(
+            clippy::expect_used,
+            reason = "max_levels >= 1 guarantees at least one curve point"
+        )]
         let last = *curve.last().expect("max_levels >= 1");
         if self.strict {
             return Err(StatsError::NoConvergence {
@@ -355,7 +367,7 @@ impl DispersionEstimator {
 /// # Panics
 ///
 /// Only if a justified internal invariant is violated (2 reachable
-/// panic sites, e.g. `crates/stats/src/dispersion.rs:356`; `burstcap-lint report` lists them),
+/// panic sites, e.g. `crates/stats/src/dispersion.rs:383`; `burstcap-lint report` lists them),
 /// never for inputs this API accepts.
 pub fn aggregate_counts(busy: &[f64], completions: &[u64], t: f64) -> Vec<f64> {
     let k_max = busy.len();
@@ -364,7 +376,10 @@ pub fn aggregate_counts(busy: &[f64], completions: &[u64], t: f64) -> Vec<f64> {
     let mut prefix: Vec<u64> = Vec::with_capacity(k_max + 1);
     prefix.push(0);
     for &c in completions {
-        // burstcap-lint: allow(panic-in-lib) — prefix starts with a pushed zero and never shrinks
+        #[expect(
+            clippy::expect_used,
+            reason = "prefix starts with a pushed zero and never shrinks"
+        )]
         prefix.push(prefix.last().expect("non-empty") + c);
     }
 
@@ -395,7 +410,7 @@ pub fn aggregate_counts(busy: &[f64], completions: &[u64], t: f64) -> Vec<f64> {
 /// # Panics
 ///
 /// Only if a justified internal invariant is violated (1 reachable
-/// panic site, e.g. `crates/stats/src/streaming.rs:571`; `burstcap-lint report` lists them),
+/// panic site, e.g. `crates/stats/src/streaming.rs:604`; `burstcap-lint report` lists them),
 /// never for inputs this API accepts.
 #[doc(hidden)]
 pub fn aggregate_counts_naive(busy: &[f64], completions: &[u64], t: f64) -> Vec<f64> {
@@ -441,7 +456,7 @@ pub fn aggregate_counts_naive(busy: &[f64], completions: &[u64], t: f64) -> Vec<
 /// # Panics
 ///
 /// Only if a justified internal invariant is violated (6 reachable
-/// panic sites, e.g. `crates/stats/src/dispersion.rs:268`; `burstcap-lint report` lists them),
+/// panic sites, e.g. `crates/stats/src/dispersion.rs:277`; `burstcap-lint report` lists them),
 /// never for inputs this API accepts.
 pub fn index_of_dispersion_counting(
     service_times: &[f64],

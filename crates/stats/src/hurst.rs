@@ -56,7 +56,7 @@ pub struct HurstEstimate {
 /// # Panics
 ///
 /// Only if a justified internal invariant is violated (1 reachable
-/// panic site, e.g. `crates/stats/src/streaming.rs:571`; `burstcap-lint report` lists them),
+/// panic site, e.g. `crates/stats/src/streaming.rs:604`; `burstcap-lint report` lists them),
 /// never for inputs this API accepts.
 pub fn hurst_variance_time(series: &[f64]) -> Result<HurstEstimate, StatsError> {
     if series.len() < 100 {

@@ -47,12 +47,18 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-// Bare `.unwrap()` is banned in library targets; burstcap-lint's
-// `panic-in-lib` is the lexical twin (it also covers expect/panic!, with
-// justification markers), clippy the type-aware backstop. The test target
-// compiles with the allow, so unit tests may unwrap freely.
-#![deny(clippy::unwrap_used)]
-#![cfg_attr(test, allow(clippy::unwrap_used))]
+// Library code returns typed errors and owns no console; test code is exempt
+// through clippy.toml (ARCHITECTURE.md, "Static analysis").
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    clippy::dbg_macro
+)]
 
 pub mod acf;
 pub mod bottleneck;

@@ -299,7 +299,7 @@ impl StreamingDispersion {
     /// # Panics
     ///
     /// Only if a justified internal invariant is violated (3 reachable
-    /// panic sites, e.g. `crates/stats/src/streaming.rs:317`; `burstcap-lint report` lists them),
+    /// panic sites, e.g. `crates/stats/src/streaming.rs:326`; `burstcap-lint report` lists them),
     /// never for inputs this API accepts.
     pub fn push(&mut self, utilization: f64, completions: u64) -> Result<(), StatsError> {
         check_utilization(utilization)?;
@@ -319,7 +319,10 @@ impl StreamingDispersion {
                 .collect();
         }
         self.busy.push(utilization * self.resolution);
-        // burstcap-lint: allow(panic-in-lib) — prefix is seeded with a zero at construction
+        #[expect(
+            clippy::expect_used,
+            reason = "prefix is seeded with a zero at construction"
+        )]
         let last = *self.prefix.last().expect("prefix starts non-empty");
         self.prefix.push(last + completions);
         self.total_completions += completions;
@@ -352,12 +355,15 @@ impl StreamingDispersion {
         // so memory stays proportional to the largest level's open span, not
         // to the stream length. Prefix values are absolute counts, so
         // differences are unaffected.
+        #[expect(
+            clippy::expect_used,
+            reason = "levels materialize on the first push; this path is gated on pushes having happened"
+        )]
         let min_k = self
             .levels
             .iter()
             .map(|l| l.k)
             .min()
-            // burstcap-lint: allow(panic-in-lib) — levels materialize on the first push; this path is gated on pushes having happened
             .expect("levels materialized on first push");
         if min_k - self.base >= PRUNE_CHUNK {
             let drop = min_k - self.base;
@@ -401,7 +407,7 @@ impl StreamingDispersion {
     /// # Panics
     ///
     /// Only if a justified internal invariant is violated (3 reachable
-    /// panic sites, e.g. `crates/stats/src/streaming.rs:419`; `burstcap-lint report` lists them),
+    /// panic sites, e.g. `crates/stats/src/streaming.rs:440`; `burstcap-lint report` lists them),
     /// never for inputs this API accepts.
     pub fn estimate(&self) -> Result<DispersionEstimate, StatsError> {
         if self.tolerance <= 0.0 {
@@ -427,7 +433,10 @@ impl StreamingDispersion {
                         needed: self.min_windows,
                     });
                 }
-                // burstcap-lint: allow(panic-in-lib) — the curve was checked non-empty directly above
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the curve was checked non-empty directly above"
+                )]
                 let last = *curve.last().expect("non-empty checked above");
                 return Ok(DispersionEstimate::from_parts(last.y, false, curve));
             }
@@ -459,7 +468,10 @@ impl StreamingDispersion {
                 iterations: curve.len(),
             });
         }
-        // burstcap-lint: allow(panic-in-lib) — the first level always contributes a point before this path
+        #[expect(
+            clippy::expect_used,
+            reason = "the first level always contributes a point before this path"
+        )]
         let last = *curve.last().expect("max_levels >= 1, first level passed");
         Ok(DispersionEstimate::from_parts(last.y, false, curve))
     }
@@ -556,7 +568,7 @@ impl P2Quantile {
     /// # Panics
     ///
     /// Only if a justified internal invariant is violated (1 reachable
-    /// panic site, e.g. `crates/stats/src/streaming.rs:571`; `burstcap-lint report` lists them),
+    /// panic site, e.g. `crates/stats/src/streaming.rs:604`; `burstcap-lint report` lists them),
     /// never for inputs this API accepts.
     pub fn push(&mut self, x: f64) {
         if x.is_nan() {
@@ -583,9 +595,12 @@ impl P2Quantile {
             3
         } else {
             // q[k] <= x < q[k + 1].
+            #[expect(
+                clippy::expect_used,
+                reason = "x < q[4] was established by the branch above, so some cell matches"
+            )]
             (0..4)
                 .find(|&i| x < self.q[i + 1])
-                // burstcap-lint: allow(panic-in-lib) — x < q[4] was established by the branch above, so some cell matches
                 .expect("x < q[4] checked above")
         };
 
@@ -718,7 +733,7 @@ impl StreamingServicePercentile {
     /// # Panics
     ///
     /// Only if a justified internal invariant is violated (1 reachable
-    /// panic site, e.g. `crates/stats/src/streaming.rs:571`; `burstcap-lint report` lists them),
+    /// panic site, e.g. `crates/stats/src/streaming.rs:604`; `burstcap-lint report` lists them),
     /// never for inputs this API accepts.
     pub fn push(&mut self, utilization: f64, completions: u64) -> Result<(), StatsError> {
         check_utilization(utilization)?;
@@ -742,7 +757,7 @@ impl StreamingServicePercentile {
     /// # Panics
     ///
     /// Only if a justified internal invariant is violated (2 reachable
-    /// panic sites, e.g. `crates/stats/src/streaming.rs:724`; `burstcap-lint report` lists them),
+    /// panic sites, e.g. `crates/stats/src/streaming.rs:772`; `burstcap-lint report` lists them),
     /// never for inputs this API accepts.
     pub fn estimate(&self) -> Result<BusyTimeCharacterization, StatsError> {
         if self.busy_windows == 0 || self.total_completions == 0 {
@@ -750,9 +765,15 @@ impl StreamingServicePercentile {
                 reason: "no window with completions".into(),
             });
         }
-        // burstcap-lint: allow(panic-in-lib) — gated on busy_windows > 0 directly above
+        #[expect(
+            clippy::expect_used,
+            reason = "gated on busy_windows > 0 directly above"
+        )]
         let p95_busy = self.busy_tail.quantile().expect("busy_windows > 0");
-        // burstcap-lint: allow(panic-in-lib) — gated on busy_windows > 0 directly above
+        #[expect(
+            clippy::expect_used,
+            reason = "gated on busy_windows > 0 directly above"
+        )]
         let med_n = self.count_median.quantile().expect("busy_windows > 0");
         Ok(BusyTimeCharacterization {
             mean_service_time: self.total_busy / self.total_completions as f64,

@@ -12,7 +12,7 @@
 
 // BTreeMap, not HashMap: in-flight jobs are keyed by sequential id; an
 // ordered map keeps any future iteration over them deterministic by
-// construction (burstcap-lint `unordered-iter` discipline).
+// construction (`clippy.toml` bans hash collections).
 use std::collections::BTreeMap;
 
 use rand::rngs::SmallRng;
@@ -291,8 +291,8 @@ impl Testbed {
     ///
     /// # Panics
     ///
-    /// Only if a justified internal invariant is violated (11 reachable
-    /// panic sites, e.g. `crates/map/src/general.rs:102`; `burstcap-lint report` lists them),
+    /// Only if a justified internal invariant is violated (12 reachable
+    /// panic sites, e.g. `crates/map/src/general.rs:105`; `burstcap-lint report` lists them),
     /// never for inputs this API accepts.
     pub fn run(&self) -> Result<TestbedRun, TpcwError> {
         self.replication(0)
@@ -311,11 +311,15 @@ impl Testbed {
     ///
     /// # Panics
     ///
-    /// Only if a justified internal invariant is violated (11 reachable
-    /// panic sites, e.g. `crates/map/src/general.rs:102`; `burstcap-lint report` lists them),
+    /// Only if a justified internal invariant is violated (12 reachable
+    /// panic sites, e.g. `crates/map/src/general.rs:105`; `burstcap-lint report` lists them),
     /// never for inputs this API accepts.
     pub fn replication(&self, index: u64) -> Result<TestbedRun, TpcwError> {
         let cfg = &self.config;
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the seed is derived through seeds::derive"
+        )]
         let mut rng =
             SmallRng::seed_from_u64(seeds::derive(cfg.seed, seeds::TESTBED_STREAM, index));
         let mut calendar: EventQueue<Event> = EventQueue::new();
@@ -359,10 +363,13 @@ impl Testbed {
         let db_query_dist = |mean: f64| Ph2::from_mean_scv(mean, cfg.db_scv);
         let web_dist = match cfg.topology {
             Topology::TwoTier => None,
+            #[expect(
+                clippy::expect_used,
+                reason = "the SCV was validated by TestbedConfig::validate before the run started"
+            )]
             Topology::ThreeTier {
                 web_demand,
                 web_scv,
-                // burstcap-lint: allow(panic-in-lib) — the SCV was validated by TestbedConfig::validate before the run started
             } => Some(Ph2::from_mean_scv(web_demand, web_scv).expect("validated scv")),
         };
 
@@ -387,8 +394,11 @@ impl Testbed {
                     } else {
                         rng.random_range(q_lo..=q_hi)
                     };
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "the SCV was validated by TestbedConfig::validate before the run started"
+                    )]
                     let total_fs = fs_slice_dist(tx.front_demand())
-                        // burstcap-lint: allow(panic-in-lib) — the SCV was validated by TestbedConfig::validate before the run started
                         .expect("validated scv")
                         .sample(&mut rng);
                     let slice_work = total_fs / (queries + 1) as f64;
@@ -451,7 +461,10 @@ impl Testbed {
                     }
                     web_counts.record(now);
 
-                    // burstcap-lint: allow(panic-in-lib) — every completion id was inserted into the job table at arrival and lives until transaction end
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "every completion id was inserted into the job table at arrival and lives until transaction end"
+                    )]
                     let job = jobs.get_mut(&done.id).expect("job metadata exists");
                     let Stage::Web { remaining_queries } = job.stage else {
                         unreachable!("web completion for a job not at the web tier");
@@ -480,7 +493,10 @@ impl Testbed {
                         schedule_completion(&mut calendar, &front, now, Server::Front);
                     }
 
-                    // burstcap-lint: allow(panic-in-lib) — every completion id was inserted into the job table at arrival and lives until transaction end
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "every completion id was inserted into the job table at arrival and lives until transaction end"
+                    )]
                     let job = jobs.get_mut(&done.id).expect("job metadata exists");
                     let Stage::Front { remaining_queries } = job.stage else {
                         unreachable!("front completion for a job not at the front tier");
@@ -498,8 +514,11 @@ impl Testbed {
                         } else {
                             1.0
                         };
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "the SCV was validated by TestbedConfig::validate before the run started"
+                        )]
                         let work = db_query_dist(job.tx.db_query_demand())
-                            // burstcap-lint: allow(panic-in-lib) — the SCV was validated by TestbedConfig::validate before the run started
                             .expect("validated scv")
                             .sample(&mut rng)
                             * mult;
@@ -518,7 +537,10 @@ impl Testbed {
                         schedule_completion(&mut calendar, &db, now, Server::Db);
                     } else {
                         // Transaction complete.
-                        // burstcap-lint: allow(panic-in-lib) — every completion id was inserted into the job table at arrival and lives until transaction end
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "every completion id was inserted into the job table at arrival and lives until transaction end"
+                        )]
                         let job = jobs.remove(&done.id).expect("job metadata exists");
                         in_system[job.tx.index()] -= 1;
                         type_rec[job.tx.index()].update(now, in_system[job.tx.index()] as f64);
@@ -545,7 +567,10 @@ impl Testbed {
                         schedule_completion(&mut calendar, &db, now, Server::Db);
                     }
 
-                    // burstcap-lint: allow(panic-in-lib) — every completion id was inserted into the job table at arrival and lives until transaction end
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "every completion id was inserted into the job table at arrival and lives until transaction end"
+                    )]
                     let job = jobs.get_mut(&done.id).expect("job metadata exists");
                     let Stage::Db {
                         remaining_queries,
@@ -668,8 +693,8 @@ impl Testbed {
     ///
     /// # Panics
     ///
-    /// Only if a justified internal invariant is violated (11 reachable
-    /// panic sites, e.g. `crates/map/src/general.rs:102`; `burstcap-lint report` lists them),
+    /// Only if a justified internal invariant is violated (12 reachable
+    /// panic sites, e.g. `crates/map/src/general.rs:105`; `burstcap-lint report` lists them),
     /// never for inputs this API accepts.
     pub fn replications(&self, r: usize) -> Result<Vec<TestbedRun>, TpcwError> {
         if r == 0 {

@@ -23,7 +23,10 @@ pub enum TxClass {
 
 /// The 14 TPC-W transactions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-#[allow(missing_docs)]
+#[allow(
+    missing_docs,
+    reason = "the variant names are the TPC-W specification's"
+)]
 pub enum TxType {
     Home,
     NewProducts,
@@ -65,13 +68,16 @@ impl TxType {
     /// # Panics
     ///
     /// Only if a justified internal invariant is violated (1 reachable
-    /// panic site, e.g. `crates/tpcw/src/transactions.rs:69`; `burstcap-lint report` lists them),
+    /// panic site, e.g. `crates/tpcw/src/transactions.rs:81`; `burstcap-lint report` lists them),
     /// never for inputs this API accepts.
     pub fn index(self) -> usize {
+        #[expect(
+            clippy::expect_used,
+            reason = "ALL_TYPES enumerates every variant, so position always finds self"
+        )]
         ALL_TYPES
             .iter()
             .position(|&t| t == self)
-            // burstcap-lint: allow(panic-in-lib) — ALL_TYPES enumerates every variant, so position always finds self
             .expect("ALL_TYPES is exhaustive")
     }
 

@@ -16,6 +16,18 @@
 //!   (rolling re-fit/re-solve) planner.
 
 #![forbid(unsafe_code)]
+// Library code returns typed errors and owns no console; test code is exempt
+// through clippy.toml (ARCHITECTURE.md, "Static analysis").
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    clippy::dbg_macro
+)]
 
 pub use burstcap;
 pub use burstcap_map;

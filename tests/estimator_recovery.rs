@@ -1,5 +1,9 @@
 //! Ground-truth recovery: the measurement pipeline must re-identify the
 //! parameters of processes we construct analytically.
+#![expect(
+    clippy::disallowed_methods,
+    reason = "recovery tests seed literal streams; seeds::derive is the production contract"
+)]
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;

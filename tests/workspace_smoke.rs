@@ -90,9 +90,10 @@ fn serde_shim_derives_compile() {
     assert_serde::<serde_shim_check::Wrapper<f64>>();
 }
 
-// The types only exist to exercise derive expansion; they are never
-// constructed.
-#[allow(dead_code)]
+#[allow(
+    dead_code,
+    reason = "the types only exist to exercise derive expansion; they are never constructed"
+)]
 mod serde_shim_check {
     use serde::{Deserialize, Serialize};
 
