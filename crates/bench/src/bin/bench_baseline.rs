@@ -32,7 +32,6 @@ use burstcap_bench::timing::Stopwatch;
 use burstcap_bench::json::{JsonObject, JsonValue};
 use burstcap_map::fit::Map2Fitter;
 use burstcap_obs::Recorder;
-use burstcap_qn::ctmc::SteadyStateMethod;
 use burstcap_qn::mapqn::{MapNetwork, MapQnSolution};
 use burstcap_qn::QnError;
 
@@ -181,9 +180,7 @@ fn main() {
     let mut agreement = 0.0;
     for &pop in &DENSE_FEASIBLE_POPS {
         let net = MapNetwork::new(pop, think, front, db).expect("valid network");
-        let (lu_ms, lu_x) = median_ms(reps, || {
-            net.solve_iterative(SteadyStateMethod::DenseLu { limit: 1_000_000 })
-        });
+        let (lu_ms, lu_x) = median_ms(reps, || net.solve_dense_lu(1_000_000));
         let (csr_ms, csr_x) =
             median_ms(reps, || net.solve_sparse_with_initial(None).map(|(s, _)| s));
         push(&net, "dense_lu", lu_ms, lu_x);

@@ -81,9 +81,8 @@ pub struct ServiceCharacterization {
 ///
 /// # Panics
 ///
-/// Only if a justified internal invariant is violated (6 reachable
-/// panic sites, e.g. `crates/stats/src/dispersion.rs:277`; `burstcap-lint report` lists them),
-/// never for inputs this API accepts.
+/// Only if a justified internal invariant is violated, never for inputs
+/// this API accepts; `burstcap-lint report` lists the sites.
 pub fn characterize(
     measurements: &TierMeasurements,
     options: CharacterizeOptions,

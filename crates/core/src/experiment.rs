@@ -163,9 +163,8 @@ impl Replications {
     ///
     /// # Panics
     ///
-    /// Only if a justified internal invariant is violated (2 reachable
-    /// panic sites, e.g. `crates/core/src/experiment.rs:276`; `burstcap-lint report` lists them),
-    /// never for inputs this API accepts.
+    /// Only if a justified internal invariant is violated, never for inputs
+    /// this API accepts; `burstcap-lint report` lists the sites.
     pub fn run<T, E, F>(&self, scenario: F) -> Result<Vec<T>, E>
     where
         F: Fn(Replication) -> Result<T, E> + Sync,
@@ -190,9 +189,8 @@ impl Replications {
     ///
     /// # Panics
     ///
-    /// Only if a justified internal invariant is violated (2 reachable
-    /// panic sites, e.g. `crates/core/src/experiment.rs:276`; `burstcap-lint report` lists them),
-    /// never for inputs this API accepts.
+    /// Only if a justified internal invariant is violated, never for inputs
+    /// this API accepts; `burstcap-lint report` lists the sites.
     pub fn run_traced<T, E, F>(&self, scenario: F, trace: &Trace) -> Result<Vec<T>, E>
     where
         F: Fn(Replication) -> Result<T, E> + Sync,
@@ -359,9 +357,8 @@ impl Experiment {
     ///
     /// # Panics
     ///
-    /// Only if a justified internal invariant is violated (4 reachable
-    /// panic sites, e.g. `crates/core/src/experiment.rs:276`; `burstcap-lint report` lists them),
-    /// never for inputs this API accepts.
+    /// Only if a justified internal invariant is violated, never for inputs
+    /// this API accepts; `burstcap-lint report` lists the sites.
     pub fn run<T, E, F>(&self, scenario: F) -> Result<ExperimentResult<T>, E>
     where
         F: Fn(Replication) -> Result<T, E> + Sync,
@@ -383,9 +380,8 @@ impl Experiment {
     ///
     /// # Panics
     ///
-    /// Only if a justified internal invariant is violated (2 reachable
-    /// panic sites, e.g. `crates/core/src/experiment.rs:276`; `burstcap-lint report` lists them),
-    /// never for inputs this API accepts.
+    /// Only if a justified internal invariant is violated, never for inputs
+    /// this API accepts; `burstcap-lint report` lists the sites.
     pub fn run_traced<T, E, F>(&self, scenario: F, trace: &Trace) -> Result<ExperimentResult<T>, E>
     where
         F: Fn(Replication) -> Result<T, E> + Sync,
@@ -410,9 +406,8 @@ impl Experiment {
     ///
     /// # Panics
     ///
-    /// Only if a justified internal invariant is violated (3 reachable
-    /// panic sites, e.g. `crates/core/src/experiment.rs:276`; `burstcap-lint report` lists them),
-    /// never for inputs this API accepts.
+    /// Only if a justified internal invariant is violated, never for inputs
+    /// this API accepts; `burstcap-lint report` lists the sites.
     pub fn run_until<T, E, F>(
         &self,
         rule: RelativePrecision,

@@ -95,9 +95,8 @@ impl CapacityPlanner {
     ///
     /// # Panics
     ///
-    /// Only if a justified internal invariant is violated (9 reachable
-    /// panic sites, e.g. `crates/map/src/fit.rs:314`; `burstcap-lint report` lists them),
-    /// never for inputs this API accepts.
+    /// Only if a justified internal invariant is violated, never for inputs
+    /// this API accepts; `burstcap-lint report` lists the sites.
     pub fn from_measurements(
         front: &TierMeasurements,
         db: &TierMeasurements,
@@ -113,9 +112,8 @@ impl CapacityPlanner {
     ///
     /// # Panics
     ///
-    /// Only if a justified internal invariant is violated (9 reachable
-    /// panic sites, e.g. `crates/map/src/fit.rs:314`; `burstcap-lint report` lists them),
-    /// never for inputs this API accepts.
+    /// Only if a justified internal invariant is violated, never for inputs
+    /// this API accepts; `burstcap-lint report` lists the sites.
     pub fn with_options(
         front: &TierMeasurements,
         db: &TierMeasurements,
@@ -133,9 +131,8 @@ impl CapacityPlanner {
     ///
     /// # Panics
     ///
-    /// Only if a justified internal invariant is violated (9 reachable
-    /// panic sites, e.g. `crates/map/src/fit.rs:314`; `burstcap-lint report` lists them),
-    /// never for inputs this API accepts.
+    /// Only if a justified internal invariant is violated, never for inputs
+    /// this API accepts; `burstcap-lint report` lists the sites.
     pub fn from_tier_measurements(
         tiers: &[&TierMeasurements],
         options: PlannerOptions,
@@ -156,9 +153,8 @@ impl CapacityPlanner {
     ///
     /// # Panics
     ///
-    /// Only if a justified internal invariant is violated (3 reachable
-    /// panic sites, e.g. `crates/map/src/fit.rs:314`; `burstcap-lint report` lists them),
-    /// never for inputs this API accepts.
+    /// Only if a justified internal invariant is violated, never for inputs
+    /// this API accepts; `burstcap-lint report` lists the sites.
     pub fn from_characterizations(
         front: ServiceCharacterization,
         db: ServiceCharacterization,
@@ -175,9 +171,8 @@ impl CapacityPlanner {
     ///
     /// # Panics
     ///
-    /// Only if a justified internal invariant is violated (3 reachable
-    /// panic sites, e.g. `crates/map/src/fit.rs:314`; `burstcap-lint report` lists them),
-    /// never for inputs this API accepts.
+    /// Only if a justified internal invariant is violated, never for inputs
+    /// this API accepts; `burstcap-lint report` lists the sites.
     pub fn from_tier_characterizations(
         tiers: Vec<ServiceCharacterization>,
         options: PlannerOptions,
@@ -220,9 +215,8 @@ impl CapacityPlanner {
     ///
     /// # Panics
     ///
-    /// Only if a justified internal invariant is violated (1 reachable
-    /// panic site, e.g. `crates/core/src/planner.rs:231`; `burstcap-lint report` lists them),
-    /// never for inputs this API accepts.
+    /// Only if a justified internal invariant is violated, never for inputs
+    /// this API accepts; `burstcap-lint report` lists the sites.
     pub fn db_characterization(&self) -> &ServiceCharacterization {
         #[expect(
             clippy::expect_used,
@@ -240,9 +234,8 @@ impl CapacityPlanner {
     ///
     /// # Panics
     ///
-    /// Only if a justified internal invariant is violated (1 reachable
-    /// panic site, e.g. `crates/core/src/planner.rs:251`; `burstcap-lint report` lists them),
-    /// never for inputs this API accepts.
+    /// Only if a justified internal invariant is violated, never for inputs
+    /// this API accepts; `burstcap-lint report` lists the sites.
     pub fn db_fit(&self) -> &FittedMap2 {
         #[expect(
             clippy::expect_used,
@@ -279,12 +272,6 @@ impl CapacityPlanner {
     ///
     /// # Errors
     /// Propagates model-solution failures.
-    ///
-    /// # Panics
-    ///
-    /// Only if a justified internal invariant is violated (1 reachable
-    /// panic site, e.g. `crates/qn/src/ctmc.rs:831`; `burstcap-lint report` lists them),
-    /// never for inputs this API accepts.
     pub fn predict(&self, population: usize, think_time: f64) -> Result<Prediction, PlanError> {
         let net = self.network(population, think_time)?;
         let (solution, _) = net.solve_tiers(TierPolicy::BATCH, None, &Trace::noop())?;
@@ -298,9 +285,8 @@ impl CapacityPlanner {
     ///
     /// # Panics
     ///
-    /// Only if a justified internal invariant is violated (2 reachable
-    /// panic sites, e.g. `crates/core/src/planner.rs:469`; `burstcap-lint report` lists them),
-    /// never for inputs this API accepts.
+    /// Only if a justified internal invariant is violated, never for inputs
+    /// this API accepts; `burstcap-lint report` lists the sites.
     pub fn predict_sweep(
         &self,
         populations: &[usize],
@@ -332,9 +318,8 @@ impl CapacityPlanner {
 ///
 /// # Panics
 ///
-/// Only if a justified internal invariant is violated (3 reachable
-/// panic sites, e.g. `crates/map/src/fit.rs:314`; `burstcap-lint report` lists them),
-/// never for inputs this API accepts.
+/// Only if a justified internal invariant is violated, never for inputs
+/// this API accepts; `burstcap-lint report` lists the sites.
 pub fn fit_characterization(
     c: &ServiceCharacterization,
     i_tolerance: f64,
@@ -434,9 +419,8 @@ impl MvaBaseline {
     ///
     /// # Panics
     ///
-    /// Only if a justified internal invariant is violated (1 reachable
-    /// panic site, e.g. `crates/core/src/planner.rs:445`; `burstcap-lint report` lists them),
-    /// never for inputs this API accepts.
+    /// Only if a justified internal invariant is violated, never for inputs
+    /// this API accepts; `burstcap-lint report` lists the sites.
     pub fn db_demand(&self) -> f64 {
         #[expect(
             clippy::expect_used,
@@ -452,9 +436,8 @@ impl MvaBaseline {
     ///
     /// # Panics
     ///
-    /// Only if a justified internal invariant is violated (1 reachable
-    /// panic site, e.g. `crates/core/src/planner.rs:469`; `burstcap-lint report` lists them),
-    /// never for inputs this API accepts.
+    /// Only if a justified internal invariant is violated, never for inputs
+    /// this API accepts; `burstcap-lint report` lists the sites.
     pub fn predict(&self, population: usize, think_time: f64) -> Result<Prediction, PlanError> {
         let mva = ClosedMva::new(self.demands.clone(), think_time)?;
         let s = mva.solve(population)?;
@@ -479,9 +462,8 @@ impl MvaBaseline {
     ///
     /// # Panics
     ///
-    /// Only if a justified internal invariant is violated (2 reachable
-    /// panic sites, e.g. `crates/core/src/planner.rs:469`; `burstcap-lint report` lists them),
-    /// never for inputs this API accepts.
+    /// Only if a justified internal invariant is violated, never for inputs
+    /// this API accepts; `burstcap-lint report` lists the sites.
     pub fn predict_sweep(
         &self,
         populations: &[usize],

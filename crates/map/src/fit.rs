@@ -187,9 +187,8 @@ impl Map2Fitter {
     ///
     /// # Panics
     ///
-    /// Only if a justified internal invariant is violated (3 reachable
-    /// panic sites, e.g. `crates/map/src/fit.rs:314`; `burstcap-lint report` lists them),
-    /// never for inputs this API accepts.
+    /// Only if a justified internal invariant is violated, never for inputs
+    /// this API accepts; `burstcap-lint report` lists the sites.
     pub fn fit(&self) -> Result<FittedMap2, MapError> {
         // Opt-in floor for infeasibly low targets: rerun the search at the
         // floor and record the original request instead of clamping
@@ -414,9 +413,8 @@ fn select_candidate(candidates: &mut Vec<Candidate>, target_p95: f64) -> Option<
 ///
 /// # Panics
 ///
-/// Only if a justified internal invariant is violated (1 reachable
-/// panic site, e.g. `crates/map/src/general.rs:105`; `burstcap-lint report` lists them),
-/// never for inputs this API accepts.
+/// Only if a justified internal invariant is violated, never for inputs
+/// this API accepts; `burstcap-lint report` lists the sites.
 pub fn renewal_map2(marginal: Ph2) -> Result<Map2, MapError> {
     match marginal {
         Ph2::Hyper { .. } => Map2::from_hyper_marginal(marginal, 0.0),
@@ -483,9 +481,8 @@ fn h2_with_weight(m: f64, c2: f64, p: f64) -> Option<Ph2> {
 ///
 /// # Panics
 ///
-/// Only if a justified internal invariant is violated (9 reachable
-/// panic sites, e.g. `crates/map/src/fit.rs:314`; `burstcap-lint report` lists them),
-/// never for inputs this API accepts.
+/// Only if a justified internal invariant is violated, never for inputs
+/// this API accepts; `burstcap-lint report` lists the sites.
 pub fn fit_from_trace(
     service_times: &[f64],
     window: f64,

@@ -132,9 +132,8 @@ impl Map {
     ///
     /// # Panics
     ///
-    /// Only if a justified internal invariant is violated (1 reachable
-    /// panic site, e.g. `crates/map/src/general.rs:105`; `burstcap-lint report` lists them),
-    /// never for inputs this API accepts.
+    /// Only if a justified internal invariant is violated, never for inputs
+    /// this API accepts; `burstcap-lint report` lists the sites.
     pub fn embedded_chain(&self) -> Vec<Vec<f64>> {
         mat_mul(&self.m_matrix(), &self.d1)
     }
@@ -143,9 +142,8 @@ impl Map {
     ///
     /// # Panics
     ///
-    /// Only if a justified internal invariant is violated (1 reachable
-    /// panic site, e.g. `crates/map/src/general.rs:105`; `burstcap-lint report` lists them),
-    /// never for inputs this API accepts.
+    /// Only if a justified internal invariant is violated, never for inputs
+    /// this API accepts; `burstcap-lint report` lists the sites.
     pub fn embedded_stationary(&self) -> Vec<f64> {
         let p = self.embedded_chain();
         let n = self.order();
@@ -186,9 +184,8 @@ impl Map {
     ///
     /// # Panics
     ///
-    /// Only if a justified internal invariant is violated (1 reachable
-    /// panic site, e.g. `crates/map/src/general.rs:105`; `burstcap-lint report` lists them),
-    /// never for inputs this API accepts.
+    /// Only if a justified internal invariant is violated, never for inputs
+    /// this API accepts; `burstcap-lint report` lists the sites.
     pub fn mean(&self) -> f64 {
         self.moment(1)
     }
@@ -197,9 +194,8 @@ impl Map {
     ///
     /// # Panics
     ///
-    /// Only if a justified internal invariant is violated (1 reachable
-    /// panic site, e.g. `crates/map/src/general.rs:105`; `burstcap-lint report` lists them),
-    /// never for inputs this API accepts.
+    /// Only if a justified internal invariant is violated, never for inputs
+    /// this API accepts; `burstcap-lint report` lists the sites.
     pub fn scv(&self) -> f64 {
         let m1 = self.moment(1);
         self.moment(2) / (m1 * m1) - 1.0
@@ -211,9 +207,8 @@ impl Map {
     ///
     /// # Panics
     ///
-    /// Only if a justified internal invariant is violated (2 reachable
-    /// panic sites, e.g. `crates/map/src/general.rs:105`; `burstcap-lint report` lists them),
-    /// never for inputs this API accepts.
+    /// Only if a justified internal invariant is violated, never for inputs
+    /// this API accepts; `burstcap-lint report` lists the sites.
     pub fn index_of_dispersion(&self) -> f64 {
         let n = self.order();
         let p = self.embedded_chain();
@@ -264,9 +259,8 @@ impl GeneralSampler {
     ///
     /// # Panics
     ///
-    /// Only if a justified internal invariant is violated (1 reachable
-    /// panic site, e.g. `crates/map/src/general.rs:105`; `burstcap-lint report` lists them),
-    /// never for inputs this API accepts.
+    /// Only if a justified internal invariant is violated, never for inputs
+    /// this API accepts; `burstcap-lint report` lists the sites.
     pub fn new<R: Rng + ?Sized>(map: Map, rng: &mut R) -> Self {
         let pi = map.embedded_stationary();
         let u = rng.random::<f64>();

@@ -46,9 +46,8 @@ impl Map2 {
     ///
     /// # Panics
     ///
-    /// Only if a justified internal invariant is violated (1 reachable
-    /// panic site, e.g. `crates/map/src/general.rs:105`; `burstcap-lint report` lists them),
-    /// never for inputs this API accepts.
+    /// Only if a justified internal invariant is violated, never for inputs
+    /// this API accepts; `burstcap-lint report` lists the sites.
     pub fn new(d0: [[f64; 2]; 2], d1: [[f64; 2]; 2]) -> Result<Self, MapError> {
         for i in 0..2 {
             if !(d0[i][i] < 0.0) || !d0[i][i].is_finite() {
@@ -107,9 +106,8 @@ impl Map2 {
     ///
     /// # Panics
     ///
-    /// Only if a justified internal invariant is violated (1 reachable
-    /// panic site, e.g. `crates/map/src/general.rs:105`; `burstcap-lint report` lists them),
-    /// never for inputs this API accepts.
+    /// Only if a justified internal invariant is violated, never for inputs
+    /// this API accepts; `burstcap-lint report` lists the sites.
     pub fn poisson(rate: f64) -> Result<Self, MapError> {
         if rate <= 0.0 || !rate.is_finite() {
             return Err(MapError::InvalidParameter {
@@ -142,9 +140,8 @@ impl Map2 {
     ///
     /// # Panics
     ///
-    /// Only if a justified internal invariant is violated (1 reachable
-    /// panic site, e.g. `crates/map/src/general.rs:105`; `burstcap-lint report` lists them),
-    /// never for inputs this API accepts.
+    /// Only if a justified internal invariant is violated, never for inputs
+    /// this API accepts; `burstcap-lint report` lists the sites.
     pub fn from_hyper_marginal(marginal: Ph2, gamma: f64) -> Result<Self, MapError> {
         let Ph2::Hyper { p, rate1, rate2 } = marginal else {
             return Err(MapError::InvalidParameter {
@@ -214,9 +211,8 @@ impl Map2 {
     ///
     /// # Panics
     ///
-    /// Only if a justified internal invariant is violated (1 reachable
-    /// panic site, e.g. `crates/map/src/general.rs:105`; `burstcap-lint report` lists them),
-    /// never for inputs this API accepts.
+    /// Only if a justified internal invariant is violated, never for inputs
+    /// this API accepts; `burstcap-lint report` lists the sites.
     pub fn embedded_chain(&self) -> [[f64; 2]; 2] {
         let m = self.m_matrix();
         let mut p = [[0.0; 2]; 2];
@@ -233,9 +229,8 @@ impl Map2 {
     ///
     /// # Panics
     ///
-    /// Only if a justified internal invariant is violated (1 reachable
-    /// panic site, e.g. `crates/map/src/general.rs:105`; `burstcap-lint report` lists them),
-    /// never for inputs this API accepts.
+    /// Only if a justified internal invariant is violated, never for inputs
+    /// this API accepts; `burstcap-lint report` lists the sites.
     pub fn embedded_stationary(&self) -> [f64; 2] {
         let p = self.embedded_chain();
         // pi P = pi with pi1 + pi2 = 1 => pi1 = p21 / (p12 + p21).
@@ -255,9 +250,8 @@ impl Map2 {
     ///
     /// # Panics
     ///
-    /// Only if a justified internal invariant is violated (1 reachable
-    /// panic site, e.g. `crates/map/src/general.rs:105`; `burstcap-lint report` lists them),
-    /// never for inputs this API accepts.
+    /// Only if a justified internal invariant is violated, never for inputs
+    /// this API accepts; `burstcap-lint report` lists the sites.
     pub fn gamma(&self) -> f64 {
         let p = self.embedded_chain();
         p[0][0] + p[1][1] - 1.0
@@ -290,9 +284,8 @@ impl Map2 {
     ///
     /// # Panics
     ///
-    /// Only if a justified internal invariant is violated (1 reachable
-    /// panic site, e.g. `crates/map/src/general.rs:105`; `burstcap-lint report` lists them),
-    /// never for inputs this API accepts.
+    /// Only if a justified internal invariant is violated, never for inputs
+    /// this API accepts; `burstcap-lint report` lists the sites.
     pub fn mean(&self) -> f64 {
         self.moment(1)
     }
@@ -301,9 +294,8 @@ impl Map2 {
     ///
     /// # Panics
     ///
-    /// Only if a justified internal invariant is violated (1 reachable
-    /// panic site, e.g. `crates/map/src/general.rs:105`; `burstcap-lint report` lists them),
-    /// never for inputs this API accepts.
+    /// Only if a justified internal invariant is violated, never for inputs
+    /// this API accepts; `burstcap-lint report` lists the sites.
     pub fn rate(&self) -> f64 {
         1.0 / self.mean()
     }
@@ -312,9 +304,8 @@ impl Map2 {
     ///
     /// # Panics
     ///
-    /// Only if a justified internal invariant is violated (1 reachable
-    /// panic site, e.g. `crates/map/src/general.rs:105`; `burstcap-lint report` lists them),
-    /// never for inputs this API accepts.
+    /// Only if a justified internal invariant is violated, never for inputs
+    /// this API accepts; `burstcap-lint report` lists the sites.
     pub fn variance(&self) -> f64 {
         let m1 = self.moment(1);
         self.moment(2) - m1 * m1
@@ -324,9 +315,8 @@ impl Map2 {
     ///
     /// # Panics
     ///
-    /// Only if a justified internal invariant is violated (1 reachable
-    /// panic site, e.g. `crates/map/src/general.rs:105`; `burstcap-lint report` lists them),
-    /// never for inputs this API accepts.
+    /// Only if a justified internal invariant is violated, never for inputs
+    /// this API accepts; `burstcap-lint report` lists the sites.
     pub fn scv(&self) -> f64 {
         let m1 = self.moment(1);
         self.variance() / (m1 * m1)
@@ -337,9 +327,8 @@ impl Map2 {
     ///
     /// # Panics
     ///
-    /// Only if a justified internal invariant is violated (1 reachable
-    /// panic site, e.g. `crates/map/src/general.rs:105`; `burstcap-lint report` lists them),
-    /// never for inputs this API accepts.
+    /// Only if a justified internal invariant is violated, never for inputs
+    /// this API accepts; `burstcap-lint report` lists the sites.
     pub fn lag_correlation(&self, k: u32) -> f64 {
         if k == 0 {
             return 1.0;
@@ -352,9 +341,8 @@ impl Map2 {
     ///
     /// # Panics
     ///
-    /// Only if a justified internal invariant is violated (1 reachable
-    /// panic site, e.g. `crates/map/src/general.rs:105`; `burstcap-lint report` lists them),
-    /// never for inputs this API accepts.
+    /// Only if a justified internal invariant is violated, never for inputs
+    /// this API accepts; `burstcap-lint report` lists the sites.
     pub fn lag1_correlation(&self) -> f64 {
         let pi = self.embedded_stationary();
         let m = self.m_matrix();
@@ -387,9 +375,8 @@ impl Map2 {
     ///
     /// # Panics
     ///
-    /// Only if a justified internal invariant is violated (1 reachable
-    /// panic site, e.g. `crates/map/src/general.rs:105`; `burstcap-lint report` lists them),
-    /// never for inputs this API accepts.
+    /// Only if a justified internal invariant is violated, never for inputs
+    /// this API accepts; `burstcap-lint report` lists the sites.
     pub fn index_of_dispersion(&self) -> f64 {
         let g = self.gamma();
         let scv = self.scv();
@@ -411,9 +398,8 @@ impl Map2 {
     ///
     /// # Panics
     ///
-    /// Only if a justified internal invariant is violated (1 reachable
-    /// panic site, e.g. `crates/map/src/general.rs:105`; `burstcap-lint report` lists them),
-    /// never for inputs this API accepts.
+    /// Only if a justified internal invariant is violated, never for inputs
+    /// this API accepts; `burstcap-lint report` lists the sites.
     pub fn interval_cdf(&self, x: f64) -> f64 {
         if x <= 0.0 {
             return 0.0;
@@ -434,9 +420,8 @@ impl Map2 {
     ///
     /// # Panics
     ///
-    /// Only if a justified internal invariant is violated (1 reachable
-    /// panic site, e.g. `crates/map/src/general.rs:105`; `burstcap-lint report` lists them),
-    /// never for inputs this API accepts.
+    /// Only if a justified internal invariant is violated, never for inputs
+    /// this API accepts; `burstcap-lint report` lists the sites.
     pub fn quantile(&self, q: f64) -> Result<f64, MapError> {
         if !(q > 0.0 && q < 1.0) {
             return Err(MapError::InvalidParameter {
@@ -478,9 +463,8 @@ impl Map2 {
     ///
     /// # Panics
     ///
-    /// Only if a justified internal invariant is violated (1 reachable
-    /// panic site, e.g. `crates/map/src/general.rs:105`; `burstcap-lint report` lists them),
-    /// never for inputs this API accepts.
+    /// Only if a justified internal invariant is violated, never for inputs
+    /// this API accepts; `burstcap-lint report` lists the sites.
     pub fn with_mean(&self, mean: f64) -> Result<Self, MapError> {
         if mean <= 0.0 || !mean.is_finite() {
             return Err(MapError::InvalidParameter {

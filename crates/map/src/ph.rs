@@ -137,9 +137,8 @@ impl Ph2 {
     ///
     /// # Panics
     ///
-    /// Only if a justified internal invariant is violated (1 reachable
-    /// panic site, e.g. `crates/map/src/general.rs:105`; `burstcap-lint report` lists them),
-    /// never for inputs this API accepts.
+    /// Only if a justified internal invariant is violated, never for inputs
+    /// this API accepts; `burstcap-lint report` lists the sites.
     pub fn variance(&self) -> f64 {
         let m = self.mean();
         self.second_moment() - m * m
@@ -149,9 +148,8 @@ impl Ph2 {
     ///
     /// # Panics
     ///
-    /// Only if a justified internal invariant is violated (1 reachable
-    /// panic site, e.g. `crates/map/src/general.rs:105`; `burstcap-lint report` lists them),
-    /// never for inputs this API accepts.
+    /// Only if a justified internal invariant is violated, never for inputs
+    /// this API accepts; `burstcap-lint report` lists the sites.
     pub fn scv(&self) -> f64 {
         let m = self.mean();
         self.variance() / (m * m)
@@ -188,9 +186,8 @@ impl Ph2 {
     ///
     /// # Panics
     ///
-    /// Only if a justified internal invariant is violated (1 reachable
-    /// panic site, e.g. `crates/map/src/general.rs:105`; `burstcap-lint report` lists them),
-    /// never for inputs this API accepts.
+    /// Only if a justified internal invariant is violated, never for inputs
+    /// this API accepts; `burstcap-lint report` lists the sites.
     pub fn quantile(&self, q: f64) -> Result<f64, MapError> {
         if !(q > 0.0 && q < 1.0) {
             return Err(MapError::InvalidParameter {

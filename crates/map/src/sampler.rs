@@ -39,9 +39,8 @@ impl MapSampler {
     ///
     /// # Panics
     ///
-    /// Only if a justified internal invariant is violated (1 reachable
-    /// panic site, e.g. `crates/map/src/general.rs:105`; `burstcap-lint report` lists them),
-    /// never for inputs this API accepts.
+    /// Only if a justified internal invariant is violated, never for inputs
+    /// this API accepts; `burstcap-lint report` lists the sites.
     pub fn new<R: Rng + ?Sized>(map: Map2, rng: &mut R) -> Self {
         let pi = map.embedded_stationary();
         let phase = usize::from(rng.random::<f64>() >= pi[0]);

@@ -74,9 +74,8 @@ pub fn hyperexp_trace(n: usize, mean: f64, scv: f64, seed: u64) -> Result<Vec<f6
 ///
 /// # Panics
 ///
-/// Only if a justified internal invariant is violated (2 reachable
-/// panic sites, e.g. `crates/map/src/trace.rs:158`; `burstcap-lint report` lists them),
-/// never for inputs this API accepts.
+/// Only if a justified internal invariant is violated, never for inputs
+/// this API accepts; `burstcap-lint report` lists the sites.
 pub fn impose_burstiness(
     samples: &[f64],
     profile: BurstProfile,
@@ -181,9 +180,8 @@ fn modulated_order(samples: &[f64], p_small: f64, gamma: f64, rng: &mut SmallRng
 ///
 /// # Panics
 ///
-/// Only if a justified internal invariant is violated (2 reachable
-/// panic sites, e.g. `crates/map/src/general.rs:105`; `burstcap-lint report` lists them),
-/// never for inputs this API accepts.
+/// Only if a justified internal invariant is violated, never for inputs
+/// this API accepts; `burstcap-lint report` lists the sites.
 pub fn gamma_for_target_dispersion(mean: f64, scv: f64, target_i: f64) -> Result<f64, MapError> {
     if target_i < scv {
         return Err(MapError::FitInfeasible {

@@ -92,9 +92,8 @@ impl TierEstimator {
     ///
     /// # Panics
     ///
-    /// Only if a justified internal invariant is violated (3 reachable
-    /// panic sites, e.g. `crates/stats/src/streaming.rs:326`; `burstcap-lint report` lists them),
-    /// never for inputs this API accepts.
+    /// Only if a justified internal invariant is violated, never for inputs
+    /// this API accepts; `burstcap-lint report` lists the sites.
     pub fn push(&mut self, sample: &TierSample) -> Result<(), OnlineError> {
         // Validate once up front so a bad sample cannot leave the three
         // estimators out of sync.
@@ -124,9 +123,8 @@ impl TierEstimator {
     ///
     /// # Panics
     ///
-    /// Only if a justified internal invariant is violated (5 reachable
-    /// panic sites, e.g. `crates/stats/src/streaming.rs:440`; `burstcap-lint report` lists them),
-    /// never for inputs this API accepts.
+    /// Only if a justified internal invariant is violated, never for inputs
+    /// this API accepts; `burstcap-lint report` lists the sites.
     pub fn characterize(&self) -> Result<ServiceCharacterization, OnlineError> {
         let demand = self.demand.estimate()?;
         let dispersion = self.dispersion.estimate()?;

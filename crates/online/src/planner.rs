@@ -272,9 +272,8 @@ impl OnlinePlanner {
     ///
     /// # Panics
     ///
-    /// Only if a justified internal invariant is violated (15 reachable
-    /// panic sites, e.g. `crates/map/src/fit.rs:314`; `burstcap-lint report` lists them),
-    /// never for inputs this API accepts.
+    /// Only if a justified internal invariant is violated, never for inputs
+    /// this API accepts; `burstcap-lint report` lists the sites.
     pub fn ingest(&mut self, window: &MonitorWindow) -> Result<Option<OnlineReport>, OnlineError> {
         if window.tiers.len() != self.tiers.len() {
             return Err(OnlineError::InvalidWindow {
@@ -559,9 +558,8 @@ impl OnlinePlanner {
     ///
     /// # Panics
     ///
-    /// Only if a justified internal invariant is violated (15 reachable
-    /// panic sites, e.g. `crates/map/src/fit.rs:314`; `burstcap-lint report` lists them),
-    /// never for inputs this API accepts.
+    /// Only if a justified internal invariant is violated, never for inputs
+    /// this API accepts; `burstcap-lint report` lists the sites.
     pub fn drain(
         &mut self,
         source: &mut impl WindowSource,

@@ -64,9 +64,8 @@ impl SarTextSource {
     ///
     /// # Panics
     ///
-    /// Only if a justified internal invariant is violated (3 reachable
-    /// panic sites, e.g. `crates/stats/src/streaming.rs:326`; `burstcap-lint report` lists them),
-    /// never for inputs this API accepts.
+    /// Only if a justified internal invariant is violated, never for inputs
+    /// this API accepts; `burstcap-lint report` lists the sites.
     pub fn parse(text: &str) -> Result<Self, OnlineError> {
         let mut resolution: Option<f64> = None;
         let mut tier_count: Option<usize> = None;

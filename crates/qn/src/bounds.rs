@@ -38,9 +38,8 @@ pub struct ThroughputBounds {
 ///
 /// # Panics
 ///
-/// Only if a justified internal invariant is violated (2 reachable
-/// panic sites, e.g. `crates/qn/src/bounds.rs:83`; `burstcap-lint report` lists them),
-/// never for inputs this API accepts.
+/// Only if a justified internal invariant is violated, never for inputs
+/// this API accepts; `burstcap-lint report` lists the sites.
 pub fn throughput_bounds(
     demands: &[f64],
     think_time: f64,
@@ -100,9 +99,8 @@ pub fn throughput_bounds(
 ///
 /// # Panics
 ///
-/// Only if a justified internal invariant is violated (2 reachable
-/// panic sites, e.g. `crates/qn/src/bounds.rs:83`; `burstcap-lint report` lists them),
-/// never for inputs this API accepts.
+/// Only if a justified internal invariant is violated, never for inputs
+/// this API accepts; `burstcap-lint report` lists the sites.
 pub fn saturation_population(demands: &[f64], think_time: f64) -> Result<f64, QnError> {
     let b = throughput_bounds(demands, think_time, 1)?;
     let _ = b;

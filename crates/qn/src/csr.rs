@@ -6,7 +6,7 @@
 //! outgoing transitions regardless of population, so a population-100 chain
 //! with ~20k states carries ~120k rates where a dense matrix would need
 //! 4×10⁸ entries. [`CsrMatrix`] stores exactly the non-zeros in three flat
-//! arrays (`row_ptr`/`col_idx`/`values`), giving the iterative solvers in
+//! arrays (`row_ptr`/`col_idx`/`values`), giving the BiCGSTAB solver in
 //! [`crate::ctmc`] contiguous, cache-friendly row access with no per-row
 //! allocations. Column indices and row pointers are `u32`, so an entry costs
 //! 12 bytes (an `f64` rate and a 4-byte column) instead of 16; a matrix whose
@@ -37,9 +37,8 @@
 //! let qt = q.transpose();
 //! assert_eq!(qt.row(0).collect::<Vec<_>>(), vec![(1, 3.0)]);
 //!
-//! // Uniformization turns the rate matrix into a DTMC: P = I + Q/lambda.
-//! let p = q.uniformized(4.0)?;
-//! assert_eq!(p.row(0).collect::<Vec<_>>(), vec![(0, 0.5), (1, 0.5)]);
+//! // The product gathers each row against a vector.
+//! assert_eq!(q.mul_vec(&[1.0, 1.0]), vec![2.0, 3.0]);
 //! # Ok::<(), burstcap_qn::QnError>(())
 //! ```
 
@@ -76,7 +75,7 @@ pub(crate) fn to_index(value: usize, name: &'static str) -> Result<u32, QnError>
 /// Rows are stored back to back: the entries of row `i` live at positions
 /// `row_ptr[i]..row_ptr[i + 1]` of the parallel `col_idx`/`values` arrays.
 /// Duplicate coordinates are permitted and act additively — every consumer
-/// (row iteration, products, transpose, uniformization) treats the matrix as
+/// (row iteration, the product, transpose) treats the matrix as
 /// the sum of its stored entries, which is exactly the semantics CTMC
 /// transition lists need. Both `n` and the entry count fit in a `u32`.
 #[derive(Debug, Clone, PartialEq)]
@@ -309,102 +308,6 @@ impl CsrMatrix {
         self
     }
 
-    /// Per-row sums — the state exit rates when `self` is the off-diagonal
-    /// rate matrix of a CTMC.
-    pub fn row_sums(&self) -> Vec<f64> {
-        (0..self.n)
-            .map(|i| self.row_slices(i).1.iter().sum())
-            .collect()
-    }
-
-    /// Uniformize an off-diagonal rate matrix into the DTMC of the embedded
-    /// uniformized chain: `P = I + Q / lambda` with
-    /// `q_ii = -` (row sum of `self`), so `p_ij = q_ij / lambda` off the
-    /// diagonal and `p_ii = 1 - out_rate_i / lambda`. Sub-rate diagonal
-    /// entries that underflow to exact zero are stored anyway so every row of
-    /// the result is explicitly stochastic.
-    ///
-    /// Rows with sorted columns (the [`CsrMatrix::from_triplets`] invariant)
-    /// produce canonical sorted output; unsorted or duplicated input still
-    /// yields a semantically correct stochastic matrix, but the diagonal
-    /// mass may be split across entries (duplicates act additively
-    /// everywhere in this module).
-    ///
-    /// # Errors
-    /// Rejects non-positive or non-finite `lambda`, `lambda` below the
-    /// largest row sum (the result would have negative diagonal mass), and a
-    /// result whose entry count leaves the `u32` index range.
-    ///
-    /// # Example
-    /// ```
-    /// use burstcap_qn::csr::CsrMatrix;
-    /// let q = CsrMatrix::from_triplets(2, [(0, 1, 1.0), (1, 0, 3.0)])?;
-    /// let p = q.uniformized(4.0)?;
-    /// // Row 0: stays with probability 0.75, jumps with 0.25.
-    /// assert_eq!(p.row(0).collect::<Vec<_>>(), vec![(0, 0.75), (1, 0.25)]);
-    /// let sums = p.row_sums();
-    /// assert!(sums.iter().all(|&s| (s - 1.0).abs() < 1e-12));
-    /// # Ok::<(), burstcap_qn::QnError>(())
-    /// ```
-    pub fn uniformized(&self, lambda: f64) -> Result<CsrMatrix, QnError> {
-        if !(lambda > 0.0) || !lambda.is_finite() {
-            return Err(QnError::InvalidParameter {
-                name: "lambda",
-                reason: format!("uniformization rate must be positive and finite, got {lambda}"),
-            });
-        }
-        let out = self.row_sums();
-        if let Some(max) = out.iter().cloned().reduce(f64::max) {
-            if max > lambda {
-                return Err(QnError::InvalidParameter {
-                    name: "lambda",
-                    reason: format!(
-                        "uniformization rate {lambda} is below the largest exit rate {max}"
-                    ),
-                });
-            }
-        }
-        let n = self.n;
-        to_index(self.nnz() + n, "matrix")?;
-        let mut row_ptr = vec![0u32; n + 1];
-        let mut col_idx = Vec::with_capacity(self.nnz() + n);
-        let mut values = Vec::with_capacity(self.nnz() + n);
-        for (i, diag) in (0u32..).zip(0..n) {
-            let (cols, vals) = self.row_slices(diag);
-            let mut wrote_diag = false;
-            for (&col, &value) in cols.iter().zip(vals) {
-                if !wrote_diag && col >= i {
-                    // Insert the diagonal in column order (merging if the
-                    // input carried an explicit (i, i) entry).
-                    if col == i {
-                        col_idx.push(i);
-                        values.push(1.0 - out[diag] / lambda + value / lambda);
-                    } else {
-                        col_idx.push(i);
-                        values.push(1.0 - out[diag] / lambda);
-                        col_idx.push(col);
-                        values.push(value / lambda);
-                    }
-                    wrote_diag = true;
-                } else {
-                    col_idx.push(col);
-                    values.push(value / lambda);
-                }
-            }
-            if !wrote_diag {
-                col_idx.push(i);
-                values.push(1.0 - out[diag] / lambda);
-            }
-            row_ptr[diag + 1] = to_index(col_idx.len(), "matrix")?;
-        }
-        Ok(CsrMatrix {
-            n,
-            row_ptr,
-            col_idx,
-            values,
-        })
-    }
-
     /// Matrix–vector product `y = A x` (row-major gather).
     ///
     /// # Panics
@@ -414,25 +317,6 @@ impl CsrMatrix {
         (0..self.n)
             .map(|i| self.row(i).map(|(j, v)| v * x[j]).sum())
             .collect()
-    }
-
-    /// Vector–matrix product `y = x A` (row-major scatter) — the update
-    /// direction of power iteration on a stochastic matrix stored row-wise.
-    ///
-    /// # Panics
-    /// Panics if `x.len() != self.n()`.
-    pub fn left_mul_vec(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.n, "dimension mismatch in left_mul_vec");
-        let mut y = vec![0.0; self.n];
-        for (i, &w) in x.iter().enumerate() {
-            if w == 0.0 {
-                continue;
-            }
-            for (col, value) in self.row(i) {
-                y[col] += w * value;
-            }
-        }
-        y
     }
 }
 
@@ -646,43 +530,10 @@ mod tests {
     }
 
     #[test]
-    fn row_sums_and_products() {
+    fn mul_vec_gathers_rows() {
         let m = CsrMatrix::from_triplets(3, [(0, 1, 2.0), (0, 2, 1.0), (1, 0, 3.0)]).unwrap();
-        assert_eq!(m.row_sums(), vec![3.0, 3.0, 0.0]);
         let y = m.mul_vec(&[1.0, 2.0, 3.0]);
         assert_eq!(y, vec![2.0 * 2.0 + 3.0, 3.0, 0.0]);
-        let z = m.left_mul_vec(&[1.0, 2.0, 3.0]);
-        assert_eq!(z, vec![6.0, 2.0, 1.0]);
-    }
-
-    #[test]
-    fn uniformized_is_stochastic() {
-        let q = CsrMatrix::from_triplets(3, [(0, 1, 2.0), (1, 0, 1.0), (1, 2, 1.5), (2, 1, 4.0)])
-            .unwrap();
-        let p = q.uniformized(5.0).unwrap();
-        for s in p.row_sums() {
-            assert!((s - 1.0).abs() < 1e-12, "row sum {s}");
-        }
-        // Diagonal entries sit in column order within their rows.
-        assert_eq!(
-            p.row(1).collect::<Vec<_>>(),
-            vec![(0, 0.2), (1, 0.5), (2, 0.3)]
-        );
-        // lambda below the fastest exit rate is rejected, as are bad lambdas.
-        assert!(q.uniformized(2.0).is_err());
-        assert!(q.uniformized(0.0).is_err());
-        assert!(q.uniformized(f64::NAN).is_err());
-    }
-
-    #[test]
-    fn uniformized_merges_explicit_diagonal() {
-        // An input that already carries an (i, i) entry folds it into the
-        // uniformized diagonal.
-        let q = CsrMatrix::from_triplets(2, [(0, 0, 1.0), (0, 1, 1.0), (1, 0, 1.0)]).unwrap();
-        let p = q.uniformized(4.0).unwrap();
-        // out[0] = 2.0 (row sum includes the diagonal), so
-        // p_00 = 1 - 2/4 + 1/4 = 0.75.
-        assert_eq!(p.row(0).collect::<Vec<_>>(), vec![(0, 0.75), (1, 0.25)]);
     }
 
     #[test]
@@ -720,11 +571,9 @@ mod tests {
         let m = CsrMatrix::from_triplets(3, []).unwrap();
         assert_eq!(m.nnz(), 0);
         assert_eq!(m.transpose().nnz(), 0);
-        assert_eq!(m.row_sums(), vec![0.0; 3]);
-        let p = m.uniformized(1.0).unwrap();
-        // Uniformizing the zero generator yields the identity.
+        assert_eq!(m.mul_vec(&[1.0; 3]), vec![0.0; 3]);
         for i in 0..3 {
-            assert_eq!(p.row(i).collect::<Vec<_>>(), vec![(i, 1.0)]);
+            assert_eq!(m.row(i).count(), 0);
         }
     }
 }

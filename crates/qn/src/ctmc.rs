@@ -1,20 +1,15 @@
-//! Sparse continuous-time Markov chains and steady-state solvers.
+//! Sparse continuous-time Markov chains and their steady-state solvers.
 //!
 //! The paper solves its MAP queueing network "by building the underlying
 //! Markov chain and solving the system of linear equations" (Section 4.2).
 //! This module is that substrate: a CTMC whose incoming adjacency is stored
 //! as a [`CsrMatrix`] (three flat arrays — no per-state allocations), plus
-//! two interchangeable steady-state solver families —
+//! one solver for production and one for reference:
 //!
-//! * [`SteadyStateMethod::Sparse`] — the production path, iterative solvers
-//!   over CSR rows: BiCGSTAB preconditioned by a diagonal ILU
-//!   ([`SparseMethod::BiCgStab`], the default and the solver behind every
-//!   production CSR solve), under-relaxed Gauss-Seidel sweeps (see
-//!   [`SparseMethod::GaussSeidel`] for why the relaxation factor sits just
-//!   below 1) and uniformized power iteration. The two sweep methods stay
-//!   as explicit choices and as the property tests' reference solvers;
-//! * [`SteadyStateMethod::DenseLu`] — dense Gaussian elimination, exact to
-//!   machine precision; the cross-validation oracle for small chains.
+//! * [`Ctmc::steady_state`] — BiCGSTAB preconditioned by a diagonal ILU,
+//!   warm-startable and traced; the solver behind every CSR solve;
+//! * [`Ctmc::dense_lu`] — dense Gaussian elimination, exact to machine
+//!   precision; the cross-validation oracle for small chains.
 //!
 //! Fitted bursty MAPs have phase persistence close to 1, so their chains
 //! are nearly completely decomposable and a sweep method converges only as
@@ -24,32 +19,24 @@
 //! (the singular `pi Q = 0` becomes `A x = e_r`), and it preconditions
 //! with an incomplete LU factor whose triangles are the incoming CSR
 //! itself, so the solve copies no matrix and stores one pivot per state.
-//! [`SparseMethod::BiCgStab`] gives the details.
+//! [`Ctmc::steady_state`] gives the details.
 //!
 //! # Example
 //!
 //! ```
-//! use burstcap_qn::ctmc::{Ctmc, SparseMethod, SteadyStateMethod};
+//! use burstcap_obs::Trace;
+//! use burstcap_qn::ctmc::Ctmc;
 //!
 //! // Two-state chain: 0 -> 1 at rate 2, 1 -> 0 at rate 3.
 //! let chain = Ctmc::from_transitions(2, [(0, 1, 2.0), (1, 0, 3.0)])?;
-//! let pi = chain.steady_state(SteadyStateMethod::default())?;
-//! assert!((pi[0] - 0.6).abs() < 1e-9);
+//! let run = chain.steady_state(None, (1e-12, 1_000), &Trace::noop())?;
+//! assert!((run.pi[0] - 0.6).abs() < 1e-9);
 //!
 //! // The dense LU oracle agrees to machine precision.
-//! let lu = chain.steady_state(SteadyStateMethod::DenseLu { limit: 10 })?;
-//! assert!((pi[0] - lu[0]).abs() < 1e-9);
-//!
-//! // Uniformized power iteration is the robust fallback of the family.
-//! let pw = chain.steady_state(SteadyStateMethod::Sparse(SparseMethod::Power {
-//!     tol: 1e-12,
-//!     max_iter: 100_000,
-//! }))?;
-//! assert!((pi[0] - pw[0]).abs() < 1e-8);
+//! let lu = chain.dense_lu(10)?;
+//! assert!((run.pi[0] - lu.pi[0]).abs() < 1e-9);
 //! # Ok::<(), burstcap_qn::QnError>(())
 //! ```
-
-use serde::{Deserialize, Serialize};
 
 use burstcap_obs::{metrics, Trace};
 
@@ -67,158 +54,10 @@ pub struct Ctmc {
     incoming: CsrMatrix,
 }
 
-/// The CSR-backed iterative solvers (see [`SteadyStateMethod::Sparse`]).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum SparseMethod {
-    /// Gauss-Seidel sweeps on the global balance equations with relaxation
-    /// factor `omega` (`omega = 1` is plain Gauss-Seidel).
-    ///
-    /// **Prefer `omega < 1` (the default is 0.95).** On the
-    /// quasi-birth-death chains generated by MAP queueing networks the plain
-    /// Gauss-Seidel sweep operator has non-principal eigenvalues *on* the
-    /// unit circle, so the normalized iteration settles into a limit cycle
-    /// instead of the stationary vector (the solver detects this through its
-    /// residual check and returns [`QnError::NoConvergence`] rather than a
-    /// wrong answer). Under-relaxation shifts those modes strictly inside
-    /// the unit circle and restores convergence; over-relaxation
-    /// (`omega > 1`) is only productive on birth-death-like chains.
-    GaussSeidel {
-        /// Relaxation factor in `(0, 2)`.
-        omega: f64,
-        /// Convergence tolerance on the scale-free L1 residual of `pi Q`.
-        tol: f64,
-        /// Sweep budget.
-        max_iter: usize,
-    },
-    /// Power iteration on the uniformized chain `P = I + Q / lambda`
-    /// (`lambda` slightly above the largest exit rate).
-    Power {
-        /// Convergence tolerance on the L1 step change.
-        tol: f64,
-        /// Iteration budget.
-        max_iter: usize,
-    },
-    /// BiCGSTAB (van der Vorst, SIAM J. Sci. Stat. Comput. 13, 1992) with
-    /// a diagonal ILU (D-ILU) preconditioner applied by Eisenstat's trick —
-    /// the default, and the solver behind every production CSR solve. Its
-    /// solver label in traces and errors is `"bicgstab-ilu0"`: D-ILU is the
-    /// ILU(0) variant that modifies only the diagonal, and on fitted MAP
-    /// networks the two are the same factor (see below).
-    ///
-    /// **Why a state is pinned.** `pi Q = 0` is singular. The solver pins
-    /// the state `r` holding the largest entry of the starting vector
-    /// (state 0 for the uniform start) and solves `A x = e_r`, where `A` is
-    /// `-Q^T` with row `r` replaced by `e_r^T`; then `pi = x / sum(x)`. For
-    /// an irreducible chain `-Q^T` without row and column `r` is a
-    /// nonsingular M-matrix, so `A` is nonsingular and its incomplete
-    /// factorizations exist with positive pivots. The iterate starts as the
-    /// guess scaled to `x_r = 1`, so an already stationary guess has a zero
-    /// residual and returns after 0 iterations.
-    ///
-    /// **The preconditioner.** `M = (D + L) D^-1 (D + U)`, where `L` and
-    /// `U` are `A`'s own strict triangles — the incoming CSR negated,
-    /// split at each row's diagonal — and only the pivots
-    /// `d_i = a_ii - sum_{k<i} a_ik a_ki / d_k` are computed. ILU(0) would
-    /// also update off-diagonal entries where two transitions chain into a
-    /// third. Fitted MAP(2)s have no hidden phase flips, so their networks
-    /// have no such triangle and D-ILU *is* their ILU(0) factor; general
-    /// MAP(2)s (hidden flips and completions from both phases) do, and
-    /// there D-ILU is a different, still convergent, M-matrix splitting.
-    ///
-    /// **Eisenstat's trick (1981).** BiCGSTAB iterates on the split system
-    /// `Â y = D (D + L)^-1 e_r` with `Â = D (D + L)^-1 A (D + U)^-1` and
-    /// `x = (D + U)^-1 y`. Writing `A = (D + L) + (D + U) + (D_A - 2D)`
-    /// gives `Â v = D [t + (D + L)^-1 (v + (D_A - 2D) t)]` with
-    /// `t = (D + U)^-1 v`: one backward and one forward sweep over the CSR,
-    /// the work of one product with `A` (applying `M^-1` and `A` one after
-    /// the other costs two triangular sweeps plus the product). `sum(x)` is
-    /// carried from the sums of the `t` vectors the applies already form.
-    ///
-    /// **Memory bound.** On top of the chain (`12·nnz + 12·n` bytes: `f64`
-    /// rates, `u32` columns and row pointers, `f64` exit rates) the solve
-    /// holds the pivots and their inverses (`16·n`), a `u32` split point
-    /// per row (`4·n`) and seven `n`-length vectors (`56·n`): `12·nnz +
-    /// 88·n` in all, with no array the size of the matrix. Building a chain
-    /// from its outgoing CSR holds both CSRs at once (`24·nnz + 20·n`).
-    /// The three-tier model at population 45 (138,368 states, 778,320
-    /// transitions) solves in 21.5 MB.
-    ///
-    /// **Convergence.** One iteration is two applies of `Â`, about two
-    /// products with `A`. The preconditioned recurrence residual is
-    /// watched; once it falls below `tol`, its unpreconditioned norm (one
-    /// lower sweep, nothing stored) must bound the scale-free balance
-    /// residual below `tol` too before the true residual is measured — on
-    /// the vector the solve would return (negatives clamped to 0, then
-    /// normalized). Below `tol` it is accepted and reported as
-    /// [`SolveRun::final_residual`]; otherwise the solve restarts from that
-    /// vector. A breakdown (zero or non-finite `rho`, `<r0, v>` or `omega`)
-    /// restarts from the current iterate.
-    BiCgStab {
-        /// Convergence tolerance on the scale-free L1 residual of `pi Q`.
-        tol: f64,
-        /// Iteration budget (each iteration costs about two sweeps).
-        max_iter: usize,
-    },
-}
-
-impl Default for SparseMethod {
-    fn default() -> Self {
-        // 1e-8 on the scale-free balance residual is orders of magnitude
-        // below any performance-metric precision. 50,000 iterations are the
-        // work of the 200,000 Gauss-Seidel sweeps this default once allowed.
-        SparseMethod::BiCgStab {
-            tol: 1e-8,
-            max_iter: 50_000,
-        }
-    }
-}
-
-/// Solver selection and tuning.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum SteadyStateMethod {
-    /// The sparse engine: iterative solvers over CSR rows. Memory and
-    /// per-iteration cost are `O(transitions)`, so this family scales to the
-    /// large state spaces dense elimination cannot touch.
-    Sparse(SparseMethod),
-    /// Dense Gaussian elimination (exact); refuses chains larger than
-    /// `limit` states. `O(states^2)` memory and `O(states^3)` time — the
-    /// cross-validation oracle, not the production path.
-    DenseLu {
-        /// Maximum admissible number of states.
-        limit: usize,
-    },
-}
-
-impl Default for SteadyStateMethod {
-    fn default() -> Self {
-        SteadyStateMethod::Sparse(SparseMethod::default())
-    }
-}
-
-impl SteadyStateMethod {
-    /// Sparse Gauss-Seidel with explicit tuning.
-    pub fn gauss_seidel(omega: f64, tol: f64, max_iter: usize) -> Self {
-        SteadyStateMethod::Sparse(SparseMethod::GaussSeidel {
-            omega,
-            tol,
-            max_iter,
-        })
-    }
-
-    /// Uniformized power iteration with explicit tuning.
-    pub fn power(tol: f64, max_iter: usize) -> Self {
-        SteadyStateMethod::Sparse(SparseMethod::Power { tol, max_iter })
-    }
-
-    /// D-ILU-preconditioned BiCGSTAB with explicit tuning.
-    pub fn bicgstab(tol: f64, max_iter: usize) -> Self {
-        SteadyStateMethod::Sparse(SparseMethod::BiCgStab { tol, max_iter })
-    }
-}
-
-/// Outcome of one steady-state solve: the stationary vector plus how much
-/// work the solver did (what callers need to account for warm-start savings
-/// and fallback costs).
+/// Outcome of one steady-state solve, by this module's solvers or the
+/// matrix-free engine of [`crate::matfree`]: the stationary vector plus how
+/// much work the solver did (what callers need to account for warm-start
+/// savings and fallback costs).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SolveRun {
     /// The stationary distribution.
@@ -229,6 +68,18 @@ pub struct SolveRun {
     /// Scale-free residual at the accepting check; `0.0` for direct methods
     /// (exact to machine precision) and the trivial single-state chain.
     pub final_residual: f64,
+}
+
+impl SolveRun {
+    /// The run of a solve that needs no iteration: dense LU, or the
+    /// single-state chain.
+    pub(crate) fn exact(pi: Vec<f64>) -> Self {
+        SolveRun {
+            pi,
+            iterations: 0,
+            final_residual: 0.0,
+        }
+    }
 }
 
 impl Ctmc {
@@ -302,8 +153,8 @@ impl Ctmc {
     /// b.push(0, 1, 2.0)?;
     /// b.push(1, 0, 3.0)?;
     /// let chain = Ctmc::from_outgoing_csr(b.finish())?;
-    /// let pi = chain.steady_state(Default::default())?;
-    /// assert!((pi[0] - 0.6).abs() < 1e-9);
+    /// let pi = chain.dense_lu(10)?.pi;
+    /// assert!((pi[0] - 0.6).abs() < 1e-12);
     /// # Ok::<(), burstcap_qn::QnError>(())
     /// ```
     pub fn from_outgoing_csr(outgoing: CsrMatrix) -> Result<Self, QnError> {
@@ -379,7 +230,7 @@ impl Ctmc {
     /// of the balance matrix reached from a lower entry `(i, k)`, `k < i`,
     /// through an upper entry `(k, j)`, `j > k`, `j != i`. With none,
     /// ILU(0) leaves every off-diagonal entry as it is in the matrix and
-    /// coincides with the D-ILU factor of [`SparseMethod::BiCgStab`].
+    /// coincides with the D-ILU factor of [`Ctmc::steady_state`].
     #[cfg(test)]
     pub(crate) fn ilu0_fill(&self) -> usize {
         let mut fill = 0;
@@ -407,144 +258,117 @@ impl Ctmc {
         inflow
     }
 
-    /// Solve for the stationary distribution with the given method, starting
-    /// from the uniform distribution.
+    /// Solve for the stationary distribution with BiCGSTAB (van der Vorst,
+    /// SIAM J. Sci. Stat. Comput. 13, 1992) and a diagonal ILU (D-ILU)
+    /// preconditioner applied by Eisenstat's trick, to the scale-free L1
+    /// residual `tol` of `pi Q` within `max_iter` iterations (each costs
+    /// about two sweeps). This is the solver behind every production CSR
+    /// solve. Its solver label in traces and errors is `"bicgstab-ilu0"`:
+    /// D-ILU is the ILU(0) variant that modifies only the diagonal, and on
+    /// fitted MAP networks the two are the same factor (see below).
+    ///
+    /// **The start.** `guess` warm-starts the solve; `None` starts from the
+    /// uniform distribution. Entries below `1e-12 / n` (or not finite) are
+    /// lifted to that floor and the vector is normalized, so a guess with
+    /// zeros still weights every state.
+    ///
+    /// **Why a state is pinned.** `pi Q = 0` is singular. The solver pins
+    /// the state `r` holding the largest entry of the starting vector
+    /// (state 0 for the uniform start) and solves `A x = e_r`, where `A` is
+    /// `-Q^T` with row `r` replaced by `e_r^T`; then `pi = x / sum(x)`. For
+    /// an irreducible chain `-Q^T` without row and column `r` is a
+    /// nonsingular M-matrix, so `A` is nonsingular and its incomplete
+    /// factorizations exist with positive pivots. The iterate starts as the
+    /// guess scaled to `x_r = 1`, so an already stationary guess has a zero
+    /// residual and returns after 0 iterations.
+    ///
+    /// **The preconditioner.** `M = (D + L) D^-1 (D + U)`, where `L` and
+    /// `U` are `A`'s own strict triangles — the incoming CSR negated,
+    /// split at each row's diagonal — and only the pivots
+    /// `d_i = a_ii - sum_{k<i} a_ik a_ki / d_k` are computed. ILU(0) would
+    /// also update off-diagonal entries where two transitions chain into a
+    /// third. Fitted MAP(2)s have no hidden phase flips, so their networks
+    /// have no such triangle and D-ILU *is* their ILU(0) factor; general
+    /// MAP(2)s (hidden flips and completions from both phases) do, and
+    /// there D-ILU is a different, still convergent, M-matrix splitting.
+    ///
+    /// **Eisenstat's trick (1981).** BiCGSTAB iterates on the split system
+    /// `Â y = D (D + L)^-1 e_r` with `Â = D (D + L)^-1 A (D + U)^-1` and
+    /// `x = (D + U)^-1 y`. Writing `A = (D + L) + (D + U) + (D_A - 2D)`
+    /// gives `Â v = D [t + (D + L)^-1 (v + (D_A - 2D) t)]` with
+    /// `t = (D + U)^-1 v`: one backward and one forward sweep over the CSR,
+    /// the work of one product with `A` (applying `M^-1` and `A` one after
+    /// the other costs two triangular sweeps plus the product). `sum(x)` is
+    /// carried from the sums of the `t` vectors the applies already form.
+    ///
+    /// **Memory bound.** On top of the chain (`12·nnz + 12·n` bytes: `f64`
+    /// rates, `u32` columns and row pointers, `f64` exit rates) the solve
+    /// holds the pivots and their inverses (`16·n`), a `u32` split point
+    /// per row (`4·n`) and seven `n`-length vectors (`56·n`): `12·nnz +
+    /// 88·n` in all, with no array the size of the matrix. Building a chain
+    /// from its outgoing CSR holds both CSRs at once (`24·nnz + 20·n`).
+    /// The three-tier model at population 45 (138,368 states, 778,320
+    /// transitions) solves in 21.5 MB.
+    ///
+    /// **Convergence.** One iteration is two applies of `Â`, about two
+    /// products with `A`. The preconditioned recurrence residual is
+    /// watched; once it falls below `tol`, its unpreconditioned norm (one
+    /// lower sweep, nothing stored) must bound the scale-free balance
+    /// residual below `tol` too before the true residual is measured — on
+    /// the vector the solve would return (negatives clamped to 0, then
+    /// normalized). Below `tol` it is accepted and reported as
+    /// [`SolveRun::final_residual`]; otherwise the solve restarts from that
+    /// vector. A breakdown (zero or non-finite `rho`, `<r0, v>` or `omega`)
+    /// restarts from the current iterate.
+    ///
+    /// **Observability.** On `trace` the solve opens a `ctmc.solve` span
+    /// and emits decimated `ctmc.sweep` events (one per power-of-two
+    /// iteration plus the accepting check — the full trajectory would bloat
+    /// the trace), a `ctmc.stall` event when it gives up, and
+    /// `ctmc.final_residual` / `ctmc.sweeps` histograms. Emission happens
+    /// only from the serial iteration, so the recorded trace is
+    /// deterministic. Pass [`Trace::noop`] to observe nothing at near-zero
+    /// cost.
     ///
     /// # Errors
-    /// Propagates solver-specific failures ([`QnError::NoConvergence`],
-    /// [`QnError::StateSpaceTooLarge`]).
+    /// Rejects guesses of the wrong length; returns
+    /// [`QnError::NoConvergence`] when the budget runs out or a pivot is not
+    /// positive and finite (which an irreducible chain cannot produce).
     ///
     /// # Example
     /// ```
-    /// use burstcap_qn::ctmc::{Ctmc, SteadyStateMethod};
+    /// use burstcap_obs::Trace;
+    /// use burstcap_qn::ctmc::Ctmc;
     ///
     /// // M/M/1/2 with lambda = 1, mu = 2: pi = (4, 2, 1) / 7.
     /// let chain = Ctmc::from_transitions(
     ///     3,
     ///     [(0, 1, 1.0), (1, 2, 1.0), (1, 0, 2.0), (2, 1, 2.0)],
     /// )?;
-    /// let pi = chain.steady_state(SteadyStateMethod::default())?;
-    /// assert!((pi[0] - 4.0 / 7.0).abs() < 1e-8);
-    /// assert!((pi[2] - 1.0 / 7.0).abs() < 1e-8);
+    /// let run = chain.steady_state(None, (1e-12, 1_000), &Trace::noop())?;
+    /// assert!((run.pi[0] - 4.0 / 7.0).abs() < 1e-10);
+    /// assert!(run.iterations > 0 && run.final_residual < 1e-12);
+    /// // Warm-started from the exact answer, it returns without iterating.
+    /// let exact = vec![4.0 / 7.0, 2.0 / 7.0, 1.0 / 7.0];
+    /// let warm = chain.steady_state(Some(exact), (1e-12, 1_000), &Trace::noop())?;
+    /// assert_eq!(warm.iterations, 0);
     /// # Ok::<(), burstcap_qn::QnError>(())
     /// ```
-    ///
-    /// # Panics
-    ///
-    /// Only if a justified internal invariant is violated (1 reachable
-    /// panic site, e.g. `crates/qn/src/ctmc.rs:831`; `burstcap-lint report` lists them),
-    /// never for inputs this API accepts.
-    pub fn steady_state(&self, method: SteadyStateMethod) -> Result<Vec<f64>, QnError> {
-        let guess = vec![1.0 / self.len() as f64; self.len()];
-        self.steady_state_from(method, guess)
-    }
-
-    /// Solve like [`Ctmc::steady_state_from`] but return the full
-    /// [`SolveRun`] — stationary vector *and* iteration count — so callers
-    /// building solve diagnostics can report how hard the engine worked
-    /// (warm-started solves converge in a fraction of a cold sweep budget).
-    /// `None` starts from the uniform distribution.
-    ///
-    /// # Errors
-    /// Rejects guesses of the wrong length; propagates solver failures.
-    ///
-    /// # Example
-    /// ```
-    /// use burstcap_qn::ctmc::{Ctmc, SteadyStateMethod};
-    ///
-    /// let chain = Ctmc::from_transitions(2, [(0, 1, 2.0), (1, 0, 3.0)])?;
-    /// let run = chain.steady_state_run(SteadyStateMethod::default(), None)?;
-    /// assert!((run.pi[0] - 0.6).abs() < 1e-8);
-    /// assert!(run.iterations > 0);
-    /// # Ok::<(), burstcap_qn::QnError>(())
-    /// ```
-    ///
-    /// # Panics
-    ///
-    /// Only if a justified internal invariant is violated (1 reachable
-    /// panic site, e.g. `crates/qn/src/ctmc.rs:831`; `burstcap-lint report` lists them),
-    /// never for inputs this API accepts.
-    pub fn steady_state_run(
+    pub fn steady_state(
         &self,
-        method: SteadyStateMethod,
         guess: Option<Vec<f64>>,
-    ) -> Result<SolveRun, QnError> {
-        self.steady_state_run_traced(method, guess, &Trace::noop())
-    }
-
-    /// [`Ctmc::steady_state_run`] with observability: opens a `ctmc.solve`
-    /// span on `trace` and emits decimated `ctmc.sweep` events (one per
-    /// power-of-two residual check — the full trajectory would bloat the
-    /// trace) plus `ctmc.final_residual` / `ctmc.sweeps` histograms.
-    /// Emission happens only from the serial sweep loop, so the recorded
-    /// trace is deterministic. Pass [`Trace::noop`] (or call the untraced
-    /// entry point) to observe nothing at near-zero cost.
-    ///
-    /// # Errors
-    /// As [`Ctmc::steady_state_run`].
-    ///
-    /// # Panics
-    ///
-    /// Only if a justified internal invariant is violated (1 reachable
-    /// panic site, e.g. `crates/qn/src/ctmc.rs:831`; `burstcap-lint report` lists them),
-    /// never for inputs this API accepts.
-    pub fn steady_state_run_traced(
-        &self,
-        method: SteadyStateMethod,
-        guess: Option<Vec<f64>>,
+        (tol, max_iter): (f64, usize),
         trace: &Trace,
     ) -> Result<SolveRun, QnError> {
         let n = self.len();
-        let mut guess = match guess {
-            Some(g) => {
-                if g.len() != n {
-                    return Err(QnError::InvalidParameter {
-                        name: "guess",
-                        reason: format!("expected {} entries, got {}", n, g.len()),
-                    });
-                }
-                g
-            }
-            None => vec![1.0 / n as f64; n],
-        };
-        if n == 1 {
-            return Ok(SolveRun {
-                pi: vec![1.0],
-                iterations: 0,
-                final_residual: 0.0,
-            });
-        }
-        let floor = 1e-12 / n as f64;
-        for x in guess.iter_mut() {
-            if !x.is_finite() || *x < floor {
-                *x = floor;
-            }
-        }
-        normalize(&mut guess);
-        let solver = match method {
-            SteadyStateMethod::Sparse(SparseMethod::GaussSeidel { .. }) => "gauss-seidel",
-            SteadyStateMethod::Sparse(SparseMethod::Power { .. }) => "power",
-            SteadyStateMethod::Sparse(SparseMethod::BiCgStab { .. }) => BICGSTAB,
-            SteadyStateMethod::DenseLu { .. } => "dense-lu",
+        let Some(guess) = start_vector(n, guess)? else {
+            return Ok(SolveRun::exact(vec![1.0]));
         };
         let _span = trace.span_with(
             "ctmc.solve",
-            vec![("states", n.into()), ("solver", solver.into())],
+            vec![("states", n.into()), ("solver", BICGSTAB.into())],
         );
-        let run = match method {
-            SteadyStateMethod::Sparse(SparseMethod::GaussSeidel {
-                omega,
-                tol,
-                max_iter,
-            }) => self.gauss_seidel(guess, omega, tol, max_iter, trace),
-            SteadyStateMethod::Sparse(SparseMethod::Power { tol, max_iter }) => {
-                self.power(guess, tol, max_iter, trace)
-            }
-            SteadyStateMethod::Sparse(SparseMethod::BiCgStab { tol, max_iter }) => {
-                self.bicgstab(guess, tol, max_iter, trace)
-            }
-            SteadyStateMethod::DenseLu { limit } => self.dense_lu(limit),
-        }?;
+        let run = self.bicgstab(guess, tol, max_iter, trace)?;
         trace.observe(
             "ctmc.final_residual",
             metrics::RESIDUAL_DECADES,
@@ -552,128 +376,6 @@ impl Ctmc {
         );
         trace.observe("ctmc.sweeps", metrics::SWEEP_POWERS, run.iterations as f64);
         Ok(run)
-    }
-
-    /// Solve starting from a caller-provided guess (warm start). The guess is
-    /// normalized internally; zero entries are lifted to a small floor so
-    /// Gauss-Seidel can escape them.
-    ///
-    /// # Errors
-    /// Rejects guesses of the wrong length; propagates solver failures.
-    ///
-    /// # Example
-    /// ```
-    /// use burstcap_qn::ctmc::{Ctmc, SteadyStateMethod};
-    ///
-    /// let chain = Ctmc::from_transitions(2, [(0, 1, 1.0), (1, 0, 1.0)])?;
-    /// // Warm-starting from the answer converges immediately.
-    /// let pi = chain.steady_state_from(SteadyStateMethod::default(), vec![0.5, 0.5])?;
-    /// assert!((pi[0] - 0.5).abs() < 1e-10);
-    /// # Ok::<(), burstcap_qn::QnError>(())
-    /// ```
-    ///
-    /// # Panics
-    ///
-    /// Only if a justified internal invariant is violated (1 reachable
-    /// panic site, e.g. `crates/qn/src/ctmc.rs:831`; `burstcap-lint report` lists them),
-    /// never for inputs this API accepts.
-    pub fn steady_state_from(
-        &self,
-        method: SteadyStateMethod,
-        guess: Vec<f64>,
-    ) -> Result<Vec<f64>, QnError> {
-        self.steady_state_run(method, Some(guess)).map(|run| run.pi)
-    }
-
-    fn gauss_seidel(
-        &self,
-        mut pi: Vec<f64>,
-        omega: f64,
-        tol: f64,
-        max_iter: usize,
-        trace: &Trace,
-    ) -> Result<SolveRun, QnError> {
-        if !(0.0 < omega && omega < 2.0) {
-            return Err(QnError::InvalidParameter {
-                name: "omega",
-                reason: format!("SOR factor must lie in (0, 2), got {omega}"),
-            });
-        }
-        let n = self.len();
-        // Scale-free residual target: rates have arbitrary magnitude, so
-        // compare against the mean exit rate.
-        let scale: f64 = self.out_rate.iter().sum::<f64>() / n as f64;
-        let mut last_residual = f64::INFINITY;
-        let mut checks = 0u32;
-        for iter in 0..max_iter {
-            for i in 0..n {
-                let updated = self.inflow(i, &pi) / self.out_rate[i];
-                pi[i] = (1.0 - omega) * pi[i] + omega * updated;
-            }
-            normalize(&mut pi);
-            // Check the true residual every few sweeps (it costs a sweep).
-            if iter % 8 == 7 || iter == max_iter - 1 {
-                last_residual = self.residual(&pi) / scale;
-                checks += 1;
-                // Decimated trajectory: one event per power-of-two check
-                // plus the accepting one — O(log sweeps) events, never the
-                // full 400k-sweep history.
-                if checks.is_power_of_two() || last_residual < tol {
-                    trace.event(
-                        "ctmc.sweep",
-                        vec![
-                            ("iter", (iter + 1).into()),
-                            ("residual", last_residual.into()),
-                        ],
-                    );
-                }
-                if last_residual < tol {
-                    return Ok(SolveRun {
-                        pi,
-                        iterations: iter + 1,
-                        final_residual: last_residual,
-                    });
-                }
-            }
-        }
-        Err(stall(trace, "gauss-seidel", max_iter, last_residual))
-    }
-
-    fn power(
-        &self,
-        mut pi: Vec<f64>,
-        tol: f64,
-        max_iter: usize,
-        trace: &Trace,
-    ) -> Result<SolveRun, QnError> {
-        let n = self.len();
-        // Uniformization: pi_{k+1} = pi_k (I + Q / lambda), computed from
-        // incoming rows so every step is a CSR gather.
-        let lambda = self.out_rate.iter().cloned().fold(0.0, f64::max) * 1.02;
-        let mut next = vec![0.0; n];
-        let mut last_diff = f64::INFINITY;
-        for iter in 0..max_iter {
-            for i in 0..n {
-                next[i] = pi[i] + (self.inflow(i, &pi) - pi[i] * self.out_rate[i]) / lambda;
-            }
-            normalize(&mut next);
-            last_diff = pi.iter().zip(&next).map(|(a, b)| (a - b).abs()).sum();
-            std::mem::swap(&mut pi, &mut next);
-            if (iter + 1).is_power_of_two() || last_diff < tol {
-                trace.event(
-                    "ctmc.sweep",
-                    vec![("iter", (iter + 1).into()), ("residual", last_diff.into())],
-                );
-            }
-            if last_diff < tol {
-                return Ok(SolveRun {
-                    pi,
-                    iterations: iter + 1,
-                    final_residual: last_diff,
-                });
-            }
-        }
-        Err(stall(trace, "power", max_iter, last_diff))
     }
 
     fn bicgstab(
@@ -800,7 +502,29 @@ impl Ctmc {
         })
     }
 
-    fn dense_lu(&self, limit: usize) -> Result<SolveRun, QnError> {
+    /// Solve for the stationary distribution by dense Gaussian elimination
+    /// with partial pivoting — exact to machine precision, `O(states^2)`
+    /// memory and `O(states^3)` time. The cross-validation oracle for
+    /// chains of up to a few thousand states, not a production path.
+    ///
+    /// # Errors
+    /// [`QnError::StateSpaceTooLarge`] for chains of more than `limit`
+    /// states; [`QnError::InvalidParameter`] when the balance equations are
+    /// singular (a reducible chain).
+    ///
+    /// # Example
+    /// ```
+    /// use burstcap_qn::ctmc::Ctmc;
+    ///
+    /// // Effective rates 2 (two parallel 0 -> 1 edges) and 1: pi = (1, 2) / 3.
+    /// let chain = Ctmc::from_transitions(2, [(0, 1, 1.0), (0, 1, 1.0), (1, 0, 1.0)])?;
+    /// let run = chain.dense_lu(10)?;
+    /// assert!((run.pi[0] - 1.0 / 3.0).abs() < 1e-12);
+    /// assert_eq!(run.iterations, 0);
+    /// assert!(chain.dense_lu(1).is_err());
+    /// # Ok::<(), burstcap_qn::QnError>(())
+    /// ```
+    pub fn dense_lu(&self, limit: usize) -> Result<SolveRun, QnError> {
         let n = self.len();
         if n > limit {
             return Err(QnError::StateSpaceTooLarge { states: n, limit });
@@ -822,13 +546,14 @@ impl Ctmc {
 
         // Gaussian elimination with partial pivoting.
         for col in 0..n {
-            #[expect(
-                clippy::expect_used,
-                reason = "col < n keeps the pivot range non-empty"
-            )]
-            let pivot = (col..n)
-                .max_by(|&i, &j| a[i][col].abs().total_cmp(&a[j][col].abs()))
-                .expect("non-empty");
+            // The last of equal maxima, as `Iterator::max_by` picks it.
+            let pivot = (col + 1..n).fold(col, |best, i| {
+                if a[i][col].abs().total_cmp(&a[best][col].abs()).is_ge() {
+                    i
+                } else {
+                    best
+                }
+            });
             if a[pivot][col].abs() < 1e-14 {
                 return Err(QnError::InvalidParameter {
                     name: "transitions",
@@ -862,11 +587,7 @@ impl Ctmc {
             }
         }
         normalize(&mut b);
-        Ok(SolveRun {
-            pi: b,
-            iterations: 0,
-            final_residual: 0.0,
-        })
+        Ok(SolveRun::exact(b))
     }
 }
 
@@ -898,6 +619,40 @@ fn check_not_absorbing(out_rate: &[f64]) -> Result<(), QnError> {
     Ok(())
 }
 
+/// The starting vector of an iterative solve on an `n`-state chain, shared
+/// by [`Ctmc::steady_state`] and [`crate::matfree::steady_state`]: `guess`
+/// (or the uniform distribution) with entries below `1e-12 / n` or not
+/// finite lifted to that floor, normalized. `None` for the single-state
+/// chain, whose answer needs no solve.
+///
+/// # Errors
+/// Rejects a guess whose length is not `n`.
+pub(crate) fn start_vector(n: usize, guess: Option<Vec<f64>>) -> Result<Option<Vec<f64>>, QnError> {
+    let mut guess = match guess {
+        Some(g) => {
+            if g.len() != n {
+                return Err(QnError::InvalidParameter {
+                    name: "guess",
+                    reason: format!("expected {} entries, got {}", n, g.len()),
+                });
+            }
+            g
+        }
+        None => vec![1.0 / n as f64; n],
+    };
+    if n == 1 {
+        return Ok(None);
+    }
+    let floor = 1e-12 / n as f64;
+    for x in guess.iter_mut() {
+        if !x.is_finite() || *x < floor {
+            *x = floor;
+        }
+    }
+    normalize(&mut guess);
+    Ok(Some(guess))
+}
+
 fn normalize(v: &mut [f64]) {
     let s: f64 = v.iter().sum();
     debug_assert!(s > 0.0, "probability vector must have positive mass");
@@ -906,7 +661,7 @@ fn normalize(v: &mut [f64]) {
     }
 }
 
-/// Solver label of [`SparseMethod::BiCgStab`] in trace events and errors.
+/// Solver label of [`Ctmc::steady_state`] in trace events and errors.
 const BICGSTAB: &str = "bicgstab-ilu0";
 
 /// Record a `ctmc.stall` event and build the [`QnError::NoConvergence`]
@@ -931,7 +686,7 @@ fn dot(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
 
-/// The pinned balance matrix of [`SparseMethod::BiCgStab`] — `A = -Q^T`
+/// The pinned balance matrix of [`Ctmc::steady_state`] — `A = -Q^T`
 /// with row `pinned` replaced by `e_pinned^T` — and its diagonal ILU
 /// preconditioner `M = (D + L) D^-1 (D + U)`: `L` and `U` are `A`'s own
 /// strict triangles, read from the incoming CSR, and only the pivots `D`
@@ -1175,7 +930,7 @@ impl<'a> PinnedSystem<'a> {
         (l1, sum_x)
     }
 
-    /// The acceptance test of [`SparseMethod::BiCgStab`]: turn the iterate
+    /// The acceptance test of [`Ctmc::steady_state`]: turn the iterate
     /// `y` into `x = (D + U)^-1 y` in place, clamp `x`'s negatives to 0,
     /// normalize it, and measure the scale-free residual of exactly that
     /// vector. Below `tol` that residual is returned and the buffer holds
@@ -1224,6 +979,14 @@ impl<'a> PinnedSystem<'a> {
 mod tests {
     use super::*;
 
+    /// A cold BiCGSTAB solve at a tight budget, untraced.
+    fn solve(chain: &Ctmc) -> Vec<f64> {
+        chain
+            .steady_state(None, (1e-12, 10_000), &Trace::noop())
+            .unwrap()
+            .pi
+    }
+
     /// Two-state chain with rates a (0->1) and b (1->0): pi = (b, a)/(a+b).
     fn two_state(a: f64, b: f64) -> Ctmc {
         Ctmc::from_transitions(2, [(0, 1, a), (1, 0, b)]).unwrap()
@@ -1233,15 +996,9 @@ mod tests {
     fn two_state_closed_form_all_solvers() {
         let chain = two_state(2.0, 3.0);
         let expect = [0.6, 0.4];
-        for method in [
-            SteadyStateMethod::default(),
-            SteadyStateMethod::gauss_seidel(0.95, 1e-10, 100_000),
-            SteadyStateMethod::power(1e-12, 100_000),
-            SteadyStateMethod::DenseLu { limit: 10 },
-        ] {
-            let pi = chain.steady_state(method).unwrap();
-            assert!((pi[0] - expect[0]).abs() < 1e-6, "{method:?}: {pi:?}");
-            assert!((pi[1] - expect[1]).abs() < 1e-6);
+        for pi in [solve(&chain), chain.dense_lu(10).unwrap().pi] {
+            assert!((pi[0] - expect[0]).abs() < 1e-12, "{pi:?}");
+            assert!((pi[1] - expect[1]).abs() < 1e-12);
         }
     }
 
@@ -1258,7 +1015,7 @@ mod tests {
     #[test]
     fn birth_death_is_geometric() {
         let chain = birth_death(20, 1.0, 2.0);
-        let pi = chain.steady_state(SteadyStateMethod::default()).unwrap();
+        let pi = solve(&chain);
         // pi_i = rho^i * (1 - rho) / (1 - rho^{K+1}).
         let rho: f64 = 0.5;
         let norm = (1.0 - rho) / (1.0 - rho.powi(21));
@@ -1293,20 +1050,10 @@ mod tests {
     fn solvers_agree_on_random_chain() {
         let n = 30;
         let chain = random_chain(n, 12345);
-        let bicg = chain.steady_state(SteadyStateMethod::default()).unwrap();
-        let gs = chain
-            .steady_state(SteadyStateMethod::gauss_seidel(0.95, 1e-8, 200_000))
-            .unwrap();
-        let lu = chain
-            .steady_state(SteadyStateMethod::DenseLu { limit: 100 })
-            .unwrap();
-        let pw = chain
-            .steady_state(SteadyStateMethod::power(1e-12, 2_000_000))
-            .unwrap();
+        let bicg = solve(&chain);
+        let lu = chain.dense_lu(100).unwrap().pi;
         for i in 0..n {
-            assert!((bicg[i] - lu[i]).abs() < 1e-7, "bicgstab vs lu at {i}");
-            assert!((gs[i] - lu[i]).abs() < 1e-7, "gs vs lu at {i}");
-            assert!((pw[i] - lu[i]).abs() < 1e-6, "power vs lu at {i}");
+            assert!((bicg[i] - lu[i]).abs() < 1e-10, "bicgstab vs lu at {i}");
         }
     }
 
@@ -1391,11 +1138,7 @@ mod tests {
         let chain = random_chain(30, 12345);
         let recorder = Recorder::new();
         let err = chain
-            .steady_state_run_traced(
-                SteadyStateMethod::bicgstab(1e-12, 1),
-                None,
-                &recorder.trace(),
-            )
+            .steady_state(None, (1e-12, 1), &recorder.trace())
             .unwrap_err();
         assert!(
             matches!(
@@ -1430,11 +1173,9 @@ mod tests {
             birth_death(40, 1.0, 2.0),
             random_chain(30, 99),
         ] {
-            let exact = chain
-                .steady_state(SteadyStateMethod::DenseLu { limit: 100 })
-                .unwrap();
+            let exact = chain.dense_lu(100).unwrap().pi;
             let run = chain
-                .steady_state_run(SteadyStateMethod::bicgstab(1e-10, 100), Some(exact.clone()))
+                .steady_state(Some(exact.clone()), (1e-10, 100), &Trace::noop())
                 .unwrap();
             assert_eq!(run.iterations, 0);
             assert!(run.final_residual < 1e-10);
@@ -1450,14 +1191,13 @@ mod tests {
         // Any pinned state gives the same answer; a guess weighted on the
         // last state pins it instead of state 0.
         let chain = random_chain(20, 7);
-        let lu = chain
-            .steady_state(SteadyStateMethod::DenseLu { limit: 100 })
-            .unwrap();
+        let lu = chain.dense_lu(100).unwrap().pi;
         let mut guess = vec![1.0; 20];
         guess[19] = 5.0;
-        let method = SteadyStateMethod::bicgstab(1e-12, 1_000);
         for guess in [None, Some(guess)] {
-            let run = chain.steady_state_run(method, guess).unwrap();
+            let run = chain
+                .steady_state(guess, (1e-12, 1_000), &Trace::noop())
+                .unwrap();
             assert!(run.iterations > 0);
             for (a, b) in run.pi.iter().zip(&lu) {
                 assert!((a - b).abs() < 1e-10, "{a} vs {b}");
@@ -1484,12 +1224,8 @@ mod tests {
         let c = Ctmc::from_outgoing_csr(b.finish()).unwrap();
         assert_eq!(a.out_rates(), c.out_rates());
         assert_eq!(a.transition_count(), c.transition_count());
-        let pa = a
-            .steady_state(SteadyStateMethod::DenseLu { limit: 10 })
-            .unwrap();
-        let pc = c
-            .steady_state(SteadyStateMethod::DenseLu { limit: 10 })
-            .unwrap();
+        let pa = a.dense_lu(10).unwrap().pi;
+        let pc = c.dense_lu(10).unwrap().pi;
         for (x, y) in pa.iter().zip(&pc) {
             assert!((x - y).abs() < 1e-15);
         }
@@ -1523,67 +1259,57 @@ mod tests {
         assert_eq!(a.transition_count(), 2);
         assert_eq!(c.transition_count(), 2);
         assert_eq!(a.out_rates(), c.out_rates());
-        let pa = a
-            .steady_state(SteadyStateMethod::DenseLu { limit: 10 })
-            .unwrap();
-        let pc = c
-            .steady_state(SteadyStateMethod::DenseLu { limit: 10 })
-            .unwrap();
+        let pa = a.dense_lu(10).unwrap().pi;
+        let pc = c.dense_lu(10).unwrap().pi;
         assert_eq!(pa, pc);
     }
 
     #[test]
     fn warm_start_converges_faster_or_equal() {
         let chain = birth_death(200, 3.0, 4.0);
-        let exact = chain.steady_state(SteadyStateMethod::default()).unwrap();
-        // Warm start from the exact answer: one residual check should pass.
+        let exact = solve(&chain);
+        // Warm start from the answer: the first residual check passes.
         let warm = chain
-            .steady_state_from(
-                SteadyStateMethod::gauss_seidel(1.0, 1e-8, 16),
-                exact.clone(),
-            )
+            .steady_state(Some(exact.clone()), (1e-8, 16), &Trace::noop())
             .unwrap();
-        assert!((warm[0] - exact[0]).abs() < 1e-6);
+        assert!((warm.pi[0] - exact[0]).abs() < 1e-6);
     }
 
     #[test]
     fn solve_run_reports_iterations() {
         let chain = birth_death(50, 2.0, 2.5);
-        let cold = chain
-            .steady_state_run(SteadyStateMethod::default(), None)
-            .unwrap();
+        let budget = (1e-8, 50_000);
+        let cold = chain.steady_state(None, budget, &Trace::noop()).unwrap();
         assert!(cold.iterations > 0);
-        // Warm-starting from the answer converges in no more sweeps.
+        // Warm-starting from the answer converges in no more iterations.
         let warm = chain
-            .steady_state_run(SteadyStateMethod::default(), Some(cold.pi.clone()))
+            .steady_state(Some(cold.pi.clone()), budget, &Trace::noop())
             .unwrap();
         assert!(warm.iterations <= cold.iterations);
         // Both vectors sit inside the residual tolerance; components agree
         // to well below metric precision.
         assert!((warm.pi[0] - cold.pi[0]).abs() < 1e-6);
         // Direct elimination reports zero iterations.
-        let lu = chain
-            .steady_state_run(SteadyStateMethod::DenseLu { limit: 100 }, None)
-            .unwrap();
+        let lu = chain.dense_lu(100).unwrap();
         assert_eq!(lu.iterations, 0);
-        // The run and the plain entry point produce the same vector.
-        let plain = chain.steady_state(SteadyStateMethod::default()).unwrap();
-        assert_eq!(cold.pi, plain);
+        // A recorded trace does not change the answer.
+        let recorder = burstcap_obs::Recorder::new();
+        let traced = chain.steady_state(None, budget, &recorder.trace()).unwrap();
+        assert_eq!(cold, traced);
+        assert!(recorder.event_count() > 0);
     }
 
     #[test]
     fn residual_of_solution_is_small() {
         let chain = birth_death(50, 2.0, 2.5);
-        let pi = chain.steady_state(SteadyStateMethod::default()).unwrap();
+        let pi = solve(&chain);
         assert!(chain.residual(&pi) < 1e-6);
     }
 
     #[test]
     fn duplicate_transitions_accumulate() {
         let chain = Ctmc::from_transitions(2, [(0, 1, 1.0), (0, 1, 1.0), (1, 0, 1.0)]).unwrap();
-        let pi = chain
-            .steady_state(SteadyStateMethod::DenseLu { limit: 10 })
-            .unwrap();
+        let pi = chain.dense_lu(10).unwrap().pi;
         // Effective rates 2.0 and 1.0: pi = (1/3, 2/3).
         assert!((pi[0] - 1.0 / 3.0).abs() < 1e-10);
     }
@@ -1604,7 +1330,7 @@ mod tests {
     fn dense_lu_respects_limit() {
         let chain = birth_death(50, 1.0, 2.0);
         assert!(matches!(
-            chain.steady_state(SteadyStateMethod::DenseLu { limit: 10 }),
+            chain.dense_lu(10),
             Err(QnError::StateSpaceTooLarge { .. })
         ));
     }
@@ -1613,58 +1339,15 @@ mod tests {
     fn bad_guess_length_rejected() {
         let chain = two_state(1.0, 1.0);
         assert!(chain
-            .steady_state_from(SteadyStateMethod::default(), vec![1.0])
+            .steady_state(Some(vec![1.0]), (1e-8, 100), &Trace::noop())
             .is_err());
     }
 
     #[test]
     fn single_state_chain() {
         let chain = Ctmc::from_transitions(1, []).unwrap();
-        assert_eq!(
-            chain.steady_state(SteadyStateMethod::default()).unwrap(),
-            vec![1.0]
-        );
-    }
-
-    #[test]
-    fn sor_accelerates_on_birth_death() {
-        let chain = birth_death(100, 3.9, 4.0);
-        let sor = chain
-            .steady_state(SteadyStateMethod::gauss_seidel(1.5, 1e-10, 100_000))
-            .unwrap();
-        let gs = chain.steady_state(SteadyStateMethod::default()).unwrap();
-        for i in 0..=100 {
-            assert!((sor[i] - gs[i]).abs() < 1e-6);
-        }
-    }
-
-    #[test]
-    fn explicit_uniformized_power_matches_solver() {
-        // The public CSR route — uniformize the outgoing generator, then
-        // iterate pi <- pi P via left_mul_vec — must reproduce the
-        // production power solver (which fuses the same update over
-        // incoming rows).
-        let triplets = [
-            (0usize, 1usize, 1.5),
-            (0, 2, 0.5),
-            (1, 0, 2.0),
-            (1, 2, 1.0),
-            (2, 0, 3.0),
-        ];
-        let q = CsrMatrix::from_triplets(3, triplets).unwrap();
-        let lambda = q.row_sums().into_iter().fold(0.0, f64::max) * 1.02;
-        let p = q.uniformized(lambda).unwrap();
-        let mut pi = vec![1.0 / 3.0; 3];
-        for _ in 0..10_000 {
-            pi = p.left_mul_vec(&pi);
-        }
-        let chain = Ctmc::from_transitions(3, triplets).unwrap();
-        let solver = chain
-            .steady_state(SteadyStateMethod::power(1e-14, 1_000_000))
-            .unwrap();
-        for (a, b) in pi.iter().zip(&solver) {
-            assert!((a - b).abs() < 1e-10, "{pi:?} vs {solver:?}");
-        }
+        assert_eq!(solve(&chain), vec![1.0]);
+        assert_eq!(chain.dense_lu(1).unwrap().pi, vec![1.0]);
     }
 
     #[test]
@@ -1674,15 +1357,5 @@ mod tests {
         // State 0's only inflow is 1 -> 0 at rate 3.
         assert_eq!(inc.row(0).collect::<Vec<_>>(), vec![(1, 3.0)]);
         assert_eq!(chain.out_rates(), &[2.0, 3.0]);
-    }
-
-    #[test]
-    fn invalid_omega_rejected() {
-        let chain = two_state(1.0, 1.0);
-        for omega in [0.0, -1.0, 2.0, 2.5] {
-            assert!(chain
-                .steady_state(SteadyStateMethod::gauss_seidel(omega, 1e-8, 100))
-                .is_err());
-        }
     }
 }

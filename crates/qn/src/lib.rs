@@ -9,11 +9,11 @@
 //! * [`mapqn`] — the paper's model (Section 4): a closed network of two
 //!   queues with **MAP(2) service processes** and an exponential think stage,
 //!   solved *exactly* by building the underlying CTMC and computing its
-//!   stationary distribution with the sparse solvers in [`ctmc`], which run
-//!   on the compressed-sparse-row substrate in [`csr`] — or, past the CSR
-//!   memory wall, with the matrix-free parallel engine in [`matfree`], which
-//!   applies the generator straight from the MAP(2) factors without ever
-//!   assembling it.
+//!   stationary distribution with the sparse BiCGSTAB solver in [`ctmc`],
+//!   which runs on the compressed-sparse-row substrate in [`csr`] — or, past
+//!   the CSR memory wall, with the matrix-free parallel Jacobi engine in
+//!   [`matfree`], which applies the generator straight from the MAP(2)
+//!   factors without ever assembling it.
 //!
 //! # Example: MVA vs the MAP-aware model
 //!

@@ -46,9 +46,8 @@
 //! BiCGSTAB of [`crate::ctmc`] on it, whose iteration count does not follow
 //! how slowly the phases mix; a cold solve starts from the network's
 //! product form with exponential servers (exact for Poisson stations).
-//! [`MapNetwork::solve_iterative`] runs any [`crate::ctmc`] method on the
-//! same chain, the dense LU oracle included (for cross-validation on small
-//! models).
+//! [`MapNetwork::solve_dense_lu`] runs the dense LU oracle of
+//! [`crate::ctmc`] on the same chain, for cross-validation on small models.
 //!
 //! [`MapNetwork::solve_tiers`] is the one place that picks an engine and a
 //! fallback; its [`TierPolicy`] names the two production callers.
@@ -59,8 +58,8 @@ use burstcap_map::Map2;
 use burstcap_obs::Trace;
 
 use crate::csr::CsrMatrix;
-use crate::ctmc::{Ctmc, SparseMethod, SteadyStateMethod};
-use crate::matfree::{MatFreeMethod, MatrixFreeGenerator};
+use crate::ctmc::Ctmc;
+use crate::matfree::MatrixFreeGenerator;
 use crate::QnError;
 
 /// Default cap on CTMC size (states).
@@ -82,7 +81,7 @@ pub const AUTO_SPARSE_THRESHOLD: usize = 10_000;
 /// former 120,000-state cut allowed under the ILU(0) layout (`24·nnz +
 /// 88·n` bytes): ≈ 26.7 MB at `M = 3`, where the benchmark's three-tier
 /// fits have 5.63 transitions per state. The D-ILU layout of
-/// [`crate::ctmc::SparseMethod::BiCgStab`] solves in `12·nnz + 88·n`
+/// [`crate::ctmc::Ctmc::steady_state`] solves in `12·nnz + 88·n`
 /// bytes; at the densest tandem, `M = 4` (7.5 transitions per state at
 /// `BENCH_baseline.json`'s 170,016-state point), that is 178 bytes per
 /// state, and 26.7 MB / 178 B ≈ 150,000 states. Assembly briefly holds the
@@ -101,6 +100,11 @@ const CSR_FULL: (f64, usize) = (1e-12, 100_000);
 /// costs a fraction of the direct solve it falls back to.
 const CSR_BOUNDED: (f64, usize) = (1e-10, 10_000);
 
+/// Tolerance and sweep budget of the matrix-free Jacobi solve. The residual
+/// target is the full CSR solve's: 1e-12 on the scale-free balance residual
+/// keeps throughput within 1e-8 of the direct solver.
+const MATFREE: (f64, usize) = (1e-12, 400_000);
+
 /// The limits of the engine ladder that no caller chooses. Production
 /// solves always run [`TIER_LIMITS`]; unit tests shrink the budgets to force
 /// each fallback edge on a small chain.
@@ -110,14 +114,14 @@ struct TierLimits {
     matfree_above: usize,
     /// `(tol, max_iter)` of the CSR solve a matrix-free stall falls back to.
     csr: (f64, usize),
-    /// Method and sweep budget of the matrix-free engine.
-    matfree: MatFreeMethod,
+    /// `(tol, max_iter)` of the matrix-free engine.
+    matfree: (f64, usize),
 }
 
 const TIER_LIMITS: TierLimits = TierLimits {
     matfree_above: AUTO_MATFREE_THRESHOLD,
     csr: CSR_FULL,
-    matfree: MatFreeMethod::PRODUCTION,
+    matfree: MATFREE,
 };
 
 /// Which production caller [`MapNetwork::solve_tiers`] serves. The two
@@ -158,11 +162,10 @@ pub enum SolveEngine {
     Direct,
     /// Dense LU on the full generator (small-model oracle).
     DenseLu,
-    /// CSR-backed iterative solve (D-ILU BiCGSTAB in production;
-    /// Gauss-Seidel or uniformized power through
-    /// [`MapNetwork::solve_iterative`]).
+    /// CSR-backed D-ILU BiCGSTAB ([`crate::ctmc::Ctmc::steady_state`]).
     SparseCsr,
-    /// Matrix-free parallel sweep (no generator materialization).
+    /// Matrix-free parallel damped Jacobi sweep (no generator
+    /// materialization).
     MatrixFree,
 }
 
@@ -191,10 +194,9 @@ pub struct EngineSweeps {
     pub direct: usize,
     /// Dense LU oracle (non-iterative: always `0` sweeps).
     pub dense_lu: usize,
-    /// CSR iterations: BiCGSTAB iterations in production (each about four
-    /// sweeps of work), Gauss-Seidel or power sweeps when asked for.
+    /// CSR engine: BiCGSTAB iterations (each about two sweeps of work).
     pub sparse_csr: usize,
-    /// Matrix-free Jacobi / power sweeps.
+    /// Matrix-free engine: damped Jacobi sweeps.
     pub matrix_free: usize,
 }
 
@@ -844,52 +846,37 @@ impl MapNetwork {
         Ok((solution, pi))
     }
 
-    /// Solve via the generic sparse-CTMC path with an iterative (or dense)
-    /// method — useful for cross-validating the direct solver and for
-    /// experimenting with solver behaviour on stiff chains.
-    ///
-    /// The generator is assembled straight into CSR form
-    /// ([`MapNetwork::outgoing_csr`]) — no intermediate triplet list — so
-    /// the only memory the solve needs beyond the CSR arrays is two state
-    /// vectors. This is what pushes exact solves from populations of tens
-    /// (dense LU) to hundreds.
+    /// Solve by dense LU on the full generator ([`Ctmc::dense_lu`]), for
+    /// chains of at most `limit` states — the cross-validation oracle for
+    /// the direct level-reduction and the iterative engines on small models.
+    /// `O(states^2)` memory and `O(states^3)` time, so never a production
+    /// path.
     ///
     /// # Errors
-    /// Propagates CTMC construction/solver errors; iterative methods may
-    /// legitimately return [`QnError::NoConvergence`] on nearly
-    /// decomposable chains (see the module docs).
+    /// Propagates CTMC construction errors, and
+    /// [`QnError::StateSpaceTooLarge`] above `limit` states.
     ///
     /// # Example
     /// ```
     /// use burstcap_map::Map2;
-    /// use burstcap_qn::ctmc::SteadyStateMethod;
-    /// use burstcap_qn::mapqn::MapNetwork;
+    /// use burstcap_qn::mapqn::{MapNetwork, SolveEngine};
     ///
     /// let net = MapNetwork::new(6, 0.5, Map2::poisson(100.0)?, Map2::poisson(50.0)?)?;
-    /// let sparse = net.solve_iterative(SteadyStateMethod::default())?;
-    /// let oracle = net.solve_iterative(SteadyStateMethod::DenseLu { limit: 1_000 })?;
-    /// assert!((sparse.throughput - oracle.throughput).abs() < 1e-6);
+    /// let oracle = net.solve_dense_lu(1_000)?;
+    /// let (sparse, _) = net.solve_sparse_with_initial(None)?;
+    /// assert!((sparse.throughput - oracle.throughput).abs() / oracle.throughput < 1e-10);
+    /// assert_eq!(oracle.diagnostics.engine, SolveEngine::DenseLu);
     /// # Ok::<(), Box<dyn std::error::Error>>(())
     /// ```
-    ///
-    /// # Panics
-    ///
-    /// Only if a justified internal invariant is violated (1 reachable
-    /// panic site, e.g. `crates/qn/src/ctmc.rs:831`; `burstcap-lint report` lists them),
-    /// never for inputs this API accepts.
-    pub fn solve_iterative(&self, method: SteadyStateMethod) -> Result<MapQnSolution, QnError> {
+    pub fn solve_dense_lu(&self, limit: usize) -> Result<MapQnSolution, QnError> {
         self.check_state_limit()?;
         let idx = self.indexer()?;
         let chain = Ctmc::from_outgoing_csr(self.outgoing_csr()?)?;
-        let engine = match method {
-            SteadyStateMethod::DenseLu { .. } => SolveEngine::DenseLu,
-            SteadyStateMethod::Sparse(_) => SolveEngine::SparseCsr,
-        };
-        let run = chain.steady_state_run(method, None)?;
+        let run = chain.dense_lu(limit)?;
         Ok(self
             .metrics_from_flat(&idx, &run.pi)
             .with_diagnostics(SolveDiagnostics::of_engine(
-                engine,
+                SolveEngine::DenseLu,
                 run.iterations,
                 run.final_residual,
             )))
@@ -908,8 +895,8 @@ impl MapNetwork {
     /// MAP rates slightly while the state space — which depends only on the
     /// population and station count — stays fixed, so the previous
     /// stationary vector is an excellent initial iterate (the underlying
-    /// seam is [`crate::ctmc::Ctmc::steady_state_from`], which normalizes
-    /// and floors the guess). With `None` the solve starts cold from the
+    /// seam is [`crate::ctmc::Ctmc::steady_state`], which normalizes and
+    /// floors the guess). With `None` the solve starts cold from the
     /// network's product form with exponential servers of the stations'
     /// mean service times, weighted by each station's phase distribution —
     /// exact for [`Map2::poisson`] stations, and 5–40% fewer iterations
@@ -937,12 +924,6 @@ impl MapNetwork {
     /// assert!((warm.throughput - cold.throughput).abs() / cold.throughput < 0.05);
     /// # Ok::<(), Box<dyn std::error::Error>>(())
     /// ```
-    ///
-    /// # Panics
-    ///
-    /// Only if a justified internal invariant is violated (1 reachable
-    /// panic site, e.g. `crates/qn/src/ctmc.rs:831`; `burstcap-lint report` lists them),
-    /// never for inputs this API accepts.
     pub fn solve_sparse_with_initial(
         &self,
         guess: Option<Vec<f64>>,
@@ -959,12 +940,6 @@ impl MapNetwork {
     ///
     /// # Errors
     /// As [`MapNetwork::solve_sparse_with_initial`].
-    ///
-    /// # Panics
-    ///
-    /// Only if a justified internal invariant is violated (1 reachable
-    /// panic site, e.g. `crates/qn/src/ctmc.rs:831`; `burstcap-lint report` lists them),
-    /// never for inputs this API accepts.
     pub fn solve_sparse_with_initial_traced(
         &self,
         guess: Option<Vec<f64>>,
@@ -990,8 +965,7 @@ impl MapNetwork {
                 Some(g) => g,
                 None => self.product_form_start(&self.indexer()?),
             };
-            let method = SteadyStateMethod::Sparse(SparseMethod::BiCgStab { tol, max_iter });
-            let run = chain.steady_state_run_traced(method, Some(guess), trace)?;
+            let run = chain.steady_state(Some(guess), (tol, max_iter), trace)?;
             Ok((run.pi, run.iterations, run.final_residual))
         })
     }
@@ -1074,18 +1048,19 @@ impl MapNetwork {
         pi
     }
 
-    /// The one matrix-free solve body: run `method` on the operator of
-    /// [`MapNetwork::matrix_free`] over `workers` threads.
+    /// The one matrix-free solve body: damped Jacobi at `(tol, max_iter)`
+    /// on the operator of [`MapNetwork::matrix_free`] over `workers`
+    /// threads.
     fn solve_matfree(
         &self,
-        method: MatFreeMethod,
+        budget: (f64, usize),
         workers: usize,
         guess: Option<Vec<f64>>,
         trace: &Trace,
     ) -> Result<(MapQnSolution, Vec<f64>), QnError> {
         self.solve_engine(SolveEngine::MatrixFree, trace, || {
             let op = self.matrix_free()?;
-            let run = crate::matfree::steady_state_traced(&op, method, workers, guess, trace)?;
+            let run = crate::matfree::steady_state(&op, budget, workers, guess, trace)?;
             Ok((run.pi, run.iterations, run.final_residual))
         })
     }
@@ -1181,7 +1156,7 @@ impl MapNetwork {
     /// its decimated `matfree.sweep` trajectory inside it. The recorded
     /// deterministic trace is **byte-identical across worker counts** —
     /// worker-dependent detail (partition shapes) goes out as volatile
-    /// events only; see [`crate::matfree::steady_state_traced`].
+    /// events only; see [`crate::matfree::steady_state`].
     ///
     /// # Errors
     /// As [`MapNetwork::solve_matrix_free_with_initial`].
@@ -1214,12 +1189,6 @@ impl MapNetwork {
     /// assert!((auto.throughput - forced_sparse.throughput).abs() / auto.throughput < 1e-8);
     /// # Ok::<(), Box<dyn std::error::Error>>(())
     /// ```
-    ///
-    /// # Panics
-    ///
-    /// Only if a justified internal invariant is violated (1 reachable
-    /// panic site, e.g. `crates/qn/src/ctmc.rs:831`; `burstcap-lint report` lists them),
-    /// never for inputs this API accepts.
     pub fn solve_auto_with_initial(
         &self,
         sparse_above_states: usize,
@@ -1234,12 +1203,6 @@ impl MapNetwork {
     ///
     /// # Errors
     /// As [`MapNetwork::solve_tiers`].
-    ///
-    /// # Panics
-    ///
-    /// Only if a justified internal invariant is violated (1 reachable
-    /// panic site, e.g. `crates/qn/src/ctmc.rs:831`; `burstcap-lint report` lists them),
-    /// never for inputs this API accepts.
     pub fn solve_auto_traced(
         &self,
         sparse_above_states: usize,
@@ -1304,12 +1267,6 @@ impl MapNetwork {
     /// assert!((online.throughput - batch.throughput).abs() / batch.throughput < 1e-8);
     /// # Ok::<(), Box<dyn std::error::Error>>(())
     /// ```
-    ///
-    /// # Panics
-    ///
-    /// Only if a justified internal invariant is violated (1 reachable
-    /// panic site, e.g. `crates/qn/src/ctmc.rs:831`; `burstcap-lint report` lists them),
-    /// never for inputs this API accepts.
     pub fn solve_tiers(
         &self,
         policy: TierPolicy,
@@ -1936,9 +1893,7 @@ mod tests {
         let db = Map2Fitter::new(0.03, 100.0, 0.1).fit().unwrap().map();
         let net = MapNetwork::new(8, 0.45, front, db).unwrap();
         let direct = net.solve().unwrap();
-        let lu = net
-            .solve_iterative(SteadyStateMethod::DenseLu { limit: 10_000 })
-            .unwrap();
+        let lu = net.solve_dense_lu(10_000).unwrap();
         assert!(
             (direct.throughput - lu.throughput).abs() / lu.throughput < 1e-8,
             "direct {} vs LU {}",
@@ -1958,9 +1913,7 @@ mod tests {
         let db = Map2Fitter::new(0.03, 100.0, 0.1).fit().unwrap().map();
         let net = MapNetwork::tandem(6, 0.45, vec![web, app, db]).unwrap();
         let direct = net.solve().unwrap();
-        let lu = net
-            .solve_iterative(SteadyStateMethod::DenseLu { limit: 10_000 })
-            .unwrap();
+        let lu = net.solve_dense_lu(10_000).unwrap();
         assert!(
             (direct.throughput - lu.throughput).abs() / lu.throughput < 1e-8,
             "direct {} vs LU {}",
@@ -2416,9 +2369,7 @@ mod tests {
         assert!(sparse.diagnostics.iterations > 0);
         assert!(!sparse.diagnostics.fell_back);
         // Dense LU oracle tags itself.
-        let lu = net
-            .solve_iterative(SteadyStateMethod::DenseLu { limit: 100_000 })
-            .unwrap();
+        let lu = net.solve_dense_lu(100_000).unwrap();
         assert_eq!(lu.diagnostics.engine, SolveEngine::DenseLu);
         assert_eq!(lu.diagnostics.iterations, 0);
     }
@@ -2435,11 +2386,7 @@ mod tests {
     /// one-sweep budget.
     const MATFREE_STALLS: TierLimits = TierLimits {
         matfree_above: 0,
-        matfree: MatFreeMethod::Jacobi {
-            omega: 0.95,
-            tol: 1e-12,
-            max_iter: 1,
-        },
+        matfree: (MATFREE.0, 1),
         ..TIER_LIMITS
     };
 

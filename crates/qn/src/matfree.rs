@@ -31,11 +31,10 @@
 //!   instead of `M + 1` ranks per state, and each state's `2^M` phases
 //!   are gathered from `O(M · 2^M)` rate tables filled once at build.
 //!   Memory stays the exit-rate vector plus `O(N·M + M·2^M)`;
-//! * [`steady_state`] runs a damped **Jacobi** sweep (or uniformized power
-//!   iteration) with the row range partitioned across scoped threads. Jacobi
-//!   — unlike Gauss-Seidel — reads only the previous iterate, so row ranges
-//!   are embarrassingly parallel and every row is written by exactly one
-//!   worker.
+//! * [`steady_state`] runs a damped **Jacobi** sweep with the row range
+//!   partitioned across scoped threads. Jacobi reads only the previous
+//!   iterate, so row ranges are embarrassingly parallel and every row is
+//!   written by exactly one worker.
 //!
 //! # Determinism across worker counts
 //!
@@ -50,23 +49,22 @@
 //!
 //! # Convergence
 //!
-//! The damped Jacobi fixed-point operator shares the structure of the
-//! Gauss-Seidel sweep in [`crate::ctmc`]: the undamped operator has its
-//! Perron eigenvalue at 1 with non-principal modes that can sit *on* the
-//! unit circle for the quasi-birth-death chains MAP networks generate;
-//! damping (`omega < 1`) pulls those modes strictly inside, restoring
-//! convergence at a negligible cost elsewhere. Stalls on extremely stiff
-//! chains are still possible and surface as [`QnError::NoConvergence`] —
-//! [`crate::mapqn::MapNetwork::solve_tiers`] handles the fallback.
+//! The undamped Jacobi fixed-point operator has its Perron eigenvalue at 1
+//! with non-principal modes that can sit *on* the unit circle for the
+//! quasi-birth-death chains MAP networks generate, so the normalized
+//! iteration can settle into a limit cycle instead of the stationary
+//! vector. A fixed damping factor of 0.95 pulls those modes strictly
+//! inside, restoring convergence at a negligible cost elsewhere. Stalls on
+//! extremely stiff chains are still possible and surface as
+//! [`QnError::NoConvergence`] — [`crate::mapqn::MapNetwork::solve_tiers`]
+//! handles the fallback.
 
 use std::ops::Range;
-
-use serde::{Deserialize, Serialize};
 
 use burstcap_map::Map2;
 use burstcap_obs::{metrics, Trace};
 
-use crate::ctmc::Ctmc;
+use crate::ctmc::{start_vector, Ctmc, SolveRun};
 use crate::mapqn::{next_occupancy, phase_of, StateIndexer};
 use crate::QnError;
 
@@ -450,62 +448,10 @@ impl ApplyQ for MatrixFreeGenerator {
     }
 }
 
-/// Iterative method selection for the matrix-free engine.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum MatFreeMethod {
-    /// Damped Jacobi sweeps on the global balance equations — the parallel
-    /// analogue of Gauss-Seidel (Jacobi reads only the previous iterate, so
-    /// rows partition freely across threads).
-    /// `omega < 1` is required for convergence on the stiff quasi-birth-
-    /// death chains of this workspace (see the module docs).
-    Jacobi {
-        /// Damping factor in `(0, 2)`; prefer `< 1`.
-        omega: f64,
-        /// Convergence tolerance on the scale-free L1 balance residual.
-        tol: f64,
-        /// Sweep budget.
-        max_iter: usize,
-    },
-    /// Power iteration on the uniformized chain `P = I + Q / lambda`
-    /// (`lambda` slightly above the largest exit rate).
-    Power {
-        /// Convergence tolerance on the scale-free L1 balance residual.
-        tol: f64,
-        /// Iteration budget.
-        max_iter: usize,
-    },
-}
-
-impl MatFreeMethod {
-    /// The method the engine ladder runs. The residual target is the full
-    /// CSR solve's: 1e-12 on the scale-free balance residual keeps
-    /// throughput within 1e-8 of the direct solver. The damping `omega =
-    /// 0.95` keeps the sweep operator's eigenvalues off the unit circle on
-    /// these quasi-birth-death chains (see the module docs).
-    pub(crate) const PRODUCTION: MatFreeMethod = MatFreeMethod::Jacobi {
-        omega: 0.95,
-        tol: 1e-12,
-        max_iter: 400_000,
-    };
-}
-
-impl Default for MatFreeMethod {
-    fn default() -> Self {
-        MatFreeMethod::PRODUCTION
-    }
-}
-
-/// Outcome of a matrix-free solve.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MatFreeRun {
-    /// The stationary distribution.
-    pub pi: Vec<f64>,
-    /// Sweeps performed.
-    pub iterations: usize,
-    /// Scale-free residual at the accepting sweep; `0.0` for the trivial
-    /// single-state chain.
-    pub final_residual: f64,
-}
+/// The Jacobi damping factor: below 1, so the sweep operator's
+/// non-principal eigenvalues sit strictly inside the unit circle on these
+/// quasi-birth-death chains (see the module docs).
+const OMEGA: f64 = 0.95;
 
 /// Worker count used when the caller passes `workers = 0`: the
 /// `BURSTCAP_SOLVER_WORKERS` environment variable if set to a positive
@@ -566,21 +512,34 @@ fn apply(op: &impl ApplyQ, x: &[f64], ranges: &[Range<usize>], out: &mut [f64]) 
     });
 }
 
-/// Solve for the stationary distribution of the chain behind `op` with the
-/// given method and worker count (`0` = [`default_workers`]), optionally
-/// warm-started from `guess` (floored and normalized like the CSR engine).
+/// Solve for the stationary distribution of the chain behind `op` by damped
+/// Jacobi sweeps to the scale-free L1 balance residual `tol` within
+/// `max_iter` sweeps, with the rows partitioned across `workers` threads
+/// (`0` = [`default_workers`]). `guess` warm-starts the solve (`None`: the
+/// uniform distribution); it is floored and normalized like the CSR
+/// engine's start.
 ///
 /// The iterates are bit-identical across worker counts — see the module
-/// docs.
+/// docs. On `trace` the solve opens a `matfree.solve` span, emits
+/// decimated `matfree.sweep` events (one per power-of-two sweep plus the
+/// accepting one), a `matfree.stall` event when the budget runs out, and
+/// `matfree.final_residual` / `matfree.sweeps` histograms, all from the
+/// **serial** residual pass — the parallel workers emit nothing, which is
+/// what keeps the deterministic export byte-identical across worker counts
+/// (property-tested alongside the iterate equality). The worker count and
+/// row partition, which legitimately vary, go out as **volatile**
+/// `matfree.partition` events: visible in the full export, absent from the
+/// deterministic one. Pass [`Trace::noop`] to observe nothing.
 ///
 /// # Errors
-/// Rejects wrong-length guesses and out-of-range damping factors; returns
-/// [`QnError::NoConvergence`] when the sweep budget is exhausted.
+/// Rejects wrong-length guesses; returns [`QnError::NoConvergence`] when
+/// the sweep budget is exhausted.
 ///
 /// # Example
 /// ```
+/// use burstcap_obs::Trace;
 /// use burstcap_qn::ctmc::Ctmc;
-/// use burstcap_qn::matfree::{steady_state, MatFreeMethod};
+/// use burstcap_qn::matfree::steady_state;
 ///
 /// // M/M/1/2 with lambda = 1, mu = 2: pi = (4, 2, 1) / 7. The CSR-backed
 /// // chain doubles as an ApplyQ operator.
@@ -588,91 +547,34 @@ fn apply(op: &impl ApplyQ, x: &[f64], ranges: &[Range<usize>], out: &mut [f64]) 
 ///     3,
 ///     [(0, 1, 1.0), (1, 2, 1.0), (1, 0, 2.0), (2, 1, 2.0)],
 /// )?;
-/// let run = steady_state(&chain, MatFreeMethod::default(), 1, None)?;
+/// let run = steady_state(&chain, (1e-12, 10_000), 1, None, &Trace::noop())?;
 /// assert!((run.pi[0] - 4.0 / 7.0).abs() < 1e-8);
 /// assert!(run.iterations > 0);
 /// # Ok::<(), burstcap_qn::QnError>(())
 /// ```
 pub fn steady_state(
     op: &impl ApplyQ,
-    method: MatFreeMethod,
-    workers: usize,
-    guess: Option<Vec<f64>>,
-) -> Result<MatFreeRun, QnError> {
-    steady_state_traced(op, method, workers, guess, &Trace::noop())
-}
-
-/// [`steady_state`] with observability: opens a `matfree.solve` span on
-/// `trace`, emits decimated `matfree.sweep` events (one per power-of-two
-/// sweep plus the accepting one) and `matfree.final_residual` /
-/// `matfree.sweeps` histograms, all from the **serial** residual pass — the
-/// parallel workers emit nothing, which is what keeps the deterministic
-/// export byte-identical across worker counts (property-tested alongside
-/// the iterate equality). The worker count and row partition, which
-/// legitimately vary, go out as **volatile** `matfree.partition` events:
-/// visible in the full export, absent from the deterministic one.
-///
-/// # Errors
-/// As [`steady_state`].
-pub fn steady_state_traced(
-    op: &impl ApplyQ,
-    method: MatFreeMethod,
+    (tol, max_iter): (f64, usize),
     workers: usize,
     guess: Option<Vec<f64>>,
     trace: &Trace,
-) -> Result<MatFreeRun, QnError> {
+) -> Result<SolveRun, QnError> {
     let n = op.n_states();
-    let mut pi = match guess {
-        Some(g) => {
-            if g.len() != n {
-                return Err(QnError::InvalidParameter {
-                    name: "guess",
-                    reason: format!("expected {} entries, got {}", n, g.len()),
-                });
-            }
-            g
-        }
-        None => vec![1.0 / n as f64; n],
+    let Some(pi) = start_vector(n, guess)? else {
+        return Ok(SolveRun::exact(vec![1.0]));
     };
-    if let MatFreeMethod::Jacobi { omega, .. } = method {
-        if !(0.0 < omega && omega < 2.0) {
-            return Err(QnError::InvalidParameter {
-                name: "omega",
-                reason: format!("damping factor must lie in (0, 2), got {omega}"),
-            });
-        }
-    }
-    if n == 1 {
-        return Ok(MatFreeRun {
-            pi: vec![1.0],
-            iterations: 0,
-            final_residual: 0.0,
-        });
-    }
-    let floor = 1e-12 / n as f64;
-    for x in pi.iter_mut() {
-        if !x.is_finite() || *x < floor {
-            *x = floor;
-        }
-    }
-    normalize(&mut pi);
     let workers = if workers == 0 {
         default_workers()
     } else {
         workers
     };
     let ranges = partition(n, workers);
-    let out_rate = op.exit_rates();
-    let solver = match method {
-        MatFreeMethod::Jacobi { .. } => "jacobi",
-        MatFreeMethod::Power { .. } => "power",
-    };
     // The span carries nothing worker-count-dependent: the deterministic
     // trace must be byte-identical at any worker count. The partition is
     // reported as volatile events, which the deterministic export drops.
     let _span = trace.span_with(
         "matfree.solve",
-        vec![("states", n.into()), ("solver", solver.into())],
+        vec![("states", n.into()), ("solver", "jacobi".into())],
     );
     if trace.is_enabled() {
         trace.volatile_event("matfree.workers", vec![("workers", workers.into())]);
@@ -687,20 +589,7 @@ pub fn steady_state_traced(
             );
         }
     }
-    let run = match method {
-        MatFreeMethod::Jacobi { omega, .. } => {
-            sweep_loop(op, &ranges, trace, pi, method, |p, inflow, out| {
-                (1.0 - omega) * p + omega * inflow / out
-            })
-        }
-        MatFreeMethod::Power { .. } => {
-            let lambda = out_rate.iter().cloned().fold(0.0, f64::max) * 1.02;
-            sweep_loop(op, &ranges, trace, pi, method, |p, inflow, out| {
-                p + (inflow - p * out) / lambda
-            })
-        }
-    };
-    match run {
+    match jacobi(op, &ranges, trace, pi, tol, max_iter) {
         Ok(run) => {
             trace.observe(
                 "matfree.final_residual",
@@ -735,24 +624,18 @@ pub fn steady_state_traced(
     }
 }
 
-/// The sweep loop shared by both methods: apply the operator, then one
-/// serial pass computes the balance residual of the current iterate and the
-/// next iterate row by row, and a second normalizes it. Sweeps from `pi`
-/// until the scale-free residual falls below the method's `tol` or its
-/// `max_iter` sweeps are spent. `update(pi_i, inflow_i, exit_i)` is the
-/// method's next value of row `i` before normalization.
-fn sweep_loop(
+/// The sweep loop: apply the operator, then one serial pass computes the
+/// balance residual of the current iterate and the damped Jacobi update of
+/// each row, and a second normalizes it. Sweeps from `pi` until the
+/// scale-free residual falls below `tol` or `max_iter` sweeps are spent.
+fn jacobi(
     op: &impl ApplyQ,
     ranges: &[Range<usize>],
     trace: &Trace,
     mut pi: Vec<f64>,
-    method: MatFreeMethod,
-    update: impl Fn(f64, f64, f64) -> f64,
-) -> Result<MatFreeRun, QnError> {
-    let (tol, max_iter, solver) = match method {
-        MatFreeMethod::Jacobi { tol, max_iter, .. } => (tol, max_iter, "matfree-jacobi"),
-        MatFreeMethod::Power { tol, max_iter } => (tol, max_iter, "matfree-power"),
-    };
+    tol: f64,
+    max_iter: usize,
+) -> Result<SolveRun, QnError> {
     let out_rate = op.exit_rates();
     // Scale-free residual target, matching the CSR engine's convention.
     let scale: f64 = out_rate.iter().sum::<f64>() / pi.len() as f64;
@@ -765,7 +648,7 @@ fn sweep_loop(
         for ((v, &p), &out) in next.iter_mut().zip(&pi).zip(out_rate) {
             let inflow = *v;
             residual += (inflow - p * out).abs();
-            *v = update(p, inflow, out);
+            *v = (1.0 - OMEGA) * p + OMEGA * inflow / out;
             sum += *v;
         }
         for v in next.iter_mut() {
@@ -783,7 +666,7 @@ fn sweep_loop(
             );
         }
         if converged {
-            return Ok(MatFreeRun {
+            return Ok(SolveRun {
                 pi,
                 iterations: iter,
                 final_residual: last_residual,
@@ -791,19 +674,10 @@ fn sweep_loop(
         }
     }
     Err(QnError::NoConvergence {
-        solver,
+        solver: "matfree-jacobi",
         iterations: max_iter,
         residual: last_residual,
     })
-}
-
-fn normalize(v: &mut [f64]) {
-    let s: f64 = v.iter().sum();
-    if s > 0.0 {
-        for x in v.iter_mut() {
-            *x /= s;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -838,14 +712,17 @@ mod tests {
         }
     }
 
+    /// The production budget of the matrix-free tier.
+    const BUDGET: (f64, usize) = (1e-12, 400_000);
+
     #[test]
     fn ctmc_operator_solves_birth_death() {
-        // pi = (0.6, 0.4) for rates 2 / 3; both methods, several worker
-        // counts (partitioning must not change the answer at all).
+        // pi = (0.6, 0.4) for rates 2 / 3, at several worker counts
+        // (partitioning must not change the answer at all).
         let chain = two_state_chain();
         let mut reference: Option<Vec<f64>> = None;
         for workers in [1usize, 2, 3] {
-            let run = steady_state(&chain, MatFreeMethod::default(), workers, None).unwrap();
+            let run = steady_state(&chain, BUDGET, workers, None, &Trace::noop()).unwrap();
             assert!((run.pi[0] - 0.6).abs() < 1e-9, "pi = {:?}", run.pi);
             assert!(run.iterations > 0);
             match &reference {
@@ -853,39 +730,18 @@ mod tests {
                 None => reference = Some(run.pi),
             }
         }
-        let power = steady_state(
-            &chain,
-            MatFreeMethod::Power {
-                tol: 1e-10,
-                max_iter: 100_000,
-            },
-            1,
-            None,
-        )
-        .unwrap();
-        assert!((power.pi[1] - 0.4).abs() < 1e-8);
     }
 
     #[test]
-    fn guess_and_omega_are_validated() {
-        let chain = two_state_chain();
-        assert!(matches!(
-            steady_state(&chain, MatFreeMethod::default(), 1, Some(vec![1.0])),
-            Err(QnError::InvalidParameter { name: "guess", .. })
-        ));
-        let bad = MatFreeMethod::Jacobi {
-            omega: 2.5,
-            tol: 1e-10,
-            max_iter: 10,
-        };
+    fn guess_is_validated_before_anything_is_recorded() {
         // A rejected call records nothing, and a one-state chain (which
         // needs no sweep) is no exception.
         let single = Ctmc::from_transitions(1, []).unwrap();
-        for op in [&chain, &single] {
+        for op in [&two_state_chain(), &single] {
             let recorder = Recorder::new();
             assert!(matches!(
-                steady_state_traced(op, bad, 2, None, &recorder.trace()),
-                Err(QnError::InvalidParameter { name: "omega", .. })
+                steady_state(op, BUDGET, 2, Some(vec![1.0; 3]), &recorder.trace()),
+                Err(QnError::InvalidParameter { name: "guess", .. })
             ));
             assert_eq!(recorder.event_count(), 0);
         }
@@ -894,13 +750,8 @@ mod tests {
     #[test]
     fn exhausted_budget_is_no_convergence() {
         let chain = two_state_chain();
-        let starved = MatFreeMethod::Jacobi {
-            omega: 0.95,
-            tol: 1e-14,
-            max_iter: 1,
-        };
         assert!(matches!(
-            steady_state(&chain, starved, 1, None),
+            steady_state(&chain, (1e-14, 1), 1, None, &Trace::noop()),
             Err(QnError::NoConvergence {
                 solver: "matfree-jacobi",
                 ..

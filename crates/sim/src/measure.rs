@@ -195,9 +195,8 @@ impl ResponseTally {
     ///
     /// # Panics
     ///
-    /// Only if a justified internal invariant is violated (1 reachable
-    /// panic site, e.g. `crates/stats/src/streaming.rs:604`; `burstcap-lint report` lists them),
-    /// never for inputs this API accepts.
+    /// Only if a justified internal invariant is violated, never for inputs
+    /// this API accepts; `burstcap-lint report` lists the sites.
     pub fn record(&mut self, value: f64) {
         self.stats.push(value);
         self.samples.push(value);
@@ -215,9 +214,8 @@ impl ResponseTally {
     ///
     /// # Panics
     ///
-    /// Only if a justified internal invariant is violated (1 reachable
-    /// panic site, e.g. `crates/map/src/general.rs:105`; `burstcap-lint report` lists them),
-    /// never for inputs this API accepts.
+    /// Only if a justified internal invariant is violated, never for inputs
+    /// this API accepts; `burstcap-lint report` lists the sites.
     pub fn mean(&self) -> Result<f64, SimError> {
         self.stats.mean().ok_or(SimError::NoObservations {
             what: "response times",

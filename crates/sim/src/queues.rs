@@ -127,9 +127,8 @@ impl MTrace1 {
     ///
     /// # Panics
     ///
-    /// Only if a justified internal invariant is violated (2 reachable
-    /// panic sites, e.g. `crates/map/src/general.rs:105`; `burstcap-lint report` lists them),
-    /// never for inputs this API accepts.
+    /// Only if a justified internal invariant is violated, never for inputs
+    /// this API accepts; `burstcap-lint report` lists the sites.
     pub fn run(&self, seed: u64) -> Result<MTrace1Result, SimError> {
         let mean_service = self.trace.iter().sum::<f64>() / self.trace.len() as f64;
         let lambda = self.rho / mean_service;
@@ -409,9 +408,8 @@ impl ClosedMapNetwork {
     ///
     /// # Panics
     ///
-    /// Only if a justified internal invariant is violated (2 reachable
-    /// panic sites, e.g. `crates/map/src/general.rs:105`; `burstcap-lint report` lists them),
-    /// never for inputs this API accepts.
+    /// Only if a justified internal invariant is violated, never for inputs
+    /// this API accepts; `burstcap-lint report` lists the sites.
     pub fn run(&self, horizon: f64, warmup: f64, seed: u64) -> Result<ClosedRunResult, SimError> {
         if !(horizon.is_finite() && warmup >= 0.0 && horizon > warmup) {
             return Err(SimError::InvalidParameter {

@@ -176,9 +176,8 @@ impl Summary {
     ///
     /// # Panics
     ///
-    /// Only if a justified internal invariant is violated (1 reachable
-    /// panic site, e.g. `crates/stats/src/descriptive.rs:204`; `burstcap-lint report` lists them),
-    /// never for inputs this API accepts.
+    /// Only if a justified internal invariant is violated, never for inputs
+    /// this API accepts; `burstcap-lint report` lists the sites.
     pub fn from_slice(data: &[f64]) -> Result<Self, StatsError> {
         let m = mean(data)?;
         let var = variance(data)?;

@@ -209,9 +209,8 @@ impl DispersionEstimator {
     ///
     /// # Panics
     ///
-    /// Only if a justified internal invariant is violated (6 reachable
-    /// panic sites, e.g. `crates/stats/src/dispersion.rs:277`; `burstcap-lint report` lists them),
-    /// never for inputs this API accepts.
+    /// Only if a justified internal invariant is violated, never for inputs
+    /// this API accepts; `burstcap-lint report` lists the sites.
     pub fn estimate(
         &self,
         utilization: &[f64],
@@ -366,9 +365,8 @@ impl DispersionEstimator {
 ///
 /// # Panics
 ///
-/// Only if a justified internal invariant is violated (2 reachable
-/// panic sites, e.g. `crates/stats/src/dispersion.rs:383`; `burstcap-lint report` lists them),
-/// never for inputs this API accepts.
+/// Only if a justified internal invariant is violated, never for inputs
+/// this API accepts; `burstcap-lint report` lists the sites.
 pub fn aggregate_counts(busy: &[f64], completions: &[u64], t: f64) -> Vec<f64> {
     let k_max = busy.len();
     // Exact prefix sums of the integer completion counts: count of window
@@ -409,9 +407,8 @@ pub fn aggregate_counts(busy: &[f64], completions: &[u64], t: f64) -> Vec<f64> {
 ///
 /// # Panics
 ///
-/// Only if a justified internal invariant is violated (1 reachable
-/// panic site, e.g. `crates/stats/src/streaming.rs:604`; `burstcap-lint report` lists them),
-/// never for inputs this API accepts.
+/// Only if a justified internal invariant is violated, never for inputs
+/// this API accepts; `burstcap-lint report` lists the sites.
 #[doc(hidden)]
 pub fn aggregate_counts_naive(busy: &[f64], completions: &[u64], t: f64) -> Vec<f64> {
     let k_max = busy.len();
@@ -455,9 +452,8 @@ pub fn aggregate_counts_naive(busy: &[f64], completions: &[u64], t: f64) -> Vec<
 ///
 /// # Panics
 ///
-/// Only if a justified internal invariant is violated (6 reachable
-/// panic sites, e.g. `crates/stats/src/dispersion.rs:277`; `burstcap-lint report` lists them),
-/// never for inputs this API accepts.
+/// Only if a justified internal invariant is violated, never for inputs
+/// this API accepts; `burstcap-lint report` lists the sites.
 pub fn index_of_dispersion_counting(
     service_times: &[f64],
     window: f64,

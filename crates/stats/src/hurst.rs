@@ -55,9 +55,8 @@ pub struct HurstEstimate {
 ///
 /// # Panics
 ///
-/// Only if a justified internal invariant is violated (1 reachable
-/// panic site, e.g. `crates/stats/src/streaming.rs:604`; `burstcap-lint report` lists them),
-/// never for inputs this API accepts.
+/// Only if a justified internal invariant is violated, never for inputs
+/// this API accepts; `burstcap-lint report` lists the sites.
 pub fn hurst_variance_time(series: &[f64]) -> Result<HurstEstimate, StatsError> {
     if series.len() < 100 {
         return Err(StatsError::TraceTooShort {

@@ -298,9 +298,8 @@ impl StreamingDispersion {
     ///
     /// # Panics
     ///
-    /// Only if a justified internal invariant is violated (3 reachable
-    /// panic sites, e.g. `crates/stats/src/streaming.rs:326`; `burstcap-lint report` lists them),
-    /// never for inputs this API accepts.
+    /// Only if a justified internal invariant is violated, never for inputs
+    /// this API accepts; `burstcap-lint report` lists the sites.
     pub fn push(&mut self, utilization: f64, completions: u64) -> Result<(), StatsError> {
         check_utilization(utilization)?;
         if self.levels.is_empty() {
@@ -406,9 +405,8 @@ impl StreamingDispersion {
     ///
     /// # Panics
     ///
-    /// Only if a justified internal invariant is violated (3 reachable
-    /// panic sites, e.g. `crates/stats/src/streaming.rs:440`; `burstcap-lint report` lists them),
-    /// never for inputs this API accepts.
+    /// Only if a justified internal invariant is violated, never for inputs
+    /// this API accepts; `burstcap-lint report` lists the sites.
     pub fn estimate(&self) -> Result<DispersionEstimate, StatsError> {
         if self.tolerance <= 0.0 {
             return Err(StatsError::InvalidParameter {
@@ -567,9 +565,8 @@ impl P2Quantile {
     ///
     /// # Panics
     ///
-    /// Only if a justified internal invariant is violated (1 reachable
-    /// panic site, e.g. `crates/stats/src/streaming.rs:604`; `burstcap-lint report` lists them),
-    /// never for inputs this API accepts.
+    /// Only if a justified internal invariant is violated, never for inputs
+    /// this API accepts; `burstcap-lint report` lists the sites.
     pub fn push(&mut self, x: f64) {
         if x.is_nan() {
             return;
@@ -732,9 +729,8 @@ impl StreamingServicePercentile {
     ///
     /// # Panics
     ///
-    /// Only if a justified internal invariant is violated (1 reachable
-    /// panic site, e.g. `crates/stats/src/streaming.rs:604`; `burstcap-lint report` lists them),
-    /// never for inputs this API accepts.
+    /// Only if a justified internal invariant is violated, never for inputs
+    /// this API accepts; `burstcap-lint report` lists the sites.
     pub fn push(&mut self, utilization: f64, completions: u64) -> Result<(), StatsError> {
         check_utilization(utilization)?;
         if completions == 0 {
@@ -756,9 +752,8 @@ impl StreamingServicePercentile {
     ///
     /// # Panics
     ///
-    /// Only if a justified internal invariant is violated (2 reachable
-    /// panic sites, e.g. `crates/stats/src/streaming.rs:772`; `burstcap-lint report` lists them),
-    /// never for inputs this API accepts.
+    /// Only if a justified internal invariant is violated, never for inputs
+    /// this API accepts; `burstcap-lint report` lists the sites.
     pub fn estimate(&self) -> Result<BusyTimeCharacterization, StatsError> {
         if self.busy_windows == 0 || self.total_completions == 0 {
             return Err(StatsError::Degenerate {

@@ -78,9 +78,8 @@ impl Mix {
     ///
     /// # Panics
     ///
-    /// Only if a justified internal invariant is violated (1 reachable
-    /// panic site, e.g. `crates/tpcw/src/mix.rs:109`; `burstcap-lint report` lists them),
-    /// never for inputs this API accepts.
+    /// Only if a justified internal invariant is violated, never for inputs
+    /// this API accepts; `burstcap-lint report` lists the sites.
     pub fn next_transaction<R: Rng + ?Sized>(self, current: TxType, rng: &mut R) -> TxType {
         if rng.random::<f64>() < PERSISTENCE {
             return current;
@@ -93,9 +92,8 @@ impl Mix {
     ///
     /// # Panics
     ///
-    /// Only if a justified internal invariant is violated (1 reachable
-    /// panic site, e.g. `crates/tpcw/src/mix.rs:109`; `burstcap-lint report` lists them),
-    /// never for inputs this API accepts.
+    /// Only if a justified internal invariant is violated, never for inputs
+    /// this API accepts; `burstcap-lint report` lists the sites.
     pub fn sample_stationary<R: Rng + ?Sized>(self, rng: &mut R) -> TxType {
         let w = self.weights();
         let mut u = rng.random::<f64>();

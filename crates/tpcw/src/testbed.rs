@@ -291,9 +291,8 @@ impl Testbed {
     ///
     /// # Panics
     ///
-    /// Only if a justified internal invariant is violated (12 reachable
-    /// panic sites, e.g. `crates/map/src/general.rs:105`; `burstcap-lint report` lists them),
-    /// never for inputs this API accepts.
+    /// Only if a justified internal invariant is violated, never for inputs
+    /// this API accepts; `burstcap-lint report` lists the sites.
     pub fn run(&self) -> Result<TestbedRun, TpcwError> {
         self.replication(0)
     }
@@ -311,9 +310,8 @@ impl Testbed {
     ///
     /// # Panics
     ///
-    /// Only if a justified internal invariant is violated (12 reachable
-    /// panic sites, e.g. `crates/map/src/general.rs:105`; `burstcap-lint report` lists them),
-    /// never for inputs this API accepts.
+    /// Only if a justified internal invariant is violated, never for inputs
+    /// this API accepts; `burstcap-lint report` lists the sites.
     pub fn replication(&self, index: u64) -> Result<TestbedRun, TpcwError> {
         let cfg = &self.config;
         #[expect(
@@ -693,9 +691,8 @@ impl Testbed {
     ///
     /// # Panics
     ///
-    /// Only if a justified internal invariant is violated (12 reachable
-    /// panic sites, e.g. `crates/map/src/general.rs:105`; `burstcap-lint report` lists them),
-    /// never for inputs this API accepts.
+    /// Only if a justified internal invariant is violated, never for inputs
+    /// this API accepts; `burstcap-lint report` lists the sites.
     pub fn replications(&self, r: usize) -> Result<Vec<TestbedRun>, TpcwError> {
         if r == 0 {
             return Err(TpcwError::InvalidParameter {

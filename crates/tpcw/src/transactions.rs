@@ -67,9 +67,8 @@ impl TxType {
     ///
     /// # Panics
     ///
-    /// Only if a justified internal invariant is violated (1 reachable
-    /// panic site, e.g. `crates/tpcw/src/transactions.rs:81`; `burstcap-lint report` lists them),
-    /// never for inputs this API accepts.
+    /// Only if a justified internal invariant is violated, never for inputs
+    /// this API accepts; `burstcap-lint report` lists the sites.
     pub fn index(self) -> usize {
         #[expect(
             clippy::expect_used,

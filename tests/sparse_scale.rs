@@ -4,7 +4,6 @@
 //! paths are feasible.
 
 use burstcap_map::fit::Map2Fitter;
-use burstcap_qn::ctmc::SteadyStateMethod;
 use burstcap_qn::mapqn::{MapNetwork, DEFAULT_STATE_LIMIT};
 
 /// Moderately bursty MAP(2) fits for both tiers (the converging regime of
@@ -25,8 +24,8 @@ fn population_100_map_network_solves_via_sparse_path() {
         "population 100 must fit the default state limit, needs {}",
         net.state_count()
     );
-    // Default solve_iterative tuning (the production sparse default).
-    let sol = net.solve_iterative(SteadyStateMethod::default()).unwrap();
+    // The production CSR solve, cold.
+    let (sol, _) = net.solve_sparse_with_initial(None).unwrap();
     assert_eq!(sol.states, 20_604);
     // Sanity: a closed network cannot beat its bottleneck or its population.
     assert!(sol.throughput > 0.0 && sol.throughput <= 1.0 / 0.008 + 1e-9);
@@ -46,9 +45,7 @@ fn sparse_matches_dense_lu_on_dense_feasible_population() {
     let (front, db) = tiers();
     let net = MapNetwork::new(10, 0.3, front, db).unwrap();
     let (sparse, _) = net.solve_sparse_with_initial(None).unwrap();
-    let lu = net
-        .solve_iterative(SteadyStateMethod::DenseLu { limit: 100_000 })
-        .unwrap();
+    let lu = net.solve_dense_lu(100_000).unwrap();
     assert!(
         (sparse.throughput - lu.throughput).abs() / lu.throughput < 1e-8,
         "sparse {} vs dense LU {}",
