@@ -13,11 +13,16 @@
 //! * **station-count scaling** — the N-station generalization across
 //!   `M x population` (tandems of 2, 3, and 4 MAP(2) stations) through
 //!   `solve_auto_with_initial`, with the `M = 3` point surfaced in the JSON summary;
-//! * **matrix-free frontier** — states vs wall-clock and peak-memory for
+//! * **matrix-free frontier** — states vs wall-clock and peak heap for
 //!   the matrix-free engine on an `M x population` grid pushing past the
 //!   CSR engine's comfortable range (to 742k states at `M = 4`,
 //!   population 30 in full mode), cross-checked against the CSR engine
 //!   where both still run.
+//!
+//! Peak heap is measured, not computed: a counting global allocator
+//! tracks live bytes, and each solve reports how far the heap grew above
+//! where it started. Where the CSR engine is skipped its peak is an
+//! analytic estimate, marked as such in the JSON.
 //!
 //! Usage: `cargo run --release -p burstcap-bench --bin bench_baseline
 //! [output.json]` (default output `BENCH_baseline.json` in the current
@@ -34,6 +39,7 @@ use burstcap_map::fit::Map2Fitter;
 use burstcap_obs::Recorder;
 use burstcap_qn::mapqn::{MapNetwork, MapQnSolution};
 use burstcap_qn::QnError;
+use heap::peak_heap;
 
 /// Populations where dense LU is still tractable; the last one is the
 /// "largest dense-feasible" point the summary reports.
@@ -52,6 +58,88 @@ const FRONTIER_GRID_FAST: [(usize, usize); 2] = [(3, 40), (4, 20)];
 /// above this only the matrix-free engine solves the point.
 const CSR_CROSSCHECK_MAX_STATES: usize = 200_000;
 
+/// Measured peak heap: a counting global allocator.
+#[expect(
+    clippy::disallowed_types,
+    reason = "the heap counters are shared by every allocating thread; statistics only"
+)]
+mod heap {
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// The process-wide allocator: forwards to the system allocator and counts
+    /// live and peak heap bytes.
+    struct CountingAlloc;
+
+    static LIVE: AtomicUsize = AtomicUsize::new(0);
+    static PEAK: AtomicUsize = AtomicUsize::new(0);
+
+    #[global_allocator]
+    static ALLOC: CountingAlloc = CountingAlloc;
+
+    // Relaxed ordering throughout: the counters are statistics and publish no
+    // other data.
+    fn grew(bytes: usize) {
+        let live = LIVE.fetch_add(bytes, Ordering::Relaxed) + bytes;
+        PEAK.fetch_max(live, Ordering::Relaxed);
+    }
+
+    fn shrank(bytes: usize) {
+        LIVE.fetch_sub(bytes, Ordering::Relaxed);
+    }
+
+    // SAFETY: every method forwards to `System` with the caller's arguments
+    // unchanged, so `System`'s guarantees carry over; the counters are updated
+    // only after a successful allocation and never touch the memory itself.
+    unsafe impl GlobalAlloc for CountingAlloc {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            // SAFETY: forwarded verbatim; the caller upholds `alloc`'s contract.
+            let p = unsafe { System.alloc(layout) };
+            if !p.is_null() {
+                grew(layout.size());
+            }
+            p
+        }
+
+        unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+            // SAFETY: forwarded verbatim; the caller upholds `alloc_zeroed`'s contract.
+            let p = unsafe { System.alloc_zeroed(layout) };
+            if !p.is_null() {
+                grew(layout.size());
+            }
+            p
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            // SAFETY: forwarded verbatim; `ptr` came from this allocator with `layout`.
+            unsafe { System.dealloc(ptr, layout) };
+            shrank(layout.size());
+        }
+
+        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+            // SAFETY: forwarded verbatim; the caller upholds `realloc`'s contract.
+            let p = unsafe { System.realloc(ptr, layout, new_size) };
+            if !p.is_null() {
+                if new_size >= layout.size() {
+                    grew(new_size - layout.size());
+                } else {
+                    shrank(layout.size() - new_size);
+                }
+            }
+            p
+        }
+    }
+
+    /// Run `work` and return its result with the most heap it held at once:
+    /// the peak of live bytes above the live bytes when it started.
+    pub fn peak_heap<T>(work: impl FnOnce() -> T) -> (T, usize) {
+        let base = LIVE.load(Ordering::Relaxed);
+        PEAK.store(base, Ordering::Relaxed);
+        let out = work();
+        (out, PEAK.load(Ordering::Relaxed) - base)
+    }
+}
+
 struct Record {
     stations: usize,
     population: usize,
@@ -63,9 +151,8 @@ struct Record {
 }
 
 /// One point of the matrix-free states-vs-cost frontier. Memory figures are
-/// analytic working-set sizes (not RSS): the matrix-free engine holds three
-/// state-length `f64` vectors, the CSR engine the peak of its assembly and
-/// solve phases (see [`csr_peak_bytes`]).
+/// measured peak heap above the solve's start (not RSS), except a CSR peak
+/// marked `csr_bytes_estimated`, which is [`csr_peak_bytes`].
 struct FrontierPoint {
     stations: usize,
     population: usize,
@@ -85,21 +172,19 @@ struct FrontierPoint {
     rel_gap: Option<f64>,
 }
 
-/// CSR working set: the larger of its two phases. Assembly holds the
-/// outgoing and incoming CSR (`f64` rate + `u32` column per entry, `u32`
-/// row pointers), the exit rates and the transpose's slot counters:
-/// `24·nnz + 20·n`. The D-ILU BiCGSTAB solve holds the incoming CSR and exit
-/// rates (`12·nnz + 12·n`), pivots and their inverses (`16·n`), a `u32`
-/// split point per row (`4·n`) and seven iteration vectors (`56·n`):
-/// `12·nnz + 88·n`.
+/// Estimated CSR working set, for points where the CSR engine is not run:
+/// the larger of its two phases. Assembly holds the outgoing and incoming
+/// CSR (`f64` rate + `u32` column per entry, `u32` row pointers), the exit
+/// rates and the transpose's slot counters: `24·nnz + 20·n`. The BiCGSTAB
+/// solve holds the incoming CSR and exit rates (`12·nnz + 12·n`), inverse
+/// exit rates (`8·n`), a `u32` split point per row (`4·n`) and seven
+/// iteration vectors (`56·n`): `12·nnz + 80·n`.
 fn csr_peak_bytes(states: usize, nnz: usize) -> usize {
-    (24 * nnz + 20 * states).max(12 * nnz + 88 * states)
+    (24 * nnz + 20 * states).max(12 * nnz + 80 * states)
 }
 
-/// JSON summary of the frontier: its largest point, the worst cross-check
-/// disagreement, and the worker count the timings were taken with (this
-/// container exposes a single hardware thread, so wall-clock speedup from
-/// partitioning is machine-bound; the memory ratio is not).
+/// JSON summary of the frontier: its largest point and the worst
+/// cross-check disagreement.
 fn frontier_summary(frontier: &[FrontierPoint]) -> JsonObject {
     let largest = frontier.iter().max_by_key(|p| p.states).expect("non-empty");
     let worst_gap = frontier
@@ -123,7 +208,6 @@ fn frontier_summary(frontier: &[FrontierPoint]) -> JsonObject {
             ),
         )
         .field("worst_csr_rel_gap", JsonValue::sci(worst_gap, 3))
-        .field("workers", burstcap_qn::matfree::default_workers())
 }
 
 fn median_ms(reps: usize, mut solve: impl FnMut() -> Result<MapQnSolution, QnError>) -> (f64, f64) {
@@ -292,29 +376,30 @@ fn main() {
         // wall-clock figures; bench_obs pins the recorder's cost as <3%.
         let recorder = Recorder::new();
         let t0 = Stopwatch::start();
-        let (sol, _pi) = net
-            .solve_matrix_free_with_initial_traced(0, None, &recorder.trace())
-            .expect("matrix-free solve");
+        let ((sol, _pi), matfree_peak_bytes) = peak_heap(|| {
+            net.solve_matrix_free_with_initial_traced(1, None, &recorder.trace())
+                .expect("matrix-free solve")
+        });
         let matfree_ms = t0.elapsed_ms();
         let trace_events = recorder.events().iter().filter(|e| !e.volatile).count();
-        let matfree_peak_bytes = states * 8 * 3;
-        let (csr_ms, csr_nnz, rel_gap) = if states <= CSR_CROSSCHECK_MAX_STATES {
+        let (csr_ms, csr_nnz, csr_peak, rel_gap) = if states <= CSR_CROSSCHECK_MAX_STATES {
             let nnz = net.outgoing_csr().expect("assembles").nnz();
             nnz_per_state = nnz as f64 / states as f64;
             let t1 = Stopwatch::start();
-            let (csr, _) = net.solve_sparse_with_initial(None).expect("csr solve");
+            let ((csr, _), peak) =
+                peak_heap(|| net.solve_sparse_with_initial(None).expect("csr solve"));
             let csr_ms = t1.elapsed_ms();
             let gap = (sol.throughput - csr.throughput).abs() / csr.throughput;
             assert!(
                 gap < 1e-8,
                 "matrix-free vs CSR disagree at M={m} pop {pop}: rel gap {gap:.3e}"
             );
-            (Some(csr_ms), Some(nnz), Some(gap))
+            (Some(csr_ms), Some(nnz), Some(peak), Some(gap))
         } else {
-            (None, None, None)
+            (None, None, None, None)
         };
-        let (csr_bytes, estimated) = match csr_nnz {
-            Some(nnz) => (csr_peak_bytes(states, nnz), false),
+        let (csr_bytes, estimated) = match csr_peak {
+            Some(peak) => (peak, false),
             // Density extrapolated from the last assembled point; marked as
             // an estimate in the JSON.
             None => (
@@ -392,7 +477,7 @@ fn main() {
                 .field("stations", p.stations)
                 .field("population", p.population)
                 .field("states", p.states)
-                .field("method", "matrix_free_jacobi")
+                .field("method", "matrix_free_bicgstab_ilu0")
                 .field("matfree_ms", JsonValue::f(p.matfree_ms, 3))
                 .field("iterations", p.iterations)
                 .field("sweeps_matrix_free", p.sweeps_matrix_free)

@@ -62,13 +62,13 @@ fn per_crate_item_and_fn_counts_match_snapshot() {
     // actually added or removed — re-pin the counts. A drift with no
     // corresponding source change means the parser started dropping items.
     let expected = vec![
-        "bench: 189 items, 86 fns",
+        "bench: 201 items, 93 fns",
         "core: 127 items, 117 fns",
         "lint: 239 items, 159 fns",
         "map: 209 items, 176 fns",
         "obs: 65 items, 49 fns",
         "online: 128 items, 89 fns",
-        "qn: 281 items, 254 fns",
+        "qn: 285 items, 258 fns",
         "root: 149 items, 44 fns",
         "seeds: 20 items, 6 fns",
         "sim: 146 items, 122 fns",

@@ -140,7 +140,7 @@ pub struct Event {
     pub name: &'static str,
     /// Typed payload, in emission order.
     pub fields: Vec<(&'static str, FieldValue)>,
-    /// Volatile events (worker-partition shapes, wall-clock attachments)
+    /// Volatile events (worker counts, wall-clock attachments)
     /// are excluded from the deterministic export: their content may
     /// legitimately differ across worker counts or machines.
     pub volatile: bool,

@@ -18,11 +18,11 @@
 //!    attached through the sanctioned `burstcap_bench::timing` seam as a
 //!    *volatile* field.
 //! 2. **Serial emission.** Instrumented code emits from serial sections
-//!    only — the matfree workers compute, the serial residual pass emits —
-//!    so the deterministic export is **byte-identical for every worker
-//!    count** (property-tested, like the engine's iterate equality).
-//!    Whatever legitimately varies (partition shapes, worker counts) is a
-//!    [volatile event](Trace::volatile_event): visible in the full export,
+//!    only — the replication workers compute, the serial pass after them
+//!    emits — so the deterministic export is **byte-identical for every
+//!    worker count** (tested in `core::experiment`).
+//!    Whatever legitimately varies (worker counts, wall-clock attachments)
+//!    is a [volatile event](Trace::volatile_event): visible in the full export,
 //!    excluded from the deterministic one, and it does not advance the
 //!    logical clock.
 //! 3. **Near-zero default.** Every instrumented entry point takes a

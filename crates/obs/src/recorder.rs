@@ -1,16 +1,17 @@
 //! The recorder sink and the [`Trace`] handle instrumented code holds.
 //!
 //! This module is one of the workspace's **sanctioned parallelism seams**
-//! (with `core::experiment` and `qn::matfree` — enforced by the root
-//! `clippy.toml`'s thread and lock bans): the recorder's interior is a
-//! `Mutex<State>` behind an `Arc`, so a `Trace` handle is `Send + Sync`
-//! and may be cloned into scoped solver workers. Determinism does not come
-//! from the lock, though — it comes from the **emission discipline**: hot
-//! parallel regions emit nothing (the matfree workers compute; the serial
-//! residual pass emits), so the logical clock assigns the same sequence
-//! numbers in the same order for every worker count. Anything that
-//! legitimately varies with worker count or machine (partition shapes,
-//! wall-clock attachments) is emitted as a *volatile* event, which does not
+//! (with `core::experiment` — enforced by the root `clippy.toml`'s thread
+//! and lock bans): the recorder's interior is a `Mutex<State>` behind an
+//! `Arc`, so a `Trace` handle is `Send + Sync` and may be cloned into
+//! scoped workers. Determinism does not come from the lock, though — it
+//! comes from the **emission discipline**: hot parallel regions emit
+//! nothing (the replication workers compute; their spans are emitted
+//! serially afterwards, in replication order), so the logical clock
+//! assigns the same sequence numbers in the same order for every worker
+//! count. Anything that
+//! legitimately varies with worker count or machine (the worker count
+//! itself, wall-clock attachments) is emitted as a *volatile* event, which does not
 //! advance the logical clock and is excluded from the deterministic export.
 
 use std::collections::BTreeMap;
@@ -281,7 +282,7 @@ impl Trace {
     /// Emit a **volatile** point event: recorded in the full export only,
     /// and the logical clock does not advance. Use for anything that may
     /// legitimately differ across worker counts or machines
-    /// (partition shapes, wall-clock attachments via `bench::timing`).
+    /// (worker counts, wall-clock attachments via `bench::timing`).
     pub fn volatile_event(&self, name: &'static str, fields: Vec<(&'static str, FieldValue)>) {
         if let Some(shared) = &self.shared {
             shared

@@ -3,11 +3,14 @@
 //! The paper solves its MAP queueing network "by building the underlying
 //! Markov chain and solving the system of linear equations" (Section 4.2).
 //! This module is that substrate: a CTMC whose incoming adjacency is stored
-//! as a [`CsrMatrix`] (three flat arrays — no per-state allocations), plus
-//! one solver for production and one for reference:
+//! as a [`CsrMatrix`] (three flat arrays — no per-state allocations), the
+//! one iterative solver, and a reference:
 //!
-//! * [`Ctmc::steady_state`] — BiCGSTAB preconditioned by a diagonal ILU,
-//!   warm-startable and traced; the solver behind every CSR solve;
+//! * [`Ctmc::steady_state`] — BiCGSTAB preconditioned by symmetric
+//!   Gauss-Seidel (SGS), warm-startable and traced. Its body runs over any
+//!   [`Generator`]: the chain's incoming CSR split at the diagonal here, and
+//!   the matrix-free tandem of [`crate::matfree`], which calls the same
+//!   body;
 //! * [`Ctmc::dense_lu`] — dense Gaussian elimination, exact to machine
 //!   precision; the cross-validation oracle for small chains.
 //!
@@ -17,9 +20,9 @@
 //! population. A Krylov method converges at the rate the preconditioned
 //! spectrum allows instead. To get a nonsingular system it pins one state
 //! (the singular `pi Q = 0` becomes `A x = e_r`), and it preconditions
-//! with an incomplete LU factor whose triangles are the incoming CSR
-//! itself, so the solve copies no matrix and stores one pivot per state.
-//! [`Ctmc::steady_state`] gives the details.
+//! with SGS, whose triangles are the generator's own inflow split at the
+//! diagonal and whose diagonal is the exit rates, so the solve copies no
+//! matrix and factors nothing. [`Ctmc::steady_state`] gives the details.
 //!
 //! # Example
 //!
@@ -62,8 +65,8 @@ pub struct Ctmc {
 pub struct SolveRun {
     /// The stationary distribution.
     pub pi: Vec<f64>,
-    /// Iterations (sweeps) the solver performed; `0` for direct methods
-    /// (dense LU) and for the trivial single-state chain.
+    /// Iterations the solver performed; `0` for direct methods (dense LU)
+    /// and for the trivial single-state chain.
     pub iterations: usize,
     /// Scale-free residual at the accepting check; `0.0` for direct methods
     /// (exact to machine precision) and the trivial single-state chain.
@@ -78,6 +81,130 @@ impl SolveRun {
             pi,
             iterations: 0,
             final_residual: 0.0,
+        }
+    }
+}
+
+/// A CTMC generator as the steady-state solver sees it: the exit rates, the
+/// inflow `Σ_j x_j q_ji` into every state, and Gauss-Seidel sweeps over the
+/// inflow's strict lower (`j < i`) and upper (`j > i`) triangles. Both
+/// storage forms implement it — a [`Ctmc`]'s incoming CSR split at the
+/// diagonal, and [`crate::matfree::MatrixFreeGenerator`] — so one BiCGSTAB
+/// body serves both.
+///
+/// A sweep ([`Generator::sweep`]) visits every state `i` once: in
+/// ascending order over the lower triangle ([`FORWARD`]) or in descending
+/// order over the upper one ([`BACKWARD`]). It starts an accumulator at
+/// `start(i, x_i)`, folds in each of the row's terms in that triangle as
+/// `acc = term(acc, j, q_ji, x_j)`, in an order fixed by the storage form,
+/// and stores `finish(i, x_i, acc)` as the new `x_i`. Terms read `x` as the
+/// sweep has left it, so the rows visited earlier contribute their new
+/// values.
+pub trait Generator {
+    /// Per-state exit rates (the negated generator diagonal).
+    fn exit_rates(&self) -> &[f64];
+
+    /// Number of states.
+    fn n_states(&self) -> usize {
+        self.exit_rates().len()
+    }
+
+    /// `1.0 / exit_rates()[i]`, bit for bit, whether stored or recomputed.
+    fn inverse_exit_rate(&self, i: usize) -> f64;
+
+    /// Call `row(i, Σ_j x_j q_ji)` for every state `i`, in ascending order.
+    fn inflow(&self, x: &[f64], row: impl FnMut(usize, f64));
+
+    /// The [`FORWARD`] or [`BACKWARD`] sweep (see the trait docs).
+    fn sweep<const UP: bool>(
+        &self,
+        x: &mut [f64],
+        start: impl Fn(usize, f64) -> f64,
+        term: impl Fn(f64, usize, f64, f64) -> f64,
+        finish: impl FnMut(usize, f64, f64) -> f64,
+    );
+}
+
+/// [`Generator::sweep`] in ascending order over the strict lower triangle.
+pub const FORWARD: bool = false;
+/// [`Generator::sweep`] in descending order over the strict upper triangle.
+pub const BACKWARD: bool = true;
+
+/// The sweep term that adds `q_ji x_j`.
+fn add(acc: f64, _: usize, q: f64, xj: f64) -> f64 {
+    acc + q * xj
+}
+
+/// A [`Ctmc`] with each incoming row split at its diagonal: the CSR form of
+/// [`Generator`]. Built per solve, it adds a `u32` split point and an `f64`
+/// inverse exit rate per state to the chain.
+pub(crate) struct SplitCsr<'a> {
+    chain: &'a Ctmc,
+    /// Position of each row's first entry right of the diagonal.
+    split: Vec<u32>,
+    /// `1 / exit rate` per state.
+    inv_out: Vec<f64>,
+}
+
+impl<'a> SplitCsr<'a> {
+    pub(crate) fn new(chain: &'a Ctmc) -> Self {
+        let (row_ptr, cols, _) = chain.incoming.parts();
+        let split = (0u32..)
+            .zip(row_ptr.windows(2))
+            .map(|(i, ends)| {
+                let mut mid = ends[0];
+                while mid < ends[1] && cols[ix(mid)] < i {
+                    mid += 1;
+                }
+                mid
+            })
+            .collect();
+        let inv_out = chain.out_rate.iter().map(|&out| 1.0 / out).collect();
+        SplitCsr {
+            chain,
+            split,
+            inv_out,
+        }
+    }
+}
+
+impl Generator for SplitCsr<'_> {
+    fn exit_rates(&self) -> &[f64] {
+        &self.chain.out_rate
+    }
+
+    fn inverse_exit_rate(&self, i: usize) -> f64 {
+        self.inv_out[i]
+    }
+
+    fn inflow(&self, x: &[f64], mut row: impl FnMut(usize, f64)) {
+        for i in 0..self.n_states() {
+            row(i, self.chain.inflow(i, x));
+        }
+    }
+
+    fn sweep<const UP: bool>(
+        &self,
+        x: &mut [f64],
+        start: impl Fn(usize, f64) -> f64,
+        term: impl Fn(f64, usize, f64, f64) -> f64,
+        mut finish: impl FnMut(usize, f64, f64) -> f64,
+    ) {
+        let (row_ptr, cols, vals) = self.chain.incoming.parts();
+        let n = x.len();
+        for step in 0..n {
+            let i = if UP { n - 1 - step } else { step };
+            let (lo, hi) = if UP {
+                (ix(self.split[i]), ix(row_ptr[i + 1]))
+            } else {
+                (ix(row_ptr[i]), ix(self.split[i]))
+            };
+            let mut acc = start(i, x[i]);
+            for (&j, &q) in cols[lo..hi].iter().zip(&vals[lo..hi]) {
+                let j = ix(j);
+                acc = term(acc, j, q, x[j]);
+            }
+            x[i] = finish(i, x[i], acc);
         }
     }
 }
@@ -228,9 +355,9 @@ impl Ctmc {
 
     /// ILU(0) updates that land inside the stored pattern: entry `(i, j)`
     /// of the balance matrix reached from a lower entry `(i, k)`, `k < i`,
-    /// through an upper entry `(k, j)`, `j > k`, `j != i`. With none,
-    /// ILU(0) leaves every off-diagonal entry as it is in the matrix and
-    /// coincides with the D-ILU factor of [`Ctmc::steady_state`].
+    /// through an upper entry `(k, j)`, `j > k`, `j != i`. With none, and
+    /// with no two-way pair `(i, k)`, `(k, i)` to update a pivot, ILU(0)
+    /// is the symmetric Gauss-Seidel factor of [`Ctmc::steady_state`].
     #[cfg(test)]
     pub(crate) fn ilu0_fill(&self) -> usize {
         let mut fill = 0;
@@ -259,13 +386,12 @@ impl Ctmc {
     }
 
     /// Solve for the stationary distribution with BiCGSTAB (van der Vorst,
-    /// SIAM J. Sci. Stat. Comput. 13, 1992) and a diagonal ILU (D-ILU)
-    /// preconditioner applied by Eisenstat's trick, to the scale-free L1
-    /// residual `tol` of `pi Q` within `max_iter` iterations (each costs
-    /// about two sweeps). This is the solver behind every production CSR
-    /// solve. Its solver label in traces and errors is `"bicgstab-ilu0"`:
-    /// D-ILU is the ILU(0) variant that modifies only the diagonal, and on
-    /// fitted MAP networks the two are the same factor (see below).
+    /// SIAM J. Sci. Stat. Comput. 13, 1992) preconditioned by symmetric
+    /// Gauss-Seidel (SGS) and applied by Eisenstat's trick, to the
+    /// scale-free L1 residual `tol` of `pi Q` within `max_iter` iterations
+    /// (each costs about two sweeps). This is the solver behind every CSR
+    /// solve, and its body, run over [`Generator`], is also the matrix-free
+    /// engine's.
     ///
     /// **The start.** `guess` warm-starts the solve; `None` starts from the
     /// uniform distribution. Entries below `1e-12 / n` (or not finite) are
@@ -277,38 +403,41 @@ impl Ctmc {
     /// (state 0 for the uniform start) and solves `A x = e_r`, where `A` is
     /// `-Q^T` with row `r` replaced by `e_r^T`; then `pi = x / sum(x)`. For
     /// an irreducible chain `-Q^T` without row and column `r` is a
-    /// nonsingular M-matrix, so `A` is nonsingular and its incomplete
-    /// factorizations exist with positive pivots. The iterate starts as the
-    /// guess scaled to `x_r = 1`, so an already stationary guess has a zero
-    /// residual and returns after 0 iterations.
+    /// nonsingular M-matrix, so `A` is nonsingular. The iterate starts as
+    /// the guess scaled to `x_r = 1`, so an already stationary guess has a
+    /// zero residual and returns after 0 iterations.
     ///
-    /// **The preconditioner.** `M = (D + L) D^-1 (D + U)`, where `L` and
-    /// `U` are `A`'s own strict triangles — the incoming CSR negated,
-    /// split at each row's diagonal — and only the pivots
-    /// `d_i = a_ii - sum_{k<i} a_ik a_ki / d_k` are computed. ILU(0) would
-    /// also update off-diagonal entries where two transitions chain into a
-    /// third. Fitted MAP(2)s have no hidden phase flips, so their networks
-    /// have no such triangle and D-ILU *is* their ILU(0) factor; general
-    /// MAP(2)s (hidden flips and completions from both phases) do, and
-    /// there D-ILU is a different, still convergent, M-matrix splitting.
+    /// **The preconditioner.** SGS (Saad, *Iterative Methods for Sparse
+    /// Linear Systems*, §10.2): `M = (D + L) D^-1 (D + U)`, where `D` is
+    /// `A`'s diagonal — the exit rates, and 1 on the pinned row — and `L`
+    /// and `U` are `A`'s strict triangles, the negated inflow split at each
+    /// row's diagonal. Nothing is factored. `M - A = L D^-1 U` is
+    /// entrywise non-negative, so `M` is a regular splitting of the
+    /// M-matrix `A`. The solver label in traces and errors is
+    /// `"bicgstab-ilu0"` because on fitted MAP networks SGS *is* ILU(0):
+    /// fitted MAP(2)s have no hidden phase flips, so no transition has a
+    /// reverse partner that would update a pivot and no two chain into a
+    /// third that would fill. On general MAP(2)s (hidden flips, completions
+    /// from both phases) and arbitrary chains, SGS is the cheaper factor of
+    /// the two.
     ///
     /// **Eisenstat's trick (1981).** BiCGSTAB iterates on the split system
     /// `Â y = D (D + L)^-1 e_r` with `Â = D (D + L)^-1 A (D + U)^-1` and
-    /// `x = (D + U)^-1 y`. Writing `A = (D + L) + (D + U) + (D_A - 2D)`
-    /// gives `Â v = D [t + (D + L)^-1 (v + (D_A - 2D) t)]` with
-    /// `t = (D + U)^-1 v`: one backward and one forward sweep over the CSR,
-    /// the work of one product with `A` (applying `M^-1` and `A` one after
-    /// the other costs two triangular sweeps plus the product). `sum(x)` is
-    /// carried from the sums of the `t` vectors the applies already form.
+    /// `x = (D + U)^-1 y`. Writing `A = (D + L) + (D + U) - D` gives
+    /// `Â v = D [t + (D + L)^-1 (v - D t)]` with `t = (D + U)^-1 v`: one
+    /// backward and one forward sweep, the work of one product with `A`
+    /// (applying `M^-1` and `A` one after the other costs two triangular
+    /// sweeps plus the product). `sum(x)` is carried from the sums of the
+    /// `t` vectors the applies already form.
     ///
     /// **Memory bound.** On top of the chain (`12·nnz + 12·n` bytes: `f64`
     /// rates, `u32` columns and row pointers, `f64` exit rates) the solve
-    /// holds the pivots and their inverses (`16·n`), a `u32` split point
-    /// per row (`4·n`) and seven `n`-length vectors (`56·n`): `12·nnz +
-    /// 88·n` in all, with no array the size of the matrix. Building a chain
-    /// from its outgoing CSR holds both CSRs at once (`24·nnz + 20·n`).
-    /// The three-tier model at population 45 (138,368 states, 778,320
-    /// transitions) solves in 21.5 MB.
+    /// holds the inverse exit rates (`8·n`), a `u32` split point per row
+    /// (`4·n`) and seven `n`-length vectors (`56·n`): `12·nnz + 80·n` in
+    /// all, with no array the size of the matrix. Building a chain from its
+    /// outgoing CSR holds both CSRs at once (`24·nnz + 20·n`). The
+    /// three-tier model at population 45 (138,368 states, 778,320
+    /// transitions) solves in 20.4 MB.
     ///
     /// **Convergence.** One iteration is two applies of `Â`, about two
     /// products with `A`. The preconditioned recurrence residual is
@@ -325,15 +454,14 @@ impl Ctmc {
     /// and emits decimated `ctmc.sweep` events (one per power-of-two
     /// iteration plus the accepting check — the full trajectory would bloat
     /// the trace), a `ctmc.stall` event when it gives up, and
-    /// `ctmc.final_residual` / `ctmc.sweeps` histograms. Emission happens
-    /// only from the serial iteration, so the recorded trace is
-    /// deterministic. Pass [`Trace::noop`] to observe nothing at near-zero
-    /// cost.
+    /// `ctmc.final_residual` / `ctmc.sweeps` histograms. The solve is
+    /// sequential, so the recorded trace is deterministic. Pass
+    /// [`Trace::noop`] to observe nothing at near-zero cost.
     ///
     /// # Errors
     /// Rejects guesses of the wrong length; returns
-    /// [`QnError::NoConvergence`] when the budget runs out or a pivot is not
-    /// positive and finite (which an irreducible chain cannot produce).
+    /// [`QnError::NoConvergence`] when the budget runs out or the iterate
+    /// stops being finite.
     ///
     /// # Example
     /// ```
@@ -357,149 +485,10 @@ impl Ctmc {
     pub fn steady_state(
         &self,
         guess: Option<Vec<f64>>,
-        (tol, max_iter): (f64, usize),
+        budget: (f64, usize),
         trace: &Trace,
     ) -> Result<SolveRun, QnError> {
-        let n = self.len();
-        let Some(guess) = start_vector(n, guess)? else {
-            return Ok(SolveRun::exact(vec![1.0]));
-        };
-        let _span = trace.span_with(
-            "ctmc.solve",
-            vec![("states", n.into()), ("solver", BICGSTAB.into())],
-        );
-        let run = self.bicgstab(guess, tol, max_iter, trace)?;
-        trace.observe(
-            "ctmc.final_residual",
-            metrics::RESIDUAL_DECADES,
-            run.final_residual,
-        );
-        trace.observe("ctmc.sweeps", metrics::SWEEP_POWERS, run.iterations as f64);
-        Ok(run)
-    }
-
-    fn bicgstab(
-        &self,
-        guess: Vec<f64>,
-        tol: f64,
-        max_iter: usize,
-        trace: &Trace,
-    ) -> Result<SolveRun, QnError> {
-        let n = self.len();
-        let scale: f64 = self.out_rate.iter().sum::<f64>() / n as f64;
-        // Pin the state the guess weights most (the first of equal maxima).
-        let pinned = (0..n).fold(0, |best, i| if guess[i] > guess[best] { i } else { best });
-        let Some(sys) = PinnedSystem::factor(self, pinned) else {
-            return Err(stall(trace, BICGSTAB, 0, f64::INFINITY));
-        };
-        // The iterate lives in the transformed space: y = (D + U) x.
-        let mut y = guess;
-        sys.pin_scale(&mut y);
-        sys.upper_mul(&mut y);
-        // The recurrence residual off the pinned row bounds ||x Q||_1 (the
-        // pinned component is minus the sum of the others), so twice it,
-        // over sum(x) and the mean exit rate, bounds the scale-free residual
-        // of the normalized iterate.
-        let estimate = |(off_pin_l1, sum_x): (f64, f64)| {
-            if sum_x > 0.0 {
-                2.0 * off_pin_l1 / (sum_x * scale)
-            } else {
-                f64::INFINITY
-            }
-        };
-        // The recurrence tracks the preconditioned residual; once that
-        // passes, its unpreconditioned norm must pass too.
-        let check = |r: &[f64], state: (f64, f64)| {
-            let est = estimate(state);
-            if est < tol {
-                estimate(sys.unconditioned(r, state))
-            } else {
-                est
-            }
-        };
-        let mut r = vec![0.0; n];
-        let (mut r0, mut p, mut v) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
-        let (mut t, mut s) = (vec![0.0; n], vec![0.0; n]);
-        let mut iterations = 0;
-        let mut est;
-        let final_residual = 'restart: loop {
-            let mut fresh = sys.residual(&y, &mut s, &mut r);
-            if !(fresh.0.is_finite() && fresh.1.is_finite()) {
-                return Err(stall(trace, BICGSTAB, iterations, f64::INFINITY));
-            }
-            est = check(&r, fresh);
-            if est < tol {
-                if let Some(res) = sys.accept(&mut y, tol, scale, iterations, trace) {
-                    break 'restart res;
-                }
-                fresh = sys.residual(&y, &mut s, &mut r);
-            }
-            let mut peak = fresh.0;
-            let mut sum_x = fresh.1;
-            r0.copy_from_slice(&r);
-            p.fill(0.0);
-            v.fill(0.0);
-            let (mut rho_prev, mut alpha, mut omega) = (1.0, 1.0, 1.0);
-            while iterations < max_iter {
-                iterations += 1;
-                let rho = dot(&r0, &r);
-                if !(rho != 0.0 && rho.is_finite()) {
-                    continue 'restart;
-                }
-                let beta = (rho / rho_prev) * (alpha / omega);
-                for ((pi, &ri), &vi) in p.iter_mut().zip(&r).zip(&v) {
-                    *pi = ri + beta * (*pi - omega * vi);
-                }
-                let (r0v, _, sum_t) = sys.apply(&p, &mut v, &mut s, &r0);
-                if !(r0v != 0.0 && r0v.is_finite()) {
-                    continue 'restart;
-                }
-                alpha = rho / r0v;
-                // Half step: y += alpha p and r -= alpha v; x = (D + U)^-1 y
-                // moves by alpha times the t the apply formed from p.
-                sum_x += alpha * sum_t;
-                let half = sys.step(&mut y, alpha, Some(&p), &mut r, &v);
-                let half = sys.replace(&y, &mut s, &mut r, (half, sum_x), &mut peak);
-                sum_x = half.1;
-                est = check(&r, half);
-                if est < tol {
-                    match sys.accept(&mut y, tol, scale, iterations, trace) {
-                        Some(res) => break 'restart res,
-                        None => continue 'restart,
-                    }
-                }
-                let (ts, tt, sum_t) = sys.apply(&r, &mut t, &mut s, &r);
-                omega = ts / tt;
-                if !(omega != 0.0 && omega.is_finite()) {
-                    continue 'restart;
-                }
-                sum_x += omega * sum_t;
-                let full = sys.step(&mut y, omega, None, &mut r, &t);
-                rho_prev = rho;
-                let full = sys.replace(&y, &mut s, &mut r, (full, sum_x), &mut peak);
-                sum_x = full.1;
-                est = check(&r, full);
-                if est < tol {
-                    match sys.accept(&mut y, tol, scale, iterations, trace) {
-                        Some(res) => break 'restart res,
-                        None => continue 'restart,
-                    }
-                }
-                // Decimated trajectory: O(log iterations) events.
-                if iterations.is_power_of_two() {
-                    trace.event(
-                        "ctmc.sweep",
-                        vec![("iter", iterations.into()), ("residual", est.into())],
-                    );
-                }
-            }
-            return Err(stall(trace, BICGSTAB, max_iter, est));
-        };
-        Ok(SolveRun {
-            pi: y,
-            iterations,
-            final_residual,
-        })
+        solve(&SplitCsr::new(self), &CSR_EVENTS, guess, budget, trace)
     }
 
     /// Solve for the stationary distribution by dense Gaussian elimination
@@ -619,15 +608,14 @@ fn check_not_absorbing(out_rate: &[f64]) -> Result<(), QnError> {
     Ok(())
 }
 
-/// The starting vector of an iterative solve on an `n`-state chain, shared
-/// by [`Ctmc::steady_state`] and [`crate::matfree::steady_state`]: `guess`
+/// The starting vector of an iterative solve on an `n`-state chain: `guess`
 /// (or the uniform distribution) with entries below `1e-12 / n` or not
 /// finite lifted to that floor, normalized. `None` for the single-state
 /// chain, whose answer needs no solve.
 ///
 /// # Errors
 /// Rejects a guess whose length is not `n`.
-pub(crate) fn start_vector(n: usize, guess: Option<Vec<f64>>) -> Result<Option<Vec<f64>>, QnError> {
+fn start_vector(n: usize, guess: Option<Vec<f64>>) -> Result<Option<Vec<f64>>, QnError> {
     let mut guess = match guess {
         Some(g) => {
             if g.len() != n {
@@ -661,22 +649,195 @@ fn normalize(v: &mut [f64]) {
     }
 }
 
-/// Solver label of [`Ctmc::steady_state`] in trace events and errors.
+/// Solver label of the BiCGSTAB solve in trace events and errors.
 const BICGSTAB: &str = "bicgstab-ilu0";
 
-/// Record a `ctmc.stall` event and build the [`QnError::NoConvergence`]
-/// that lets callers fall back to another engine.
-fn stall(trace: &Trace, solver: &'static str, iterations: usize, residual: f64) -> QnError {
+/// The trace names one storage form's solves record under: a span, the
+/// decimated trajectory, the stall event and two histograms.
+pub(crate) struct Events {
+    pub(crate) solve: &'static str,
+    pub(crate) sweep: &'static str,
+    pub(crate) stall: &'static str,
+    pub(crate) final_residual: &'static str,
+    pub(crate) sweeps: &'static str,
+}
+
+/// The names of [`Ctmc::steady_state`]'s solves.
+const CSR_EVENTS: Events = Events {
+    solve: "ctmc.solve",
+    sweep: "ctmc.sweep",
+    stall: "ctmc.stall",
+    final_residual: "ctmc.final_residual",
+    sweeps: "ctmc.sweeps",
+};
+
+/// The one steady-state solve, over either storage form: validate and
+/// floor the start, then run [`bicgstab`] under an `events.solve` span and
+/// record its residual and iteration count. [`Ctmc::steady_state`]
+/// documents the method.
+pub(crate) fn solve<G: Generator>(
+    g: &G,
+    events: &Events,
+    guess: Option<Vec<f64>>,
+    (tol, max_iter): (f64, usize),
+    trace: &Trace,
+) -> Result<SolveRun, QnError> {
+    let n = g.n_states();
+    let Some(guess) = start_vector(n, guess)? else {
+        return Ok(SolveRun::exact(vec![1.0]));
+    };
+    let _span = trace.span_with(
+        events.solve,
+        vec![("states", n.into()), ("solver", BICGSTAB.into())],
+    );
+    let run = bicgstab(g, events, guess, tol, max_iter, trace)?;
+    trace.observe(
+        events.final_residual,
+        metrics::RESIDUAL_DECADES,
+        run.final_residual,
+    );
+    trace.observe(events.sweeps, metrics::SWEEP_POWERS, run.iterations as f64);
+    Ok(run)
+}
+
+fn bicgstab<G: Generator>(
+    g: &G,
+    events: &Events,
+    guess: Vec<f64>,
+    tol: f64,
+    max_iter: usize,
+    trace: &Trace,
+) -> Result<SolveRun, QnError> {
+    let n = g.n_states();
+    let scale: f64 = g.exit_rates().iter().sum::<f64>() / n as f64;
+    // Pin the state the guess weights most (the first of equal maxima).
+    let pinned = (0..n).fold(0, |best, i| if guess[i] > guess[best] { i } else { best });
+    let sys = PinnedSystem { g, pinned };
+    // The iterate lives in the transformed space: y = (D + U) x.
+    let mut s = guess;
+    sys.pin_scale(&mut s);
+    let mut y = vec![0.0; n];
+    sys.upper_mul(&mut s, &mut y);
+    // The recurrence residual off the pinned row bounds ||x Q||_1 (the
+    // pinned component is minus the sum of the others), so twice it,
+    // over sum(x) and the mean exit rate, bounds the scale-free residual
+    // of the normalized iterate.
+    let estimate = |(off_pin_l1, sum_x): (f64, f64)| {
+        if sum_x > 0.0 {
+            2.0 * off_pin_l1 / (sum_x * scale)
+        } else {
+            f64::INFINITY
+        }
+    };
+    // The recurrence tracks the preconditioned residual; once that
+    // passes, its unpreconditioned norm must pass too.
+    let check = |r: &mut [f64], state: (f64, f64)| {
+        let est = estimate(state);
+        if est < tol {
+            estimate(sys.unconditioned(r, state))
+        } else {
+            est
+        }
+    };
+    let mut r = vec![0.0; n];
+    let (mut r0, mut p, mut v) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
+    let mut t = vec![0.0; n];
+    let mut iterations = 0;
+    let mut est;
+    let final_residual = 'restart: loop {
+        let mut fresh = sys.residual(&y, &mut s, &mut r);
+        if !(fresh.0.is_finite() && fresh.1.is_finite()) {
+            return Err(stall(trace, events.stall, iterations, f64::INFINITY));
+        }
+        est = check(&mut r, fresh);
+        if est < tol {
+            if let Some(res) = sys.accept(&mut y, &mut s, (tol, scale), iterations, events, trace) {
+                break 'restart res;
+            }
+            fresh = sys.residual(&y, &mut s, &mut r);
+        }
+        let mut peak = fresh.0;
+        let mut sum_x = fresh.1;
+        r0.copy_from_slice(&r);
+        p.fill(0.0);
+        v.fill(0.0);
+        let (mut rho_prev, mut alpha, mut omega) = (1.0, 1.0, 1.0);
+        while iterations < max_iter {
+            iterations += 1;
+            let rho = dot(&r0, &r);
+            if !(rho != 0.0 && rho.is_finite()) {
+                continue 'restart;
+            }
+            let beta = (rho / rho_prev) * (alpha / omega);
+            for ((pi, &ri), &vi) in p.iter_mut().zip(&r).zip(&v) {
+                *pi = ri + beta * (*pi - omega * vi);
+            }
+            let (r0v, _, sum_t) = sys.apply(&p, &mut v, &mut s, &r0);
+            if !(r0v != 0.0 && r0v.is_finite()) {
+                continue 'restart;
+            }
+            alpha = rho / r0v;
+            // Half step: y += alpha p and r -= alpha v; x = (D + U)^-1 y
+            // moves by alpha times the t the apply formed from p.
+            sum_x += alpha * sum_t;
+            let half = sys.step(&mut y, alpha, Some(&p), &mut r, &v);
+            let half = sys.replace(&y, &mut s, &mut r, (half, sum_x), &mut peak);
+            sum_x = half.1;
+            est = check(&mut r, half);
+            if est < tol {
+                match sys.accept(&mut y, &mut s, (tol, scale), iterations, events, trace) {
+                    Some(res) => break 'restart res,
+                    None => continue 'restart,
+                }
+            }
+            let (ts, tt, sum_t) = sys.apply(&r, &mut t, &mut s, &r);
+            omega = ts / tt;
+            if !(omega != 0.0 && omega.is_finite()) {
+                continue 'restart;
+            }
+            sum_x += omega * sum_t;
+            let full = sys.step(&mut y, omega, None, &mut r, &t);
+            rho_prev = rho;
+            let full = sys.replace(&y, &mut s, &mut r, (full, sum_x), &mut peak);
+            sum_x = full.1;
+            est = check(&mut r, full);
+            if est < tol {
+                match sys.accept(&mut y, &mut s, (tol, scale), iterations, events, trace) {
+                    Some(res) => break 'restart res,
+                    None => continue 'restart,
+                }
+            }
+            // Decimated trajectory: O(log iterations) events.
+            if iterations.is_power_of_two() {
+                trace.event(
+                    events.sweep,
+                    vec![("iter", iterations.into()), ("residual", est.into())],
+                );
+            }
+        }
+        return Err(stall(trace, events.stall, max_iter, est));
+    };
+    Ok(SolveRun {
+        pi: y,
+        iterations,
+        final_residual,
+    })
+}
+
+/// Record a stall event named `event` and build the
+/// [`QnError::NoConvergence`] that lets callers fall back to another
+/// engine.
+fn stall(trace: &Trace, event: &'static str, iterations: usize, residual: f64) -> QnError {
     trace.event(
-        "ctmc.stall",
+        event,
         vec![
-            ("solver", solver.into()),
+            ("solver", BICGSTAB.into()),
             ("iterations", iterations.into()),
             ("residual", residual.into()),
         ],
     );
     QnError::NoConvergence {
-        solver,
+        solver: BICGSTAB,
         iterations,
         residual,
     }
@@ -687,142 +848,75 @@ fn dot(a: &[f64], b: &[f64]) -> f64 {
 }
 
 /// The pinned balance matrix of [`Ctmc::steady_state`] — `A = -Q^T`
-/// with row `pinned` replaced by `e_pinned^T` — and its diagonal ILU
-/// preconditioner `M = (D + L) D^-1 (D + U)`: `L` and `U` are `A`'s own
-/// strict triangles, read from the incoming CSR, and only the pivots `D`
-/// are stored.
-struct PinnedSystem<'a> {
-    chain: &'a Ctmc,
+/// with row `pinned` replaced by `e_pinned^T` — over a generator `g`, and
+/// its SGS preconditioner `M = (D + L) D^-1 (D + U)`: `D` is the exit
+/// rates (1 on the pinned row), and `L` and `U` are `g`'s sweeps. Nothing
+/// is stored.
+struct PinnedSystem<'a, G> {
+    g: &'a G,
     pinned: usize,
-    /// The pivot `d_i` per row.
-    pivot: Vec<f64>,
-    /// `1 / d_i` per row.
-    inv_pivot: Vec<f64>,
-    /// Position of each row's first entry right of the diagonal.
-    split: Vec<u32>,
 }
 
-impl<'a> PinnedSystem<'a> {
-    /// The D-ILU pivots `d_i = a_ii - sum_{k<i} a_ik a_ki / d_k`, where
-    /// `a_ik a_ki = q_ki q_ik` pairs each lower entry of row `i` with its
-    /// mirror in row `k` (the pinned row has no off-diagonal entries, so it
-    /// pairs with nothing and its pivot is 1). `None` on a pivot that is not
-    /// positive and finite, which an irreducible chain cannot produce: the
-    /// pinned matrix is an M-matrix, and D-ILU of an M-matrix is a regular
-    /// splitting with positive pivots.
-    fn factor(chain: &'a Ctmc, pinned: usize) -> Option<Self> {
-        let (row_ptr, cols, vals) = chain.incoming.parts();
-        let n = chain.len();
-        let split: Vec<u32> = (0u32..)
-            .zip(row_ptr.windows(2))
-            .map(|(i, ends)| {
-                let mut mid = ends[0];
-                while mid < ends[1] && cols[ix(mid)] < i {
-                    mid += 1;
-                }
-                mid
-            })
-            .collect();
-        let mut pivot = vec![1.0; n];
-        let mut inv_pivot = vec![1.0; n];
-        for (row, i) in (0u32..).zip(0..n) {
-            if i == pinned {
-                continue;
-            }
-            let mut d = chain.out_rate[i];
-            for at in ix(row_ptr[i])..ix(split[i]) {
-                let k = ix(cols[at]);
-                if k == pinned {
-                    continue;
-                }
-                let (mid, end) = (ix(split[k]), ix(row_ptr[k + 1]));
-                if let Ok(mirror) = cols[mid..end].binary_search(&row) {
-                    d -= vals[at] * vals[mid + mirror] * inv_pivot[k];
-                }
-            }
-            if !(d > 0.0 && d.is_finite()) {
-                return None;
-            }
-            pivot[i] = d;
-            inv_pivot[i] = 1.0 / d;
-        }
-        Some(PinnedSystem {
-            chain,
-            pinned,
-            pivot,
-            inv_pivot,
-            split,
-        })
-    }
-
+impl<G: Generator> PinnedSystem<'_, G> {
     /// `t <- (D + U)^-1 v` by one backward sweep, where `v` is `input` or,
     /// when `None`, `t` itself. Returns `sum(t)`.
     fn upper_solve(&self, t: &mut [f64], input: Option<&[f64]>) -> f64 {
-        let (row_ptr, cols, vals) = self.chain.incoming.parts();
+        let own = |i: usize, ti: f64| input.map_or(ti, |v| v[i]);
         let mut sum = 0.0;
-        for i in (0..t.len()).rev() {
-            let mut acc = input.map_or(t[i], |v| v[i]);
-            if i != self.pinned {
-                let (mid, hi) = (ix(self.split[i]), ix(row_ptr[i + 1]));
-                for (&j, &q) in cols[mid..hi].iter().zip(&vals[mid..hi]) {
-                    acc += q * t[ix(j)];
-                }
-                acc *= self.inv_pivot[i];
-            }
-            t[i] = acc;
-            sum += acc;
-        }
+        self.g.sweep::<BACKWARD>(t, own, add, |i, ti, acc| {
+            let ti = if i == self.pinned {
+                own(i, ti)
+            } else {
+                acc * self.g.inverse_exit_rate(i)
+            };
+            sum += ti;
+            ti
+        });
         sum
     }
 
-    /// `x <- (D + U) x` in place (rows in ascending order read only entries
-    /// not yet overwritten): the transformed iterate of a vector.
-    fn upper_mul(&self, x: &mut [f64]) {
-        let (row_ptr, cols, vals) = self.chain.incoming.parts();
-        for i in 0..x.len() {
-            if i == self.pinned {
-                continue;
-            }
-            let (mid, hi) = (ix(self.split[i]), ix(row_ptr[i + 1]));
-            let mut acc = self.pivot[i] * x[i];
-            for (&j, &q) in cols[mid..hi].iter().zip(&vals[mid..hi]) {
-                acc -= q * x[ix(j)];
-            }
-            x[i] = acc;
-        }
+    /// `y <- (D + U) x`, leaving `x` as it is: the transformed iterate of
+    /// a vector.
+    fn upper_mul(&self, x: &mut [f64], y: &mut [f64]) {
+        let out = self.g.exit_rates();
+        self.g.sweep::<BACKWARD>(
+            x,
+            |i, xi| out[i] * xi,
+            |acc, _, q, xj| acc - q * xj,
+            |i, xi, acc| {
+                y[i] = if i == self.pinned { xi } else { acc };
+                xi
+            },
+        );
     }
 
     /// `out = Â v` for the preconditioned operator `Â = D (D + L)^-1 A
     /// (D + U)^-1`, by Eisenstat's trick (1981): with `t = (D + U)^-1 v`,
-    /// `A = (D + L) + (D + U) + (D_A - 2D)` gives
-    /// `Â v = D [t + (D + L)^-1 (v + (D_A - 2D) t)]`, one backward and one
-    /// forward sweep, about the work of one product with `A`. `s` holds `t`
-    /// and then `w = (D + L)^-1 (…)`. Returns `(out · w0, out · out,
-    /// sum(t))` from the same passes.
+    /// `A = (D + L) + (D + U) - D` gives `Â v = D [t + (D + L)^-1 (v - D
+    /// t)]`, one backward and one forward sweep, about the work of one
+    /// product with `A`. `s` holds `t` and then `w = (D + L)^-1 (…)`.
+    /// Returns `(out · w0, out · out, sum(t))` from the same passes.
     fn apply(&self, v: &[f64], out: &mut [f64], s: &mut [f64], w0: &[f64]) -> (f64, f64, f64) {
         let sum_t = self.upper_solve(s, Some(v));
-        let (row_ptr, cols, vals) = self.chain.incoming.parts();
+        let exit = self.g.exit_rates();
         let (mut ow, mut oo) = (0.0, 0.0);
-        for (i, (o, &wi)) in out.iter_mut().zip(w0).enumerate() {
-            let t = s[i];
-            let a = if i == self.pinned {
+        self.g.sweep::<FORWARD>(
+            s,
+            |i, t| v[i] - exit[i] * t,
+            add,
+            |i, t, acc| {
                 // Row `e_pinned`: t = v there, so w = 0 and out = v.
-                s[i] = 0.0;
-                t
-            } else {
-                let d = self.pivot[i];
-                let mut acc = v[i] + (self.chain.out_rate[i] - 2.0 * d) * t;
-                let (lo, mid) = (ix(row_ptr[i]), ix(self.split[i]));
-                for (&k, &q) in cols[lo..mid].iter().zip(&vals[lo..mid]) {
-                    acc += q * s[ix(k)];
-                }
-                s[i] = acc * self.inv_pivot[i];
-                d * t + acc
-            };
-            *o = a;
-            ow += a * wi;
-            oo += a * a;
-        }
+                let (w, a) = if i == self.pinned {
+                    (0.0, t)
+                } else {
+                    (acc * self.g.inverse_exit_rate(i), exit[i] * t + acc)
+                };
+                out[i] = a;
+                ow += a * w0[i];
+                oo += a * a;
+                w
+            },
+        );
         (ow, oo, sum_t)
     }
 
@@ -831,55 +925,62 @@ impl<'a> PinnedSystem<'a> {
     /// norm off the pinned row and `sum(x)`.
     fn residual(&self, y: &[f64], x: &mut [f64], r: &mut [f64]) -> (f64, f64) {
         let sum_x = self.upper_solve(x, Some(y));
-        let out_rate = &self.chain.out_rate;
-        for (i, ri) in r.iter_mut().enumerate() {
-            *ri = if i == self.pinned {
+        let exit = self.g.exit_rates();
+        self.g.inflow(x, |i, inflow| {
+            r[i] = if i == self.pinned {
                 1.0 - x[i]
             } else {
-                self.chain.inflow(i, x) - out_rate[i] * x[i]
+                inflow - exit[i] * x[i]
             };
-        }
+        });
         // Forward sweep w = (D + L)^-1 r in place, then r = D w.
-        let (row_ptr, cols, vals) = self.chain.incoming.parts();
-        for i in 0..r.len() {
-            if i == self.pinned {
-                continue;
-            }
-            let (lo, mid) = (ix(row_ptr[i]), ix(self.split[i]));
-            let mut acc = r[i];
-            for (&k, &q) in cols[lo..mid].iter().zip(&vals[lo..mid]) {
-                acc += q * r[ix(k)];
-            }
-            r[i] = acc * self.inv_pivot[i];
-        }
+        self.g.sweep::<FORWARD>(
+            r,
+            |_, ri| ri,
+            add,
+            |i, ri, acc| {
+                if i == self.pinned {
+                    ri
+                } else {
+                    acc * self.g.inverse_exit_rate(i)
+                }
+            },
+        );
         let mut l1 = 0.0;
-        for (ri, &d) in r.iter_mut().zip(&self.pivot) {
-            *ri *= d;
+        for (i, (ri, &d)) in r.iter_mut().zip(exit).enumerate() {
+            if i != self.pinned {
+                *ri *= d;
+            }
             l1 += ri.abs();
         }
         (l1 - r[self.pinned].abs(), sum_x)
     }
 
     /// The unpreconditioned residual `(D + L) D^-1 r` of a preconditioned
-    /// residual `r`, measured without storing it: its L1 norm off the
-    /// pinned row (with `sum(x)` passed through). The estimate that stops
-    /// the iteration is taken on this norm, so the preconditioner cannot
-    /// hide residual from the acceptance test.
-    fn unconditioned(&self, r: &[f64], (_, sum_x): (f64, f64)) -> (f64, f64) {
-        let (row_ptr, cols, vals) = self.chain.incoming.parts();
+    /// residual `r`, measured by a forward sweep that leaves `r` as it is:
+    /// its L1 norm off the pinned row (with `sum(x)` passed through). The
+    /// estimate that stops the iteration is taken on this norm, so the
+    /// preconditioner cannot hide residual from the acceptance test.
+    fn unconditioned(&self, r: &mut [f64], (_, sum_x): (f64, f64)) -> (f64, f64) {
         let mut l1 = 0.0;
-        for (i, &ri) in r.iter().enumerate() {
-            if i == self.pinned {
-                continue;
-            }
-            let (lo, mid) = (ix(row_ptr[i]), ix(self.split[i]));
-            let mut acc = ri;
-            for (&k, &q) in cols[lo..mid].iter().zip(&vals[lo..mid]) {
-                let k = ix(k);
-                acc -= q * r[k] * self.inv_pivot[k];
-            }
-            l1 += acc.abs();
-        }
+        self.g.sweep::<FORWARD>(
+            r,
+            |_, ri| ri,
+            |acc, k, q, rk| {
+                let inv = if k == self.pinned {
+                    1.0
+                } else {
+                    self.g.inverse_exit_rate(k)
+                };
+                acc - q * rk * inv
+            },
+            |i, ri, acc| {
+                if i != self.pinned {
+                    l1 += acc.abs();
+                }
+                ri
+            },
+        );
         (l1, sum_x)
     }
 
@@ -935,13 +1036,15 @@ impl<'a> PinnedSystem<'a> {
     /// normalize it, and measure the scale-free residual of exactly that
     /// vector. Below `tol` that residual is returned and the buffer holds
     /// the answer; otherwise `x` is scaled back to `x_pinned = 1` and
-    /// transformed back into `y` for the restart.
+    /// transformed back into `y` (with `scratch` holding `x`) for the
+    /// restart.
     fn accept(
         &self,
         y: &mut [f64],
-        tol: f64,
-        scale: f64,
+        scratch: &mut [f64],
+        (tol, scale): (f64, f64),
         iterations: usize,
+        events: &Events,
         trace: &Trace,
     ) -> Option<f64> {
         self.upper_solve(y, None);
@@ -951,16 +1054,21 @@ impl<'a> PinnedSystem<'a> {
             }
         }
         normalize(y);
-        let residual = self.chain.residual(y) / scale;
+        let exit = self.g.exit_rates();
+        let mut balance = 0.0;
+        self.g
+            .inflow(y, |i, inflow| balance += (inflow - y[i] * exit[i]).abs());
+        let residual = balance / scale;
         if residual < tol {
             trace.event(
-                "ctmc.sweep",
+                events.sweep,
                 vec![("iter", iterations.into()), ("residual", residual.into())],
             );
             return Some(residual);
         }
         self.pin_scale(y);
-        self.upper_mul(y);
+        scratch.copy_from_slice(y);
+        self.upper_mul(scratch, y);
         None
     }
 
@@ -1070,11 +1178,45 @@ mod tests {
         burstcap_map::Map2::new(d0, d1).unwrap()
     }
 
+    /// The apply of `sys` against `D (D + L)^-1 A (D + U)^-1 v` formed with
+    /// dense triangular solves of the pinned balance matrix `a`, whose
+    /// diagonal is the SGS `D`.
+    fn assert_apply_matches_dense<G: Generator>(
+        sys: &PinnedSystem<'_, G>,
+        a: &[Vec<f64>],
+        v: &[f64],
+    ) {
+        let n = a.len();
+        let mut t = vec![0.0; n];
+        for i in (0..n).rev() {
+            let upper: f64 = (i + 1..n).map(|j| a[i][j] * t[j]).sum();
+            t[i] = (v[i] - upper) / a[i][i];
+        }
+        let u: Vec<f64> = a.iter().map(|row| dot(row, &t)).collect();
+        let mut w = vec![0.0; n];
+        for i in 0..n {
+            let lower: f64 = (0..i).map(|k| a[i][k] * w[k]).sum();
+            w[i] = (u[i] - lower) / a[i][i];
+        }
+        let naive: Vec<f64> = (0..n).map(|i| a[i][i] * w[i]).collect();
+        let (mut out, mut s) = (vec![0.0; n], vec![0.0; n]);
+        let (ov, oo, sum_t) = sys.apply(v, &mut out, &mut s, v);
+        let size = naive.iter().fold(0.0_f64, |m, x| m.max(x.abs()));
+        for (got, want) in out.iter().zip(&naive) {
+            assert!((got - want).abs() <= 1e-13 * size, "{got} vs {want}");
+        }
+        let t_size = t.iter().map(|x| x.abs()).sum::<f64>();
+        assert!((sum_t - t.iter().sum::<f64>()).abs() <= 1e-13 * t_size);
+        assert!((ov - dot(&out, v)).abs() <= 1e-13 * oo.sqrt() * dot(v, v).sqrt());
+        assert!((oo - dot(&out, &out)).abs() <= 1e-13 * oo);
+    }
+
     #[test]
     fn eisenstat_apply_matches_the_explicit_product() {
-        // On small general-MAP tandems (where D-ILU is not ILU(0)), the
-        // two-sweep apply equals D (D + L)^-1 A (D + U)^-1 v formed with
-        // dense triangular solves, and the pivots follow their recurrence.
+        // On small general-MAP tandems (where SGS is not ILU(0)), the
+        // two-sweep apply of both storage forms equals
+        // D (D + L)^-1 A (D + U)^-1 v with D = diag(A), formed with dense
+        // triangular solves.
         let mut state = 0x9e37_79b9_7f4a_7c15_u64;
         let mut next = move || {
             state ^= state << 13;
@@ -1087,9 +1229,9 @@ mod tests {
             let net = crate::mapqn::MapNetwork::tandem(pop, 0.2 + next(), stations).unwrap();
             let chain = Ctmc::from_outgoing_csr(net.outgoing_csr().unwrap()).unwrap();
             assert!(chain.ilu0_fill() > 0, "M = {m}: general MAPs fill");
+            let (csr, op) = (SplitCsr::new(&chain), net.matrix_free().unwrap());
             let n = chain.len();
             for pinned in [0, n / 2] {
-                let sys = PinnedSystem::factor(&chain, pinned).unwrap();
                 let mut a = vec![vec![0.0; n]; n];
                 for (i, j, q) in chain.incoming.iter() {
                     a[i][j] -= q;
@@ -1098,36 +1240,9 @@ mod tests {
                     row[i] = chain.out_rate[i];
                 }
                 a[pinned] = (0..n).map(|j| f64::from(u8::from(j == pinned))).collect();
-                for i in 0..n {
-                    let d = a[i][i]
-                        - (0..i)
-                            .map(|k| a[i][k] * a[k][i] / sys.pivot[k])
-                            .sum::<f64>();
-                    assert!((d - sys.pivot[i]).abs() <= 1e-13 * d.abs(), "pivot {i}");
-                }
                 let v: Vec<f64> = (0..n).map(|_| next() - 0.5).collect();
-                let mut t = vec![0.0; n];
-                for i in (0..n).rev() {
-                    let upper: f64 = (i + 1..n).map(|j| a[i][j] * t[j]).sum();
-                    t[i] = (v[i] - upper) / sys.pivot[i];
-                }
-                let u: Vec<f64> = a.iter().map(|row| dot(row, &t)).collect();
-                let mut w = vec![0.0; n];
-                for i in 0..n {
-                    let lower: f64 = (0..i).map(|k| a[i][k] * w[k]).sum();
-                    w[i] = (u[i] - lower) / sys.pivot[i];
-                }
-                let naive: Vec<f64> = (0..n).map(|i| sys.pivot[i] * w[i]).collect();
-                let (mut out, mut s) = (vec![0.0; n], vec![0.0; n]);
-                let (ov, oo, sum_t) = sys.apply(&v, &mut out, &mut s, &v);
-                let size = naive.iter().fold(0.0_f64, |m, x| m.max(x.abs()));
-                for (got, want) in out.iter().zip(&naive) {
-                    assert!((got - want).abs() <= 1e-13 * size, "{got} vs {want}");
-                }
-                let t_size = t.iter().map(|x| x.abs()).sum::<f64>();
-                assert!((sum_t - t.iter().sum::<f64>()).abs() <= 1e-13 * t_size);
-                assert!((ov - dot(&out, &v)).abs() <= 1e-13 * oo.sqrt() * dot(&v, &v).sqrt());
-                assert!((oo - dot(&out, &out)).abs() <= 1e-13 * oo);
+                assert_apply_matches_dense(&PinnedSystem { g: &csr, pinned }, &a, &v);
+                assert_apply_matches_dense(&PinnedSystem { g: &op, pinned }, &a, &v);
             }
         }
     }

@@ -11,9 +11,9 @@
 //!   solved *exactly* by building the underlying CTMC and computing its
 //!   stationary distribution with the sparse BiCGSTAB solver in [`ctmc`],
 //!   which runs on the compressed-sparse-row substrate in [`csr`] — or, past
-//!   the CSR memory wall, with the matrix-free parallel Jacobi engine in
-//!   [`matfree`], which applies the generator straight from the MAP(2)
-//!   factors without ever assembling it.
+//!   the CSR memory wall, with the same solver over the matrix-free
+//!   generator in [`matfree`], which gathers the transitions straight from
+//!   the MAP(2) factors without ever assembling them.
 //!
 //! # Example: MVA vs the MAP-aware model
 //!

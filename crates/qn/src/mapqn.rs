@@ -42,10 +42,13 @@
 //! [`MapNetwork::outgoing_csr`] assembles the generator straight into
 //! compressed sparse row form (no triplet list — each state has at most
 //! `2 + 3M` outgoing transitions), and
-//! [`MapNetwork::solve_sparse_with_initial`] runs the D-ILU-preconditioned
-//! BiCGSTAB of [`crate::ctmc`] on it, whose iteration count does not follow
-//! how slowly the phases mix; a cold solve starts from the network's
-//! product form with exponential servers (exact for Poisson stations).
+//! [`MapNetwork::solve_sparse_with_initial`] runs the BiCGSTAB of
+//! [`crate::ctmc`], preconditioned by symmetric Gauss-Seidel, on it, whose
+//! iteration count does not follow how slowly the phases mix; a cold solve
+//! starts from the network's product form with exponential servers (exact
+//! for Poisson stations). [`MapNetwork::solve_matrix_free_with_initial`]
+//! runs the same BiCGSTAB over [`MapNetwork::matrix_free`], which gathers
+//! the transitions on the fly instead of assembling them.
 //! [`MapNetwork::solve_dense_lu`] runs the dense LU oracle of
 //! [`crate::ctmc`] on the same chain, for cross-validation on small models.
 //!
@@ -80,30 +83,29 @@ pub const AUTO_SPARSE_THRESHOLD: usize = 10_000;
 /// Derived from bytes, not fitted. The ceiling is the CSR working set the
 /// former 120,000-state cut allowed under the ILU(0) layout (`24·nnz +
 /// 88·n` bytes): ≈ 26.7 MB at `M = 3`, where the benchmark's three-tier
-/// fits have 5.63 transitions per state. The D-ILU layout of
-/// [`crate::ctmc::Ctmc::steady_state`] solves in `12·nnz + 88·n`
+/// fits have 5.63 transitions per state. When the cut was derived,
+/// [`crate::ctmc::Ctmc::steady_state`] solved in `12·nnz + 88·n`
 /// bytes; at the densest tandem, `M = 4` (7.5 transitions per state at
 /// `BENCH_baseline.json`'s 170,016-state point), that is 178 bytes per
-/// state, and 26.7 MB / 178 B ≈ 150,000 states. Assembly briefly holds the
+/// state, and 26.7 MB / 178 B ≈ 150,000 states. The symmetric
+/// Gauss-Seidel layout stores no pivots and needs 8 bytes per state less;
+/// the cut was kept. Assembly briefly holds the
 /// outgoing and incoming CSR together (`24·nnz + 20·n`, 200 bytes per
 /// state at `M = 4`, 155 at `M = 3`), which the solve then frees.
 pub const AUTO_MATFREE_THRESHOLD: usize = 150_000;
 
-/// Tolerance and iteration budget of the full CSR solve
+/// Tolerance and iteration budget of the full solve on either storage form
 /// ([`MapNetwork::solve_sparse_with_initial_traced`], the online first
-/// attempt, and the matrix-free stall fallback). An iteration costs about
-/// two sweeps; the budget is far above any measured solve (at most a few
-/// hundred iterations) and only bounds a pathological one.
+/// attempt, the matrix-free engine, and the CSR solve a matrix-free stall
+/// falls back to). An iteration costs about two sweeps; the budget is far
+/// above any measured solve (at most a few hundred iterations) and only
+/// bounds a pathological one. 1e-12 on the scale-free balance residual
+/// keeps throughput within 1e-8 of the direct solver.
 const CSR_FULL: (f64, usize) = (1e-12, 100_000);
 
 /// Tolerance and iteration budget of the batch first CSR attempt: a stall
 /// costs a fraction of the direct solve it falls back to.
 const CSR_BOUNDED: (f64, usize) = (1e-10, 10_000);
-
-/// Tolerance and sweep budget of the matrix-free Jacobi solve. The residual
-/// target is the full CSR solve's: 1e-12 on the scale-free balance residual
-/// keeps throughput within 1e-8 of the direct solver.
-const MATFREE: (f64, usize) = (1e-12, 400_000);
 
 /// The limits of the engine ladder that no caller chooses. Production
 /// solves always run [`TIER_LIMITS`]; unit tests shrink the budgets to force
@@ -112,16 +114,15 @@ const MATFREE: (f64, usize) = (1e-12, 400_000);
 struct TierLimits {
     /// State count above which the matrix-free engine answers.
     matfree_above: usize,
-    /// `(tol, max_iter)` of the CSR solve a matrix-free stall falls back to.
-    csr: (f64, usize),
-    /// `(tol, max_iter)` of the matrix-free engine.
-    matfree: (f64, usize),
+    /// `(tol, max_iter)` of the matrix-free engine: the full budget,
+    /// [`CSR_FULL`], in production. The CSR solve its stall falls back to
+    /// always runs at [`CSR_FULL`].
+    full: (f64, usize),
 }
 
 const TIER_LIMITS: TierLimits = TierLimits {
     matfree_above: AUTO_MATFREE_THRESHOLD,
-    csr: CSR_FULL,
-    matfree: MATFREE,
+    full: CSR_FULL,
 };
 
 /// Which production caller [`MapNetwork::solve_tiers`] serves. The two
@@ -162,10 +163,12 @@ pub enum SolveEngine {
     Direct,
     /// Dense LU on the full generator (small-model oracle).
     DenseLu,
-    /// CSR-backed D-ILU BiCGSTAB ([`crate::ctmc::Ctmc::steady_state`]).
+    /// SGS-preconditioned BiCGSTAB over the CSR-backed chain
+    /// ([`crate::ctmc::Ctmc::steady_state`]).
     SparseCsr,
-    /// Matrix-free parallel damped Jacobi sweep (no generator
-    /// materialization).
+    /// The same BiCGSTAB over the matrix-free generator
+    /// ([`crate::matfree::steady_state`]): the generator is never
+    /// assembled.
     MatrixFree,
 }
 
@@ -196,7 +199,7 @@ pub struct EngineSweeps {
     pub dense_lu: usize,
     /// CSR engine: BiCGSTAB iterations (each about two sweeps of work).
     pub sparse_csr: usize,
-    /// Matrix-free engine: damped Jacobi sweeps.
+    /// Matrix-free engine: BiCGSTAB iterations, as for CSR.
     pub matrix_free: usize,
 }
 
@@ -321,8 +324,8 @@ impl MapQnSolution {
 /// Combinatorial ranking of occupancy vectors (the combinatorial number
 /// system over `cum[d][b] = C(b + d, d)`, the count of `d`-component
 /// occupancy vectors with total at most `b`). Shared with the matrix-free
-/// engine in [`crate::matfree`], which ranks and unranks states on the fly
-/// instead of materializing the generator.
+/// engine in [`crate::matfree`], which ranks states on the fly instead of
+/// materializing the generator.
 #[derive(Debug, Clone)]
 pub(crate) struct StateIndexer {
     n: usize,
@@ -363,29 +366,6 @@ impl StateIndexer {
         // burstcap-lint: allow(lossy-state-cast) — trailing_zeros() <= 64 always widens losslessly into usize
         let m = self.phases.trailing_zeros() as usize;
         self.cum[m][self.n] * self.phases
-    }
-
-    /// Inverse of [`StateIndexer::occ_rank`]: the occupancy vector at the
-    /// given lexicographic rank. `O(N·M)` — used once per worker to seed a
-    /// row range, not on the per-state hot path.
-    pub(crate) fn unrank(&self, mut rank: usize) -> Vec<usize> {
-        // burstcap-lint: allow(lossy-state-cast) — trailing_zeros() <= 64 always widens losslessly into usize
-        let m = self.phases.trailing_zeros() as usize;
-        let mut occ = vec![0usize; m];
-        let mut b = self.n;
-        for (i, slot) in occ.iter_mut().enumerate() {
-            let d = m - i;
-            // Largest component value whose predecessor count fits in rank.
-            let mut o = 0usize;
-            // burstcap-lint: allow(lossy-state-cast) — o < b <= n bounds o + 1; the cum table itself is overflow-checked at construction
-            while o < b && self.cum[d][b] - self.cum[d][b - (o + 1)] <= rank {
-                o += 1;
-            }
-            rank -= self.cum[d][b] - self.cum[d][b - o];
-            *slot = o;
-            b -= o;
-        }
-        occ
     }
 
     /// Lexicographic rank of `occ` among all occupancy vectors with total at
@@ -882,7 +862,7 @@ impl MapNetwork {
             )))
     }
 
-    /// Warm-startable sparse solve with production tuning: D-ILU BiCGSTAB
+    /// Warm-startable sparse solve with production tuning: BiCGSTAB
     /// at a 1e-12 scale-free residual, tight enough that throughput agrees
     /// with the direct solver to ~1e-8, stiff fitted MAPs included. It is
     /// seeded from an optional stationary-vector guess and returns both the
@@ -948,8 +928,8 @@ impl MapNetwork {
         self.solve_csr(guess, CSR_FULL, trace)
     }
 
-    /// The one CSR solve body: assemble the chain and run D-ILU BiCGSTAB
-    /// at `(tol, max_iter)`, from `guess` or, without one, from
+    /// The one CSR solve body: assemble the chain and run BiCGSTAB at
+    /// `(tol, max_iter)`, from `guess` or, without one, from
     /// [`MapNetwork::product_form_start`].
     fn solve_csr(
         &self,
@@ -970,10 +950,10 @@ impl MapNetwork {
         })
     }
 
-    /// The cold start of the CSR engine: the product form the network would
-    /// have with exponential servers of the stations' mean service times
-    /// `m_i`, times each station's phase distribution `theta_i` (the
-    /// stationary vector of `D0 + D1`),
+    /// The cold start of both iterative engines: the product form the
+    /// network would have with exponential servers of the stations' mean
+    /// service times `m_i`, times each station's phase distribution
+    /// `theta_i` (the stationary vector of `D0 + D1`),
     ///
     /// `pi(n, q) ∝ Z^{n_0} / n_0! · prod_i m_i^{n_i} · prod_i theta_i(q_i)`,
     ///
@@ -1048,19 +1028,22 @@ impl MapNetwork {
         pi
     }
 
-    /// The one matrix-free solve body: damped Jacobi at `(tol, max_iter)`
-    /// on the operator of [`MapNetwork::matrix_free`] over `workers`
-    /// threads.
+    /// The one matrix-free solve body: BiCGSTAB at `budget` over the
+    /// operator of [`MapNetwork::matrix_free`], from `guess` or, without
+    /// one, from [`MapNetwork::product_form_start`].
     fn solve_matfree(
         &self,
         budget: (f64, usize),
-        workers: usize,
         guess: Option<Vec<f64>>,
         trace: &Trace,
     ) -> Result<(MapQnSolution, Vec<f64>), QnError> {
         self.solve_engine(SolveEngine::MatrixFree, trace, || {
             let op = self.matrix_free()?;
-            let run = crate::matfree::steady_state(&op, budget, workers, guess, trace)?;
+            let guess = match guess {
+                Some(g) => g,
+                None => self.product_form_start(&self.indexer()?),
+            };
+            let run = crate::matfree::steady_state(&op, Some(guess), budget, trace)?;
             Ok((run.pi, run.iterations, run.final_residual))
         })
     }
@@ -1093,12 +1076,13 @@ impl MapNetwork {
         Ok((solution, pi))
     }
 
-    /// The matrix-free generator operator for this network: applies `Q`
-    /// directly from the per-station `Map2` factors and the combinatorial
-    /// ranking, `O(states · M)` memory instead of the CSR engine's
-    /// `O(transitions)`. Feed it to [`crate::matfree::steady_state`] (or use
-    /// [`MapNetwork::solve_matrix_free_with_initial`], which does exactly
-    /// that).
+    /// The matrix-free generator of this network: it gathers each state's
+    /// inflow directly from the per-station `Map2` factors and the
+    /// combinatorial ranking, `O(states)` memory instead of the CSR
+    /// engine's `O(transitions)`. Feed it to
+    /// [`crate::matfree::steady_state`] (or use
+    /// [`MapNetwork::solve_matrix_free_with_initial`], which does that from
+    /// the product-form start).
     ///
     /// # Errors
     /// Refuses state spaces beyond the configured limit and spaces whose
@@ -1114,22 +1098,19 @@ impl MapNetwork {
         ))
     }
 
-    /// Warm-startable matrix-free solve: a damped Jacobi sweep over the
-    /// operator of [`MapNetwork::matrix_free`], row ranges partitioned
-    /// across `workers` scoped threads (`0` = auto: the
-    /// `BURSTCAP_SOLVER_WORKERS` env var, else available parallelism),
-    /// seeded from an optional stationary-vector guess and returning both
-    /// the metrics and the stationary vector — the same seam as
-    /// [`MapNetwork::solve_sparse_with_initial`], extended to the engine
-    /// tier where warm starts matter most (each sweep touches every state).
+    /// Warm-startable matrix-free solve: the BiCGSTAB of
+    /// [`MapNetwork::solve_sparse_with_initial`], at the same 1e-12
+    /// budget, over the operator of [`MapNetwork::matrix_free`]. It is
+    /// seeded from an optional stationary-vector guess (without one, from
+    /// the same product-form start) and returns both the metrics and the
+    /// stationary vector.
     ///
-    /// The iterates are **bit-identical across worker counts**: every row's
-    /// inflow is accumulated in a fixed order regardless of partition, and
-    /// normalization runs as a serial pass.
+    /// `workers` is ignored: the solve runs on the calling thread. The
+    /// parameter stays until the benchmark harness stops passing it.
     ///
     /// # Errors
     /// Rejects a wrong-length guess; propagates limit/overflow errors and
-    /// [`QnError::NoConvergence`] on chains stiff enough to stall the sweep.
+    /// [`QnError::NoConvergence`] when the budget runs out.
     ///
     /// # Example
     /// ```
@@ -1144,29 +1125,27 @@ impl MapNetwork {
     /// ```
     pub fn solve_matrix_free_with_initial(
         &self,
-        workers: usize,
+        _workers: usize,
         guess: Option<Vec<f64>>,
     ) -> Result<(MapQnSolution, Vec<f64>), QnError> {
-        self.solve_matrix_free_with_initial_traced(workers, guess, &Trace::noop())
+        self.solve_matfree(TIER_LIMITS.full, guess, &Trace::noop())
     }
 
     /// [`MapNetwork::solve_matrix_free_with_initial`] with observability:
     /// opens a `qn.solve` span on `trace` (whose id lands in
     /// [`SolveDiagnostics::trace_id`]) and lets the matrix-free engine emit
-    /// its decimated `matfree.sweep` trajectory inside it. The recorded
-    /// deterministic trace is **byte-identical across worker counts** —
-    /// worker-dependent detail (partition shapes) goes out as volatile
-    /// events only; see [`crate::matfree::steady_state`].
+    /// its decimated `matfree.sweep` trajectory inside it; see
+    /// [`crate::matfree::steady_state`].
     ///
     /// # Errors
     /// As [`MapNetwork::solve_matrix_free_with_initial`].
     pub fn solve_matrix_free_with_initial_traced(
         &self,
-        workers: usize,
+        _workers: usize,
         guess: Option<Vec<f64>>,
         trace: &Trace,
     ) -> Result<(MapQnSolution, Vec<f64>), QnError> {
-        self.solve_matfree(TIER_LIMITS.matfree, workers, guess, trace)
+        self.solve_matfree(TIER_LIMITS.full, guess, trace)
     }
 
     /// [`MapNetwork::solve_tiers`] with the batch ladder's direct tier
@@ -1222,11 +1201,12 @@ impl MapNetwork {
     /// 1. **Direct** level-reduction (immune to stiffness) up to the
     ///    policy's direct threshold ([`AUTO_SPARSE_THRESHOLD`] for
     ///    [`TierPolicy::BATCH`], none for [`TierPolicy::ONLINE`]);
-    /// 2. **Sparse CSR** D-ILU BiCGSTAB, at the policy's first-attempt
-    ///    budget, up to [`AUTO_MATFREE_THRESHOLD`] states (or the direct
-    ///    threshold, if higher), with a stall falling back to the direct
-    ///    solver;
-    /// 3. **Matrix-free parallel** Jacobi above that — the generator is
+    /// 2. **Sparse CSR**: SGS-preconditioned BiCGSTAB over the assembled
+    ///    chain, at the policy's first-attempt budget, up to
+    ///    [`AUTO_MATFREE_THRESHOLD`] states (or the direct threshold, if
+    ///    higher), with a stall falling back to the direct solver;
+    /// 3. **Matrix-free**: the same BiCGSTAB over the matrix-free
+    ///    generator above that, at the full budget — the generator is
     ///    never materialized — with a stall falling back to the full-budget
     ///    CSR solve (the direct solver's dense level blocks are infeasible
     ///    at this size).
@@ -1312,7 +1292,7 @@ impl MapNetwork {
         let attempt = if csr_tier {
             self.solve_csr(guess.clone(), first_csr, trace)
         } else {
-            self.solve_matfree(limits.matfree, 0, guess.clone(), trace)
+            self.solve_matfree(limits.full, guess.clone(), trace)
         };
         let Err(QnError::NoConvergence {
             iterations: stalled,
@@ -1337,7 +1317,7 @@ impl MapNetwork {
         let (mut sol, pi) = linked(if csr_tier {
             self.solve_with_initial(guess)?
         } else {
-            self.solve_csr(guess, limits.csr, trace)?
+            self.solve_csr(guess, CSR_FULL, trace)?
         });
         sol.diagnostics.fell_back = true;
         sol.diagnostics.sweeps_per_engine.tally(engine, stalled);
@@ -1557,6 +1537,22 @@ pub(crate) fn next_occupancy(occ: &mut [usize], total: usize, n: usize) -> bool 
     }
     occ[k] = 0;
     occ[k - 1] += 1;
+    true
+}
+
+/// Step `occ` back to the previous occupancy vector in lexicographic order
+/// (total capped at `n`, `total` the current one): the inverse of
+/// [`next_occupancy`]. Returns `false` at the first vector `(0, …, 0)`.
+pub(crate) fn prev_occupancy(occ: &mut [usize], total: usize, n: usize) -> bool {
+    let Some(k) = occ.iter().rposition(|&o| o > 0) else {
+        return false;
+    };
+    occ[k] -= 1;
+    // The largest vector under the shorter prefix: all the room left at
+    // the next component.
+    if let Some(next) = occ.get_mut(k + 1) {
+        *next = n - (total - 1);
+    }
     true
 }
 
@@ -2313,22 +2309,6 @@ mod tests {
     }
 
     #[test]
-    fn unrank_inverts_occ_rank() {
-        for (n, m) in [(5usize, 2usize), (4, 3), (3, 4), (7, 1)] {
-            let idx = StateIndexer::try_new(n, m, usize::MAX).unwrap();
-            let mut occ = vec![0usize; m];
-            loop {
-                let total: usize = occ.iter().sum();
-                let rank = idx.occ_rank(&occ);
-                assert_eq!(idx.unrank(rank), occ, "rank {rank}");
-                if !next_occupancy(&mut occ, total, n) {
-                    break;
-                }
-            }
-        }
-    }
-
-    #[test]
     fn direct_solve_with_initial_returns_stationary_vector() {
         let front = Map2Fitter::new(0.01, 8.0, 0.03).fit().unwrap().map();
         let db = Map2Fitter::new(0.008, 12.0, 0.02).fit().unwrap().map();
@@ -2383,11 +2363,10 @@ mod tests {
     }
 
     /// Limits that send any chain to the matrix-free engine with a
-    /// one-sweep budget.
+    /// one-iteration budget.
     const MATFREE_STALLS: TierLimits = TierLimits {
         matfree_above: 0,
-        matfree: (MATFREE.0, 1),
-        ..TIER_LIMITS
+        full: (CSR_FULL.0, 1),
     };
 
     /// The one `qn.fallback` event a forced stall emits.
@@ -2639,8 +2618,13 @@ mod tests {
     #[test]
     fn fitted_networks_have_no_ilu0_fill() {
         // Fitted MAP(2)s have no hidden phase flips, so no two transitions
-        // chain into a third: ILU(0) puts nothing inside the pattern, and
-        // the D-ILU factor the CSR engine uses is exactly ILU(0) there.
+        // chain into a third: ILU(0) puts nothing inside the pattern. From
+        // two stations on, no transition has a reverse partner either (a
+        // think arrival joins station 0, and only the last station returns
+        // jobs to the think stage), so ILU(0) updates no pivot and is
+        // exactly the symmetric Gauss-Seidel factor the engines use. At one
+        // station an arrival and a completion back into the same phase do
+        // pair up.
         let fits = [(0.01, 8.0, 0.03), (0.02, 200.0, 0.06), (0.008, 720.0, 0.02)];
         let maps: Vec<Map2> = fits
             .iter()
@@ -2651,13 +2635,19 @@ mod tests {
             let net = MapNetwork::tandem(6, 0.4, stations).unwrap();
             let chain = Ctmc::from_outgoing_csr(net.outgoing_csr().unwrap()).unwrap();
             assert_eq!(chain.ilu0_fill(), 0, "M = {m}");
+            let incoming = chain.incoming_csr();
+            let two_way = incoming
+                .iter()
+                .filter(|&(i, j, _)| incoming.row(j).any(|(k, _)| k == i))
+                .count();
+            assert_eq!(two_way == 0, m > 1, "M = {m}: {two_way} two-way pairs");
         }
     }
 
     #[test]
     fn general_map_network_with_fill_matches_direct() {
         // Hidden flips and completions from both phases: ILU(0) would fill
-        // inside the pattern, D-ILU does not, and the CSR answer still
+        // inside the pattern, SGS does not, and the CSR answer still
         // agrees with the direct solver.
         let general = |scale: f64| {
             Map2::new(

@@ -1,124 +1,67 @@
-//! Matrix-free parallel steady-state engine.
+//! Matrix-free steady-state engine.
 //!
 //! The CSR engine in [`crate::ctmc`] materializes the generator: `O(nnz)`
 //! memory, with `nnz ≈ (2 + 3M) · states` for an `M`-station tandem. Past
-//! ~10⁵ states those arrays dominate the footprint and the single-threaded
-//! sweep dominates the wall clock. This module removes both limits:
+//! ~10⁵ states those arrays dominate the footprint. This module removes
+//! them:
 //!
-//! * the iterative solvers consume an **operator** — the [`ApplyQ`] trait —
-//!   instead of a concrete [`CsrMatrix`](crate::csr::CsrMatrix), so the
-//!   generator never has to exist as data;
-//! * [`MatrixFreeGenerator`] implements that trait for the closed tandem MAP
-//!   network by regenerating each state's *incoming* transitions on the fly
-//!   from the per-station `Map2` factors and the combinatorial ranking of
-//!   [`crate::mapqn`] — `O(states · M)` work per sweep and `O(states)`
-//!   memory total (one exit-rate vector plus the two iterate vectors);
-//! * the apply walks **runs**, not states. In lexicographic order the
+//! * [`MatrixFreeGenerator`] implements [`Generator`], the operator the
+//!   one BiCGSTAB of [`crate::ctmc`] runs over, for the closed tandem MAP
+//!   network. It regenerates each state's *incoming* transitions on the
+//!   fly from the per-station `Map2` factors and the combinatorial ranking
+//!   of [`crate::mapqn`]: `O(states · M)` work per sweep, and one exit rate
+//!   per state of memory;
+//! * the sweeps walk **runs**, not states. In lexicographic order the
 //!   states sharing the first `M − 1` occupancies (total `s`) are
 //!   contiguous over the last station's count `k = 0..=N − s`, and each
 //!   source of an incoming transition is itself a run whose rank moves by
 //!   one per `k`:
 //!
-//!   | transition into `(prefix, k)` | source |
-//!   |---|---|
-//!   | think arrival | `(prefix − e₀, k)`; `k − 1` when `M = 1` |
-//!   | completion at interior station `i` | `(prefix + eᵢ − eᵢ₊₁, k)` |
-//!   | completion at station `M − 2` | `(prefix + e_{M−2}, k − 1)`, `k ≥ 1` |
-//!   | completion at the last station | own run at `k + 1`, while `s + k < N` |
-//!   | hidden phase flip | own state |
+//!   | transition into `(prefix, k)` | source | side |
+//!   |---|---|---|
+//!   | think arrival | `(prefix − e₀, k)`; `k − 1` when `M = 1` | lower |
+//!   | completion at interior station `i` | `(prefix + eᵢ − eᵢ₊₁, k)` | upper |
+//!   | completion at station `M − 2` | `(prefix + e_{M−2}, k − 1)`, `k ≥ 1` | upper |
+//!   | completion at the last station | own run at `k + 1`, while `s + k < N` | upper |
+//!   | hidden phase flip | own state, other phase | by phase bit |
 //!
 //!   So ranking costs `O(M²)` per run (one `O(M)` rank per source run)
 //!   instead of `M + 1` ranks per state, and each state's `2^M` phases
-//!   are gathered from `O(M · 2^M)` rate tables filled once at build.
-//!   Memory stays the exit-rate vector plus `O(N·M + M·2^M)`;
-//! * [`steady_state`] runs a damped **Jacobi** sweep with the row range
-//!   partitioned across scoped threads. Jacobi reads only the previous
-//!   iterate, so row ranges are embarrassingly parallel and every row is
-//!   written by exactly one worker.
+//!   are gathered from `O(M · 2^M)` rate tables filled once at build;
+//! * [`steady_state`] runs that BiCGSTAB, preconditioned by symmetric
+//!   Gauss-Seidel, over the generator. The solve holds seven state-length
+//!   vectors and the exit rates, 64 bytes per state, and recomputes the
+//!   inverse exit rates instead of storing them.
 //!
-//! # Determinism across worker counts
+//! # The split at the diagonal
 //!
-//! Each row's inflow is accumulated in a fixed order (think arrival, then
-//! per station in tandem order: hidden flip, then completions from source
-//! phase 0 and 1) that does not depend on how the rows are partitioned, and
-//! normalization and the residual run as serial passes.
-//! The iterates are therefore **bit-identical** for any worker count,
-//! including the 1-thread degenerate case — asserted by the property tests
-//! and what makes a forced multi-worker CI run meaningful on a single-core
-//! container.
-//!
-//! # Convergence
-//!
-//! The undamped Jacobi fixed-point operator has its Perron eigenvalue at 1
-//! with non-principal modes that can sit *on* the unit circle for the
-//! quasi-birth-death chains MAP networks generate, so the normalized
-//! iteration can settle into a limit cycle instead of the stationary
-//! vector. A fixed damping factor of 0.95 pulls those modes strictly
-//! inside, restoring convergence at a negligible cost elsewhere. Stalls on
-//! extremely stiff chains are still possible and surface as
-//! [`QnError::NoConvergence`] — [`crate::mapqn::MapNetwork::solve_tiers`]
-//! handles the fallback.
-
-use std::ops::Range;
+//! Symmetric Gauss-Seidel needs the inflow's strict lower and upper
+//! triangles, and the last column of the table above assigns each
+//! transition to one. Station 0 is the most significant digit of the rank,
+//! so a think arrival (one job fewer at station 0, or at `k − 1`) comes
+//! from a lower rank, and a completion (one job more at an earlier
+//! station, or at `k + 1`) from a higher one. A hidden flip stays within
+//! the state's block of `2^M` phases: into phase 1 of a station it comes
+//! from the phase index with that station's bit cleared, which is lower,
+//! and into phase 0 from the higher one. So the
+//! [`FORWARD`](crate::ctmc::FORWARD) sweep walks runs, positions `k` and
+//! phases in ascending order, and the [`BACKWARD`](crate::ctmc::BACKWARD)
+//! sweep walks all three in descending order; each row
+//! folds in its terms from other blocks first and its hidden flips last.
 
 use burstcap_map::Map2;
-use burstcap_obs::{metrics, Trace};
+use burstcap_obs::Trace;
 
-use crate::ctmc::{start_vector, Ctmc, SolveRun};
-use crate::mapqn::{next_occupancy, phase_of, StateIndexer};
+use crate::ctmc::{solve, Events, Generator, SolveRun};
+use crate::mapqn::{next_occupancy, phase_of, prev_occupancy, StateIndexer};
 use crate::QnError;
 
-/// A CTMC generator presented as an operator: everything the iterative
-/// solvers need, with no commitment to how transitions are stored (or
-/// whether they are stored at all).
+/// Matrix-free generator of a closed tandem MAP network: gathers each
+/// state's inflow, whole or split at the diagonal, directly from the
+/// per-station [`Map2`] factors and the combinatorial state ranking,
+/// without assembling CSR arrays.
 ///
-/// Implementations must be [`Sync`]: [`steady_state`] shares the operator
-/// across scoped worker threads.
-pub trait ApplyQ: Sync {
-    /// Number of states of the chain.
-    fn n_states(&self) -> usize;
-
-    /// Per-state total exit rates (the negated generator diagonal).
-    fn exit_rates(&self) -> &[f64];
-
-    /// Compute the inflow `(Q^T x)_i = Σ_j x_j · q_ji` for every row `i` in
-    /// `rows`, writing row `i` to `out[i - rows.start]`. `out.len()` must
-    /// equal `rows.len()`. Implementations must accumulate each row in an
-    /// order independent of `rows` so partitioned applies are bit-identical
-    /// to a full-range apply.
-    fn inflow_into(&self, x: &[f64], rows: Range<usize>, out: &mut [f64]);
-}
-
-/// The CSR-backed chain is itself a valid operator (used by the property
-/// tests to pin the matrix-free implementation against explicit assembly,
-/// and handy when the generator is already materialized anyway).
-impl ApplyQ for Ctmc {
-    fn n_states(&self) -> usize {
-        self.len()
-    }
-
-    fn exit_rates(&self) -> &[f64] {
-        self.out_rates()
-    }
-
-    fn inflow_into(&self, x: &[f64], rows: Range<usize>, out: &mut [f64]) {
-        debug_assert_eq!(out.len(), rows.len());
-        for (slot, i) in out.iter_mut().zip(rows) {
-            let (cols, vals) = self.incoming_csr().row_slices(i);
-            let mut inflow = 0.0;
-            for (&j, &q) in cols.iter().zip(vals) {
-                inflow += x[crate::csr::ix(j)] * q;
-            }
-            *slot = inflow;
-        }
-    }
-}
-
-/// Matrix-free generator of a closed tandem MAP network: applies `Q^T`
-/// directly from the per-station [`Map2`] factors and the combinatorial
-/// state ranking, without assembling CSR arrays.
-///
-/// The apply walks the state space in **runs**: the states that share the
+/// Its sweeps walk the state space in **runs**: the states that share the
 /// first `M − 1` occupancies (a prefix with total `s`) sit contiguously over
 /// the last station's count `k = 0..=N − s`, and every incoming transition
 /// of a run comes from another run whose rank also moves by one per `k`.
@@ -367,317 +310,227 @@ impl MatrixFreeGenerator {
         }
     }
 
-    /// [`ApplyQ::inflow_into`] for `P` phases (`0`: the run-time count).
-    fn gather<const P: usize>(&self, x: &[f64], rows: Range<usize>, out: &mut [f64]) {
-        let phases = if P == 0 { self.idx.phases } else { P };
-        let m = self.terms.len() / phases;
-        // Seed the walk at the run holding the first row; `unrank` is
-        // O(N·M) and runs once per call. `occ` keeps the run's prefix with
-        // the last station's count zeroed; `k` is the position in the run.
-        let mut occ = self.idx.unrank(rows.start / phases);
-        let mut k = occ[m - 1];
-        occ[m - 1] = 0;
-        let mut run = rows.start / phases - k;
+    /// Visit every run in rank order, ascending or `descending`: the
+    /// prefix total `s`, the rank of the run's first occupancy, and its
+    /// feeds.
+    fn for_each_run(&self, descending: bool, mut visit: impl FnMut(usize, usize, &RunFeeds)) {
+        let m = self.terms.len() / self.idx.phases;
+        // `occ` is the run's prefix with the last station's count zeroed.
+        let mut occ = vec![0usize; m];
+        if descending && m > 1 {
+            occ[0] = self.population;
+        }
         let mut feeds = RunFeeds {
             think: Feed::NONE,
             stations: vec![[Feed::NONE; 2]; m],
         };
-        let mut clipped = vec![0.0; phases];
         loop {
             let s: usize = occ.iter().sum();
-            let kmax = self.population - s;
+            let run = self.idx.occ_rank(&occ);
             self.run_feeds(&mut occ, s, run, &mut feeds);
-            while k <= kmax {
-                let block = (run + k) * phases;
-                if block >= rows.end {
-                    return;
-                }
-                // A partition boundary may fall inside a phase block.
-                let q_lo = rows.start.saturating_sub(block);
-                let q_hi = (rows.end - block).min(phases);
-                if q_lo == 0 && q_hi == phases {
-                    let dst = &mut out[block - rows.start..][..phases];
-                    self.block_inflow::<P>(x, &feeds, s + k, k, dst);
+            visit(s, run, &feeds);
+            // One station: the prefix is empty and its one run is the chain.
+            let prefix = &mut occ[..m - 1];
+            let more = m > 1
+                && if descending {
+                    prev_occupancy(prefix, s, self.population)
                 } else {
-                    self.block_inflow::<P>(x, &feeds, s + k, k, &mut clipped);
-                    out[block + q_lo - rows.start..block + q_hi - rows.start]
-                        .copy_from_slice(&clipped[q_lo..q_hi]);
-                }
-                k += 1;
-            }
-            run += kmax + 1;
-            k = 0;
-            if m == 1 || !next_occupancy(&mut occ[..m - 1], s, self.population) {
+                    next_occupancy(prefix, s, self.population)
+                };
+            if !more {
                 return;
             }
         }
     }
-}
 
-impl ApplyQ for MatrixFreeGenerator {
-    fn n_states(&self) -> usize {
-        self.out_rate.len()
+    /// [`Generator::inflow`] for `P` phases (`0`: the run-time count).
+    fn gather<const P: usize>(&self, x: &[f64], row: &mut impl FnMut(usize, f64)) {
+        let phases = if P == 0 { self.idx.phases } else { P };
+        let mut block = vec![0.0; phases];
+        self.for_each_run(false, |s, run, feeds| {
+            for k in 0..=self.population - s {
+                self.block_inflow::<P>(x, feeds, s + k, k, &mut block);
+                let base = (run + k) * phases;
+                for (q, &inflow) in block.iter().enumerate() {
+                    row(base + q, inflow);
+                }
+            }
+        });
     }
 
+    /// [`Generator::sweep`] for `P` phases (`0`: the run-time count). Each
+    /// block starts all its phases, folds in the terms from other blocks
+    /// term-major (the think arrival, or the completions station by station
+    /// from source phase 0 and 1), and then, phase by phase in sweep order,
+    /// the hidden flips on its side of the diagonal, station by station,
+    /// before finishing the phase.
+    fn sweep_phases<const P: usize, const UP: bool>(
+        &self,
+        x: &mut [f64],
+        start: &impl Fn(usize, f64) -> f64,
+        term: &impl Fn(f64, usize, f64, f64) -> f64,
+        finish: &mut impl FnMut(usize, f64, f64) -> f64,
+    ) {
+        let phases = if P == 0 { self.idx.phases } else { P };
+        let mask = phases - 1;
+        // A fixed-size accumulator stays in registers once the loops unroll.
+        let mut local = [0.0; 16];
+        let mut heap = vec![0.0; if P == 0 { phases } else { 0 }];
+        self.for_each_run(UP, |s, run, feeds| {
+            let kmax = self.population - s;
+            for step in 0..=kmax {
+                let k = if UP { kmax - step } else { step };
+                let base = (run + k) * phases;
+                let acc = if P == 0 {
+                    &mut heap[..]
+                } else {
+                    &mut local[..P]
+                };
+                for (q, a) in acc.iter_mut().enumerate() {
+                    *a = start(base + q, x[base + q]);
+                }
+                if UP {
+                    let mut bit = phases >> 1;
+                    for (terms, [_, completion]) in
+                        self.terms.chunks_exact(phases).zip(&feeds.stations)
+                    {
+                        if let Some(src) = completion.at(k) {
+                            let src = src * phases;
+                            for (q, (a, t)) in acc.iter_mut().zip(terms).enumerate() {
+                                let (j0, j1) = (src + (q & !bit & mask), src + ((q | bit) & mask));
+                                *a = term(*a, j0, t.d1[0], x[j0]);
+                                *a = term(*a, j1, t.d1[1], x[j1]);
+                            }
+                        }
+                        bit >>= 1;
+                    }
+                } else if let Some(src) = feeds.think.at(k) {
+                    // The source has s + k - 1 jobs queued, so n - s - k + 1
+                    // thinking customers feed the arrival.
+                    let rate = (self.population - s - k + 1) as f64 * self.think_rate;
+                    let src = src * phases;
+                    for (q, a) in acc.iter_mut().enumerate() {
+                        *a = term(*a, src + q, rate, x[src + q]);
+                    }
+                }
+                for step in 0..phases {
+                    let q = if UP { phases - 1 - step } else { step };
+                    let mut a = acc[q];
+                    let mut bit = phases >> 1;
+                    for (terms, [hidden, _]) in self.terms.chunks_exact(phases).zip(&feeds.stations)
+                    {
+                        // The source phase q ^ bit is lower iff q has the bit.
+                        if hidden.at(k).is_some() && ((q & bit) == 0) == UP {
+                            let j = base + ((q ^ bit) & mask);
+                            a = term(a, j, terms[q].hidden, x[j]);
+                        }
+                        bit >>= 1;
+                    }
+                    x[base + q] = finish(base + q, x[base + q], a);
+                }
+            }
+        });
+    }
+}
+
+impl Generator for MatrixFreeGenerator {
     fn exit_rates(&self) -> &[f64] {
         &self.out_rate
     }
 
-    /// Gather form of the generator apply: for each destination state the
+    /// Recomputed, not stored: the solve keeps no vector beyond its seven
+    /// and the exit rates.
+    fn inverse_exit_rate(&self, i: usize) -> f64 {
+        1.0 / self.out_rate[i]
+    }
+
+    /// Gather form of the generator: for each destination state the
     /// incoming transitions are (a) a think arrival from `occ - e_0`, (b) a
     /// hidden phase flip at each busy station (same occupancy), (c) a
     /// completion hand-off from `occ + e_i - e_{i+1}` for every interior
     /// station with `occ[i+1] > 0`, and (d) a last-station completion from
     /// `occ + e_last` when the network is not full. Each row adds the think
     /// arrival first, then station by station the hidden flip and the
-    /// completions from source phase 0 and 1, whatever the range, so rows
-    /// are bit-identical under any partition. Each row is written by
-    /// exactly one caller, so partitioned applies never race.
-    fn inflow_into(&self, x: &[f64], rows: Range<usize>, out: &mut [f64]) {
-        debug_assert_eq!(out.len(), rows.len());
-        if rows.is_empty() {
-            return;
-        }
+    /// completions from source phase 0 and 1.
+    fn inflow(&self, x: &[f64], mut row: impl FnMut(usize, f64)) {
         match self.idx.phases {
-            2 => self.gather::<2>(x, rows, out),
-            4 => self.gather::<4>(x, rows, out),
-            8 => self.gather::<8>(x, rows, out),
-            16 => self.gather::<16>(x, rows, out),
-            _ => self.gather::<0>(x, rows, out),
+            2 => self.gather::<2>(x, &mut row),
+            4 => self.gather::<4>(x, &mut row),
+            8 => self.gather::<8>(x, &mut row),
+            16 => self.gather::<16>(x, &mut row),
+            _ => self.gather::<0>(x, &mut row),
+        }
+    }
+
+    fn sweep<const UP: bool>(
+        &self,
+        x: &mut [f64],
+        start: impl Fn(usize, f64) -> f64,
+        term: impl Fn(f64, usize, f64, f64) -> f64,
+        mut finish: impl FnMut(usize, f64, f64) -> f64,
+    ) {
+        let f = &mut finish;
+        match self.idx.phases {
+            2 => self.sweep_phases::<2, UP>(x, &start, &term, f),
+            4 => self.sweep_phases::<4, UP>(x, &start, &term, f),
+            8 => self.sweep_phases::<8, UP>(x, &start, &term, f),
+            16 => self.sweep_phases::<16, UP>(x, &start, &term, f),
+            _ => self.sweep_phases::<0, UP>(x, &start, &term, f),
         }
     }
 }
 
-/// The Jacobi damping factor: below 1, so the sweep operator's
-/// non-principal eigenvalues sit strictly inside the unit circle on these
-/// quasi-birth-death chains (see the module docs).
-const OMEGA: f64 = 0.95;
+/// The trace names of the matrix-free engine's solves.
+const EVENTS: Events = Events {
+    solve: "matfree.solve",
+    sweep: "matfree.sweep",
+    stall: "matfree.stall",
+    final_residual: "matfree.final_residual",
+    sweeps: "matfree.sweeps",
+};
 
-/// Worker count used when the caller passes `workers = 0`: the
-/// `BURSTCAP_SOLVER_WORKERS` environment variable if set to a positive
-/// integer, else the machine's available parallelism (1 if unknown).
-pub fn default_workers() -> usize {
-    if let Ok(v) = std::env::var("BURSTCAP_SOLVER_WORKERS") {
-        if let Ok(k) = v.trim().parse::<usize>() {
-            if k >= 1 {
-                return k;
-            }
-        }
-    }
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "qn::matfree is a parallelism seam: it sizes its worker pool"
-    )]
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
-/// Contiguous near-equal row ranges for `workers` threads.
-fn partition(n: usize, workers: usize) -> Vec<Range<usize>> {
-    let w = workers.clamp(1, n.max(1));
-    let base = n / w;
-    let extra = n % w;
-    let mut ranges = Vec::with_capacity(w);
-    let mut start = 0usize;
-    for k in 0..w {
-        let len = base + usize::from(k < extra);
-        ranges.push(start..start + len);
-        start += len;
-    }
-    ranges
-}
-
-/// One parallel operator apply: `out = Q^T x`. The first row range runs
-/// on the calling thread and every further range on a scoped thread of its
-/// own. Each writes a disjoint `out` chunk, so no synchronization beyond
-/// the join is needed.
-fn apply(op: &impl ApplyQ, x: &[f64], ranges: &[Range<usize>], out: &mut [f64]) {
-    let Some((first, others)) = ranges.split_first() else {
-        return;
-    };
-    let (head, mut rest) = out.split_at_mut(first.len());
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "qn::matfree is a parallelism seam: the partitioned sweep runs on scoped workers"
-    )]
-    std::thread::scope(|scope| {
-        for r in others {
-            let (chunk, tail) = std::mem::take(&mut rest).split_at_mut(r.len());
-            rest = tail;
-            let r = r.clone();
-            scope.spawn(move || op.inflow_into(x, r, chunk));
-        }
-        op.inflow_into(x, first.clone(), head);
-    });
-}
-
-/// Solve for the stationary distribution of the chain behind `op` by damped
-/// Jacobi sweeps to the scale-free L1 balance residual `tol` within
-/// `max_iter` sweeps, with the rows partitioned across `workers` threads
-/// (`0` = [`default_workers`]). `guess` warm-starts the solve (`None`: the
+/// Solve for the stationary distribution of the network behind `op` with
+/// the BiCGSTAB of [`crate::ctmc::Ctmc::steady_state`] — the same body,
+/// pinned row, preconditioner and stopping rule — over the matrix-free
+/// generator, to the scale-free L1 balance residual `tol` within
+/// `max_iter` iterations. `guess` warm-starts the solve (`None`: the
 /// uniform distribution); it is floored and normalized like the CSR
 /// engine's start.
 ///
-/// The iterates are bit-identical across worker counts — see the module
-/// docs. On `trace` the solve opens a `matfree.solve` span, emits
-/// decimated `matfree.sweep` events (one per power-of-two sweep plus the
-/// accepting one), a `matfree.stall` event when the budget runs out, and
-/// `matfree.final_residual` / `matfree.sweeps` histograms, all from the
-/// **serial** residual pass — the parallel workers emit nothing, which is
-/// what keeps the deterministic export byte-identical across worker counts
-/// (property-tested alongside the iterate equality). The worker count and
-/// row partition, which legitimately vary, go out as **volatile**
-/// `matfree.partition` events: visible in the full export, absent from the
-/// deterministic one. Pass [`Trace::noop`] to observe nothing.
+/// On `trace` the solve opens a `matfree.solve` span, emits decimated
+/// `matfree.sweep` events (one per power-of-two iteration plus the
+/// accepting check), a `matfree.stall` event when it gives up, and
+/// `matfree.final_residual` / `matfree.sweeps` histograms. The solve runs
+/// on the calling thread, so the recorded trace is deterministic. Pass
+/// [`Trace::noop`] to observe nothing.
 ///
 /// # Errors
 /// Rejects wrong-length guesses; returns [`QnError::NoConvergence`] when
-/// the sweep budget is exhausted.
+/// the budget runs out.
 ///
 /// # Example
 /// ```
+/// use burstcap_map::Map2;
 /// use burstcap_obs::Trace;
-/// use burstcap_qn::ctmc::Ctmc;
+/// use burstcap_qn::mapqn::MapNetwork;
 /// use burstcap_qn::matfree::steady_state;
 ///
-/// // M/M/1/2 with lambda = 1, mu = 2: pi = (4, 2, 1) / 7. The CSR-backed
-/// // chain doubles as an ApplyQ operator.
-/// let chain = Ctmc::from_transitions(
-///     3,
-///     [(0, 1, 1.0), (1, 2, 1.0), (1, 0, 2.0), (2, 1, 2.0)],
-/// )?;
-/// let run = steady_state(&chain, (1e-12, 10_000), 1, None, &Trace::noop())?;
-/// assert!((run.pi[0] - 4.0 / 7.0).abs() < 1e-8);
+/// let net = MapNetwork::new(6, 0.5, Map2::poisson(100.0)?, Map2::poisson(50.0)?)?;
+/// let run = steady_state(&net.matrix_free()?, None, (1e-12, 1_000), &Trace::noop())?;
+/// let (_, direct) = net.solve_with_initial(None)?;
+/// for (a, b) in run.pi.iter().zip(&direct) {
+///     assert!((a - b).abs() < 1e-10);
+/// }
 /// assert!(run.iterations > 0);
-/// # Ok::<(), burstcap_qn::QnError>(())
+/// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn steady_state(
-    op: &impl ApplyQ,
-    (tol, max_iter): (f64, usize),
-    workers: usize,
+    op: &MatrixFreeGenerator,
     guess: Option<Vec<f64>>,
+    budget: (f64, usize),
     trace: &Trace,
 ) -> Result<SolveRun, QnError> {
-    let n = op.n_states();
-    let Some(pi) = start_vector(n, guess)? else {
-        return Ok(SolveRun::exact(vec![1.0]));
-    };
-    let workers = if workers == 0 {
-        default_workers()
-    } else {
-        workers
-    };
-    let ranges = partition(n, workers);
-    // The span carries nothing worker-count-dependent: the deterministic
-    // trace must be byte-identical at any worker count. The partition is
-    // reported as volatile events, which the deterministic export drops.
-    let _span = trace.span_with(
-        "matfree.solve",
-        vec![("states", n.into()), ("solver", "jacobi".into())],
-    );
-    if trace.is_enabled() {
-        trace.volatile_event("matfree.workers", vec![("workers", workers.into())]);
-        for (w, r) in ranges.iter().enumerate() {
-            trace.volatile_event(
-                "matfree.partition",
-                vec![
-                    ("worker", w.into()),
-                    ("start", r.start.into()),
-                    ("len", r.len().into()),
-                ],
-            );
-        }
-    }
-    match jacobi(op, &ranges, trace, pi, tol, max_iter) {
-        Ok(run) => {
-            trace.observe(
-                "matfree.final_residual",
-                metrics::RESIDUAL_DECADES,
-                run.final_residual,
-            );
-            trace.observe(
-                "matfree.sweeps",
-                metrics::SWEEP_POWERS,
-                run.iterations as f64,
-            );
-            Ok(run)
-        }
-        Err(e) => {
-            if let QnError::NoConvergence {
-                solver,
-                iterations,
-                residual,
-            } = &e
-            {
-                trace.event(
-                    "matfree.stall",
-                    vec![
-                        ("solver", (*solver).into()),
-                        ("iterations", (*iterations).into()),
-                        ("residual", (*residual).into()),
-                    ],
-                );
-            }
-            Err(e)
-        }
-    }
-}
-
-/// The sweep loop: apply the operator, then one serial pass computes the
-/// balance residual of the current iterate and the damped Jacobi update of
-/// each row, and a second normalizes it. Sweeps from `pi` until the
-/// scale-free residual falls below `tol` or `max_iter` sweeps are spent.
-fn jacobi(
-    op: &impl ApplyQ,
-    ranges: &[Range<usize>],
-    trace: &Trace,
-    mut pi: Vec<f64>,
-    tol: f64,
-    max_iter: usize,
-) -> Result<SolveRun, QnError> {
-    let out_rate = op.exit_rates();
-    // Scale-free residual target, matching the CSR engine's convention.
-    let scale: f64 = out_rate.iter().sum::<f64>() / pi.len() as f64;
-    let mut next = vec![0.0; pi.len()];
-    let mut last_residual = f64::INFINITY;
-    for iter in 1..=max_iter {
-        apply(op, &pi, ranges, &mut next);
-        let mut residual = 0.0;
-        let mut sum = 0.0;
-        for ((v, &p), &out) in next.iter_mut().zip(&pi).zip(out_rate) {
-            let inflow = *v;
-            residual += (inflow - p * out).abs();
-            *v = (1.0 - OMEGA) * p + OMEGA * inflow / out;
-            sum += *v;
-        }
-        for v in next.iter_mut() {
-            *v /= sum;
-        }
-        std::mem::swap(&mut pi, &mut next);
-        last_residual = residual / scale;
-        let converged = last_residual < tol;
-        // Decimated trajectory from the serial pass: one event per
-        // power-of-two sweep plus the accepting one.
-        if iter.is_power_of_two() || converged {
-            trace.event(
-                "matfree.sweep",
-                vec![("iter", iter.into()), ("residual", last_residual.into())],
-            );
-        }
-        if converged {
-            return Ok(SolveRun {
-                pi,
-                iterations: iter,
-                final_residual: last_residual,
-            });
-        }
-    }
-    Err(QnError::NoConvergence {
-        solver: "matfree-jacobi",
-        iterations: max_iter,
-        residual: last_residual,
-    })
+    solve(op, &EVENTS, guess, budget, trace)
 }
 
 #[cfg(test)]
@@ -692,96 +545,90 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
+    use crate::ctmc::{Ctmc, SplitCsr, BACKWARD, FORWARD};
     use crate::mapqn::MapNetwork;
 
-    fn two_state_chain() -> Ctmc {
-        Ctmc::from_transitions(2, [(0, 1, 2.0), (1, 0, 3.0)]).unwrap()
-    }
-
-    #[test]
-    fn partition_covers_rows_exactly() {
-        for (n, w) in [(10usize, 3usize), (7, 7), (5, 16), (1, 1), (100, 4)] {
-            let ranges = partition(n, w);
-            assert_eq!(ranges.len(), w.min(n));
-            assert_eq!(ranges[0].start, 0);
-            assert_eq!(ranges.last().unwrap().end, n);
-            for pair in ranges.windows(2) {
-                assert_eq!(pair[0].end, pair[1].start);
-                assert!(!pair[1].is_empty());
-            }
-        }
-    }
-
     /// The production budget of the matrix-free tier.
-    const BUDGET: (f64, usize) = (1e-12, 400_000);
+    const BUDGET: (f64, usize) = (1e-12, 100_000);
+
+    /// The paper's two-tier network with moderately bursty fits.
+    fn bursty_net(pop: usize) -> MapNetwork {
+        let front = Map2Fitter::new(0.01, 8.0, 0.03).fit().unwrap().map();
+        let db = Map2Fitter::new(0.008, 12.0, 0.02).fit().unwrap().map();
+        MapNetwork::new(pop, 0.3, front, db).unwrap()
+    }
 
     #[test]
     fn ctmc_operator_solves_birth_death() {
-        // pi = (0.6, 0.4) for rates 2 / 3, at several worker counts
-        // (partitioning must not change the answer at all).
-        let chain = two_state_chain();
-        let mut reference: Option<Vec<f64>> = None;
-        for workers in [1usize, 2, 3] {
-            let run = steady_state(&chain, BUDGET, workers, None, &Trace::noop()).unwrap();
-            assert!((run.pi[0] - 0.6).abs() < 1e-9, "pi = {:?}", run.pi);
-            assert!(run.iterations > 0);
-            match &reference {
-                Some(r) => assert_eq!(r, &run.pi, "workers = {workers}"),
-                None => reference = Some(run.pi),
-            }
+        // One exponential station behind the think stage: the queue length
+        // is a birth-death chain, pi(k) ∝ N! / (N - k)! · (m / Z)^k, and
+        // the operator's solve must reproduce it summed over phases.
+        let (pop, think, mean) = (8usize, 0.5, 0.04);
+        let net = MapNetwork::tandem(pop, think, vec![Map2::poisson(1.0 / mean).unwrap()]).unwrap();
+        let run = steady_state(&net.matrix_free().unwrap(), None, BUDGET, &Trace::noop()).unwrap();
+        assert!(run.iterations > 0);
+        let mut weight = vec![1.0_f64];
+        for k in 1..=pop {
+            weight.push(weight[k - 1] * (pop - k + 1) as f64 * mean / think);
+        }
+        let total: f64 = weight.iter().sum();
+        for (k, w) in weight.iter().enumerate() {
+            let got = run.pi[2 * k] + run.pi[2 * k + 1];
+            assert!(
+                (got - w / total).abs() < 1e-9,
+                "k = {k}: {got} vs {}",
+                w / total
+            );
         }
     }
 
     #[test]
     fn guess_is_validated_before_anything_is_recorded() {
-        // A rejected call records nothing, and a one-state chain (which
-        // needs no sweep) is no exception.
-        let single = Ctmc::from_transitions(1, []).unwrap();
-        for op in [&two_state_chain(), &single] {
-            let recorder = Recorder::new();
-            assert!(matches!(
-                steady_state(op, BUDGET, 2, Some(vec![1.0; 3]), &recorder.trace()),
-                Err(QnError::InvalidParameter { name: "guess", .. })
-            ));
-            assert_eq!(recorder.event_count(), 0);
-        }
+        // A rejected call records nothing.
+        let op = bursty_net(10).matrix_free().unwrap();
+        let recorder = Recorder::new();
+        assert!(matches!(
+            steady_state(&op, Some(vec![1.0; 3]), BUDGET, &recorder.trace()),
+            Err(QnError::InvalidParameter { name: "guess", .. })
+        ));
+        assert_eq!(recorder.event_count(), 0);
     }
 
     #[test]
     fn exhausted_budget_is_no_convergence() {
-        let chain = two_state_chain();
+        let op = bursty_net(10).matrix_free().unwrap();
         assert!(matches!(
-            steady_state(&chain, (1e-14, 1), 1, None, &Trace::noop()),
+            steady_state(&op, None, (1e-14, 1), &Trace::noop()),
             Err(QnError::NoConvergence {
-                solver: "matfree-jacobi",
+                solver: "bicgstab-ilu0",
+                iterations: 1,
                 ..
             })
         ));
     }
 
-    /// `m` seeded bursty fits, optionally with the last station replaced
-    /// by one whose D0 has a zero off-diagonal (no hidden flip out of
-    /// phase 0).
-    fn seeded_stations(rng: &mut SmallRng, m: usize, zero_flip: bool) -> Vec<Map2> {
-        let mut stations: Vec<Map2> = (0..m)
+    /// `m` seeded bursty fits, or, with `flips`, `m` general MAP(2)s with
+    /// hidden flips both ways and completions from both phases.
+    fn seeded_stations(rng: &mut SmallRng, m: usize, flips: bool) -> Vec<Map2> {
+        (0..m)
             .map(|_| {
-                let mean = rng.random_range(0.004..0.02);
-                let dispersion = rng.random_range(2.0..50.0);
-                Map2Fitter::new(mean, dispersion, 3.0 * mean)
-                    .fit()
+                if flips {
+                    let s = rng.random_range(1.0..10.0);
+                    Map2::new(
+                        [[-30.0 * s, 4.0 * s], [1.5 * s, -9.0 * s]],
+                        [[20.0 * s, 6.0 * s], [2.5 * s, 5.0 * s]],
+                    )
                     .unwrap()
-                    .map()
+                } else {
+                    let mean = rng.random_range(0.004..0.02);
+                    let dispersion = rng.random_range(2.0..50.0);
+                    Map2Fitter::new(mean, dispersion, 3.0 * mean)
+                        .fit()
+                        .unwrap()
+                        .map()
+                }
             })
-            .collect();
-        if zero_flip {
-            stations[m - 1] =
-                Map2::new([[-30.0, 0.0], [3.0, -80.0]], [[28.0, 2.0], [7.0, 70.0]]).unwrap();
-        }
-        stations
-    }
-
-    fn bits(v: &[f64]) -> Vec<u64> {
-        v.iter().map(|x| x.to_bits()).collect()
+            .collect()
     }
 
     /// A deterministic, well-spread probe vector.
@@ -789,93 +636,115 @@ mod tests {
         (0..n).map(|i| 1.0 + ((i * 37) % 101) as f64).collect()
     }
 
+    fn assert_rows_match(got: &[f64], want: &[f64], what: &str) {
+        for (i, (a, b)) in got.iter().zip(want).enumerate() {
+            assert!(
+                (a - b).abs() <= 1e-12 * b.abs(),
+                "{what}, row {i}: {a} vs {b}"
+            );
+        }
+    }
+
+    /// The lower (forward) and upper (backward) gathers of `g` on `x`:
+    /// sweeps that sum each row's terms and leave `x` as it is.
+    fn gathers(g: &impl Generator, x: &[f64]) -> (Vec<f64>, Vec<f64>) {
+        let mut x = x.to_vec();
+        let (mut lower, mut upper) = (vec![0.0; x.len()], vec![0.0; x.len()]);
+        let add = |acc, _, q, xj| acc + q * xj;
+        g.sweep::<FORWARD>(
+            &mut x,
+            |_, _| 0.0,
+            add,
+            |i, xi, acc| {
+                lower[i] = acc;
+                xi
+            },
+        );
+        g.sweep::<BACKWARD>(
+            &mut x,
+            |_, _| 0.0,
+            add,
+            |i, xi, acc| {
+                upper[i] = acc;
+                xi
+            },
+        );
+        (lower, upper)
+    }
+
     #[test]
     fn matrix_free_generator_matches_csr_chain() {
         // The gather-form operator against the assembled chain at one to
-        // five stations: exit rates and a full-range apply agree to
-        // roundoff, and a few range-partitioned applies (including ranges
-        // that split a phase block) agree bit for bit with the full apply.
+        // five stations: exit rates and the full inflow agree to roundoff.
         let mut rng = SmallRng::seed_from_u64(20080901);
         for (m, pop) in [(1usize, 20usize), (2, 10), (3, 6), (4, 4), (5, 2)] {
-            for zero_flip in [false, true] {
-                let stations = seeded_stations(&mut rng, m, zero_flip);
-                let net = MapNetwork::tandem(pop, 0.3, stations).unwrap();
+            for flips in [false, true] {
+                let net =
+                    MapNetwork::tandem(pop, 0.3, seeded_stations(&mut rng, m, flips)).unwrap();
                 let op = net.matrix_free().unwrap();
                 let chain = Ctmc::from_outgoing_csr(net.outgoing_csr().unwrap()).unwrap();
                 let n = net.state_count();
                 assert_eq!(op.n_states(), n);
-                for (a, b) in op.exit_rates().iter().zip(chain.exit_rates()) {
-                    assert!((a - b).abs() <= 1e-12 * b.abs());
-                }
+                assert_rows_match(op.exit_rates(), chain.out_rates(), "exit rate");
                 let x = probe(n);
                 let mut from_op = vec![0.0; n];
-                op.inflow_into(&x, 0..n, &mut from_op);
-                let mut from_chain = vec![0.0; n];
-                chain.inflow_into(&x, 0..n, &mut from_chain);
-                for (i, (a, b)) in from_op.iter().zip(&from_chain).enumerate() {
-                    assert!(
-                        (a - b).abs() <= 1e-12 * b.abs().max(1.0),
-                        "M = {m}, row {i}: {a} vs {b}"
-                    );
-                }
-                let mut pieces = vec![0.0; n];
-                let cuts = [0, 3, n / 3 + 1, n / 2, n - 5, n];
-                for pair in cuts.windows(2) {
-                    op.inflow_into(&x, pair[0]..pair[1], &mut pieces[pair[0]..pair[1]]);
-                }
-                assert_eq!(bits(&pieces), bits(&from_op), "M = {m}");
+                op.inflow(&x, |i, inflow| from_op[i] = inflow);
+                assert_rows_match(&from_op, &chain.incoming_csr().mul_vec(&x), "inflow");
             }
         }
     }
 
     #[test]
-    fn split_at_every_row_matches_full_apply() {
-        // Every single cut point, so cuts fall inside a run and inside a
-        // phase block, both of which the run walk has to clip.
-        let mut rng = SmallRng::seed_from_u64(7);
-        let net = MapNetwork::tandem(3, 0.3, seeded_stations(&mut rng, 2, true)).unwrap();
-        let op = net.matrix_free().unwrap();
-        let n = op.n_states();
-        let x = probe(n);
-        let mut full = vec![0.0; n];
-        op.inflow_into(&x, 0..n, &mut full);
-        for cut in 0..=n {
-            let mut pieces = vec![0.0; n];
-            let (lo, hi) = pieces.split_at_mut(cut);
-            op.inflow_into(&x, 0..cut, lo);
-            op.inflow_into(&x, cut..n, hi);
-            assert_eq!(bits(&pieces), bits(&full), "cut at {cut}");
+    fn lower_and_upper_sweeps_match_the_csr_split() {
+        // Every transition lands on the side of the diagonal the module
+        // docs give it: the matrix-free lower and upper gathers equal the
+        // CSR's, split at each row's diagonal, at every row of tandems of
+        // one to four stations, with and without hidden flips.
+        let mut rng = SmallRng::seed_from_u64(11);
+        for (m, pop) in [(1usize, 12usize), (2, 7), (3, 5), (4, 3)] {
+            for flips in [false, true] {
+                let net =
+                    MapNetwork::tandem(pop, 0.4, seeded_stations(&mut rng, m, flips)).unwrap();
+                let chain = Ctmc::from_outgoing_csr(net.outgoing_csr().unwrap()).unwrap();
+                let x = probe(net.state_count());
+                let (lower, upper) = gathers(&net.matrix_free().unwrap(), &x);
+                let (csr_lower, csr_upper) = gathers(&SplitCsr::new(&chain), &x);
+                assert_rows_match(
+                    &lower,
+                    &csr_lower,
+                    &format!("M = {m}, flips {flips}, lower"),
+                );
+                assert_rows_match(
+                    &upper,
+                    &csr_upper,
+                    &format!("M = {m}, flips {flips}, upper"),
+                );
+            }
         }
     }
 
     #[test]
     fn matrix_free_solve_matches_direct() {
-        let front = Map2Fitter::new(0.01, 8.0, 0.03).fit().unwrap().map();
-        let db = Map2Fitter::new(0.008, 12.0, 0.02).fit().unwrap().map();
-        let net = MapNetwork::new(12, 0.3, front, db).unwrap();
+        let net = bursty_net(12);
         let direct = net.solve().unwrap();
-        for workers in [1usize, 2, 4] {
-            let (sol, _) = net.solve_matrix_free_with_initial(workers, None).unwrap();
-            assert!(
-                (sol.throughput - direct.throughput).abs() / direct.throughput < 1e-8,
-                "workers {workers}: {} vs {}",
-                sol.throughput,
-                direct.throughput
-            );
-            assert_eq!(
-                sol.diagnostics.engine,
-                crate::mapqn::SolveEngine::MatrixFree
-            );
-            assert!(sol.diagnostics.iterations > 0);
-            assert!(!sol.diagnostics.fell_back);
-        }
+        let (sol, _) = net.solve_matrix_free_with_initial(1, None).unwrap();
+        assert!(
+            (sol.throughput - direct.throughput).abs() / direct.throughput < 1e-8,
+            "{} vs {}",
+            sol.throughput,
+            direct.throughput
+        );
+        assert_eq!(
+            sol.diagnostics.engine,
+            crate::mapqn::SolveEngine::MatrixFree
+        );
+        assert!(sol.diagnostics.iterations > 0);
+        assert!(!sol.diagnostics.fell_back);
     }
 
     #[test]
     fn matrix_free_warm_start_converges_faster() {
-        let front = Map2Fitter::new(0.01, 8.0, 0.03).fit().unwrap().map();
-        let db = Map2Fitter::new(0.008, 12.0, 0.02).fit().unwrap().map();
-        let net = MapNetwork::new(10, 0.3, front, db).unwrap();
+        let net = bursty_net(10);
         let (cold, pi) = net.solve_matrix_free_with_initial(1, None).unwrap();
         assert_eq!(pi.len(), net.state_count());
         let (warm, pi2) = net.solve_matrix_free_with_initial(1, Some(pi)).unwrap();

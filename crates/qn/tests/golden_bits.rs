@@ -1,16 +1,21 @@
-//! Golden bits of the matrix-free engine, whose one method is damped Jacobi
-//! at the tier's production budget: throughput, response time, sweep
-//! count and final residual of four hand-written tandems, pinned to the
-//! exact `f64` bit patterns the engine produced before its apply kernel was
-//! restructured around occupancy runs. Any change to the order in which a
-//! row's inflow terms are added, to the sweep loop, or to the stopping
-//! rule shows up here as a bit difference.
+//! Golden bits of the matrix-free engine, the SGS-preconditioned BiCGSTAB
+//! of `ctmc` run over the matrix-free generator at the tier's production
+//! budget: throughput, response time, iteration count and final residual
+//! of four hand-written tandems, pinned to the exact `f64` bit patterns the
+//! engine produced, with the solver label its trace records. Any change to
+//! the order in which a sweep adds a row's terms, to the product-form
+//! start, to the iteration or to the stopping rule shows up here as a bit
+//! difference.
 //!
 //! The stations are built with explicit `Map2::new` matrices (no fitting,
-//! so no libm call can move the inputs), and each network is solved at one
-//! and at three workers, which must agree bit for bit.
+//! so no libm call can move the inputs). Before the bits were pinned, each
+//! answer was checked against the exact direct solver, and the first three
+//! (62, 1,404 and 3,640 states) against dense LU, all within 1e-8. The
+//! test repeats the cheap checks: direct up to 4,000 states (at `M = 4` the
+//! level blocks alone take seconds to invert) and dense LU up to 2,000.
 
 use burstcap_map::Map2;
+use burstcap_obs::{EventKind, FieldValue, Recorder};
 use burstcap_qn::mapqn::MapNetwork;
 
 fn stations() -> Vec<Map2> {
@@ -27,37 +32,57 @@ fn stations() -> Vec<Map2> {
     ]
 }
 
-/// `(M, population, throughput bits, response-time bits, sweeps, final
+/// `(M, population, throughput bits, response-time bits, iterations, final
 /// residual bits)`.
 #[rustfmt::skip]
 const GOLDEN: [(usize, usize, u64, u64, usize, u64); 4] = [
-    (1, 30, 0x404c1c754de4453e, 0x3fcde677bc443bd6, 927, 0x3d717eb62fc1fc42),
-    (2, 25, 0x40251dc7df394c18, 0x40008aed617e6d14, 1276, 0x3d71590f0d6e21e2),
-    (3, 12, 0x402442a3d47b5186, 0x3fec4e7ec6115008, 1929, 0x3d7184b128312dfe),
-    (4, 8, 0x4022677e8481d3af, 0x3fe23839509a78bc, 2400, 0x3d717fe5c86f5960),
+    (1, 30, 0x404c1c754de92126, 0x3fcde677bc386d96, 17, 0x3d43a84cc1864d3f),
+    (2, 25, 0x40251dc7df3b556a, 0x40008aed617c996b, 29, 0x3d629cf7c6e3275e),
+    (3, 12, 0x402442a3d47b5f78, 0x3fec4e7ec61135f2, 35, 0x3d31402d15dbf847),
+    (4, 8, 0x4022677e8482f62c, 0x3fe238395098c1a2, 32, 0x3d411fa349b8bbc9),
 ];
+
+/// The solver label of the matrix-free engine's `matfree.solve` span.
+const SOLVER: &str = "bicgstab-ilu0";
 
 #[test]
 fn matrix_free_answers_match_recorded_bits() {
     let all = stations();
-    for (m, pop, throughput, response, sweeps, residual) in GOLDEN {
+    for (m, pop, throughput, response, iterations, residual) in GOLDEN {
         let net = MapNetwork::tandem(pop, 0.3, all[..m].to_vec()).unwrap();
-        for workers in [1usize, 3] {
-            let (sol, _) = net.solve_matrix_free_with_initial(workers, None).unwrap();
-            let d = &sol.diagnostics;
-            let got = (
-                sol.throughput.to_bits(),
-                sol.response_time.to_bits(),
-                d.iterations,
-                d.final_residual.to_bits(),
-            );
-            assert_eq!(
-                got,
-                (throughput, response, sweeps, residual),
-                "M = {m}, population {pop}, {workers} workers: X = {}, R = {}",
-                sol.throughput,
-                sol.response_time
-            );
+        let recorder = Recorder::new();
+        let (sol, _) = net
+            .solve_matrix_free_with_initial_traced(1, None, &recorder.trace())
+            .unwrap();
+        if net.state_count() <= 4_000 {
+            let exact = net.solve().unwrap().throughput;
+            let gap = (sol.throughput - exact).abs() / exact;
+            assert!(gap <= 1e-8, "M = {m}: direct gap {gap:e}");
         }
+        if net.state_count() <= 2_000 {
+            let lu = net.solve_dense_lu(2_000).unwrap().throughput;
+            let gap = (sol.throughput - lu).abs() / lu;
+            assert!(gap <= 1e-8, "M = {m}: dense LU gap {gap:e}");
+        }
+        let events = recorder.events();
+        let span = events
+            .iter()
+            .find(|e| e.kind == EventKind::SpanStart && e.name == "matfree.solve")
+            .expect("a matfree.solve span");
+        assert!(span.fields.contains(&("solver", FieldValue::Str(SOLVER))));
+        let d = &sol.diagnostics;
+        let got = (
+            sol.throughput.to_bits(),
+            sol.response_time.to_bits(),
+            d.iterations,
+            d.final_residual.to_bits(),
+        );
+        assert_eq!(
+            got,
+            (throughput, response, iterations, residual),
+            "M = {m}, population {pop}: X = {}, R = {}",
+            sol.throughput,
+            sol.response_time
+        );
     }
 }

@@ -1,11 +1,9 @@
 //! Trace-determinism regression tests: the deterministic export of a
-//! traced solve must be byte-identical across worker counts.
+//! traced solve must be byte-identical from run to run.
 //!
-//! The matrix-free engine partitions its sweeps across scoped threads, but
-//! every recorded (non-volatile) event is emitted from the serial residual
-//! pass over bit-identical iterates, so the serialized log is a pure
-//! function of the model — worker count and partition shapes appear only
-//! as volatile events, which `deterministic_json` excludes.
+//! The matrix-free engine solves on the calling thread and emits every
+//! recorded event from that one sequential iteration, so the serialized
+//! log is a pure function of the model.
 
 use burstcap_map::fit::Map2Fitter;
 use burstcap_obs::Recorder;
@@ -20,13 +18,12 @@ fn bursty_tandem(pop: usize, z: f64, specs: &[(f64, f64)]) -> MapNetwork {
     MapNetwork::tandem(pop, z, stations).unwrap()
 }
 
-/// Traced matrix-free solve of `net` at `workers`, returning the
-/// deterministic and full exports.
-fn matfree_logs(net: &MapNetwork, workers: usize) -> (String, String) {
+/// Traced matrix-free solve of `net`, returning the deterministic export.
+fn matfree_log(net: &MapNetwork) -> String {
     let recorder = Recorder::new();
-    net.solve_matrix_free_with_initial_traced(workers, None, &recorder.trace())
+    net.solve_matrix_free_with_initial_traced(1, None, &recorder.trace())
         .unwrap();
-    (recorder.deterministic_json(), recorder.full_json())
+    recorder.deterministic_json()
 }
 
 proptest! {
@@ -34,9 +31,9 @@ proptest! {
 
     /// The acceptance property of the observability layer: for random
     /// bursty tandems, the deterministic trace of a matrix-free solve is
-    /// byte-identical at 1, 2, and 3 workers.
+    /// byte-identical when the solve runs twice.
     #[test]
-    fn matfree_trace_is_byte_identical_across_worker_counts(
+    fn matfree_trace_is_byte_identical_across_runs(
         mean_f in 5e-3f64..0.03,
         mean_d in 5e-3f64..0.03,
         i_f in 1.5f64..40.0,
@@ -45,32 +42,22 @@ proptest! {
         pop in 2usize..9,
     ) {
         let net = bursty_tandem(pop, z, &[(mean_f, i_f), (mean_d, i_d)]);
-        let (serial, serial_full) = matfree_logs(&net, 1);
-        prop_assert!(serial.contains("\"name\": \"matfree.solve\""));
-        prop_assert!(serial.contains("\"name\": \"matfree.sweep\""));
+        let first = matfree_log(&net);
+        prop_assert!(first.contains("\"name\": \"matfree.solve\""));
+        prop_assert!(first.contains("\"name\": \"matfree.sweep\""));
+        let second = matfree_log(&net);
         prop_assert!(
-            !serial.contains("matfree.workers") && !serial.contains("matfree.partition"),
-            "worker topology leaked into the deterministic export"
+            first == second,
+            "trace diverged between runs\nfirst:\n{first}\nsecond:\n{second}"
         );
-        prop_assert!(
-            serial_full.contains("matfree.workers"),
-            "the full export must still record the topology"
-        );
-        for workers in [2usize, 3] {
-            let (parallel, _) = matfree_logs(&net, workers);
-            prop_assert!(
-                serial == parallel,
-                "workers {workers}: trace diverged from serial\nserial:\n{serial}\nparallel:\n{parallel}"
-            );
-        }
     }
 }
 
 #[test]
 fn sweep_events_are_decimated_not_exhaustive() {
-    // A stiff-ish tandem takes hundreds of sweeps; the trace must record
-    // O(log sweeps) of them (power-of-two decimation plus the accepting
-    // sweep), never the full trajectory.
+    // A stiff-ish tandem takes many iterations; the trace must record
+    // O(log iterations) of them (power-of-two decimation plus the
+    // accepting check), never the full trajectory.
     let net = bursty_tandem(6, 0.3, &[(0.02, 30.0), (0.015, 50.0)]);
     let recorder = Recorder::new();
     let (sol, _) = net
@@ -123,9 +110,9 @@ fn untraced_solves_emit_nothing_and_repeat_traced_results() {
     let net = bursty_tandem(5, 0.4, &[(0.012, 12.0), (0.02, 25.0)]);
     let recorder = Recorder::new();
     let (traced, pi_t) = net
-        .solve_matrix_free_with_initial_traced(2, None, &recorder.trace())
+        .solve_matrix_free_with_initial_traced(1, None, &recorder.trace())
         .unwrap();
-    let (untraced, pi_u) = net.solve_matrix_free_with_initial(2, None).unwrap();
+    let (untraced, pi_u) = net.solve_matrix_free_with_initial(1, None).unwrap();
     assert_eq!(traced.throughput.to_bits(), untraced.throughput.to_bits());
     assert_eq!(pi_t.len(), pi_u.len());
     for (a, b) in pi_t.iter().zip(&pi_u) {
